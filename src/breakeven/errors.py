@@ -23,7 +23,8 @@ class NonFiniteError(ComputationalError):
 
 
 class NoConvergenceError(ComputationalError):
-    """Iterative solver hit its sweep/iteration cap above tolerance."""
+    """An eigensolver failed: LAPACK did not converge, or Lanczos could not
+    draw a start vector outside its Krylov span."""
 
 
 class InvalidKError(ValidationError):

@@ -1,10 +1,10 @@
-"""Dense symmetric eigensolvers and Lanczos iteration.
+"""Dense symmetric eigendecomposition and Lanczos iteration.
 
 Everything operates on float64. The two entry points are ``jacobi_eigh``
-(full spectrum of a small dense symmetric matrix, used both directly on Gram
-matrices and as the oracle in tests) and ``lanczos_topk`` (top-k eigenpairs
-of a symmetric operator given only matrix-vector products, used for Hessian
-spectra).
+(full spectrum of a small dense symmetric matrix through LAPACK's ``eigh``,
+used both directly on Gram matrices and as the oracle in tests) and
+``lanczos_topk`` (top-k eigenpairs of a symmetric operator given only
+matrix-vector products, used for Hessian spectra).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import (
 )
 from .rng import make_rng
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_TOL = 1e-12
 LANCZOS_BREAKDOWN_TOL = 1e-13
 
 
@@ -94,88 +92,21 @@ def _sorted_pairs(values: np.ndarray, vectors: np.ndarray) -> EigenPairs:
     )
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule covering every index pair exactly once per sweep
-    in rounds of mutually disjoint pairs (odd n gets a bye slot)."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
 def jacobi_eigh(a: DenseSymmetric) -> EigenPairs:
-    """Full eigendecomposition by cyclic Jacobi rotations.
+    """Full eigendecomposition of a dense symmetric matrix.
 
-    Each sweep visits every off-diagonal pair exactly once, in the
-    round-robin ordering whose rounds consist of mutually disjoint pairs;
-    rotations in a round commute, so the whole round is applied as one
-    batched two-sided Givens update and each one zeroes its targeted entry
-    exactly. Sweeps continue until the off-diagonal Frobenius norm drops
-    below ``1e-12 * ||A||_F`` (or 100 sweeps, raising NoConvergenceError).
+    LAPACK-backed (``np.linalg.eigh``); the result is returned in the
+    package's convention: eigenvalues descending, eigenvector signs fixed by
+    ``_canonical_signs``. The name predates the LAPACK solver and is kept
+    until the in-package spans (ROADMAP item 5a) let it be renamed without
+    losing per-layer metrics. Raises NoConvergenceError when LAPACK reports
+    that the decomposition failed to converge.
     """
-    A = a.entries.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return EigenPairs(eigenvalues=A[0].copy(), eigenvectors=V)
-
-    fro = np.linalg.norm(A)
-    tol = JACOBI_OFFDIAG_TOL * fro
-    skip = tol / n  # entries this small cannot push the off-norm back above tol
-    rounds = _round_robin_rounds(n)
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol:
-            converged = True
-            break
-        for ps, qs in rounds:
-            apq = A[ps, qs]
-            active = np.abs(apq) > skip
-            if not np.any(active):
-                continue
-            p = ps[active]
-            q = qs[active]
-            apq = apq[active]
-            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = np.sign(tau)
-            t[t == 0] = 1.0
-            t /= np.abs(tau) + np.sqrt(1.0 + tau * tau)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-
-            rp = A[p, :]
-            rq = A[q, :]
-            A[p, :] = c[:, None] * rp - s[:, None] * rq
-            A[q, :] = s[:, None] * rp + c[:, None] * rq
-            cp = A[:, p]
-            cq = A[:, q]
-            A[:, p] = c * cp - s * cq
-            A[:, q] = s * cp + c * cq
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-
-            vp = V[:, p]
-            vq = V[:, q]
-            V[:, p] = c * vp - s * vq
-            V[:, q] = s * vp + c * vq
-
-    if not converged:
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off > tol:
-            raise NoConvergenceError(
-                f"Jacobi sweep cap hit with off-diagonal norm {off:.3e} > {tol:.3e}"
-            )
-    return _sorted_pairs(np.diag(A).copy(), V)
+    try:
+        values, vectors = np.linalg.eigh(a.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigh failed on a {a.dim}x{a.dim} matrix: {exc}") from exc
+    return _sorted_pairs(values, vectors)
 
 
 def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray, j: int) -> np.ndarray:
@@ -202,8 +133,8 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> Eigen
     1e-13) the iteration restarts with a fresh random vector orthogonal to
     the converged subspace, leaving a zero coupling in the tridiagonal; if
     the space is exhausted the spectrum found so far is exact. The
-    tridiagonal is diagonalized with ``jacobi_eigh`` and Ritz vectors are
-    mapped back to the ambient space.
+    tridiagonal is diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz
+    vectors are mapped back to the ambient space.
     """
     n = op.dim
     if k < 1 or k > n or k > max_iters:

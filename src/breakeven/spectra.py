@@ -26,7 +26,7 @@ from .errors import (
     InvalidParamsError,
     RankDeficientError,
 )
-from .linalg import DenseSymmetric, jacobi_eigh, lanczos_topk, project_onto_subspace
+from .linalg import DenseSymmetric, _canonical_signs, jacobi_eigh, lanczos_topk, project_onto_subspace
 from .netmodel import BATCH_STATS, Batch, BnMode, MlpSpec, grad, hessian_operator
 from .rng import derive_seed, make_rng
 
@@ -41,10 +41,6 @@ class GramMatrix:
 
     entries: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -56,7 +52,7 @@ class SpectralSummary:
     trace_k: float
     cond_ratio: Optional[float]
     gram_eigenvalues: np.ndarray  # full clamped spectrum, descending
-    top_eigvecs_k: Optional[np.ndarray] = None  # ambient, columns
+    gram_eigenvectors: np.ndarray  # columns pair with gram_eigenvalues; rows in sample order
     lambda_h_top: Optional[np.ndarray] = None
     hvp_method: Optional[str] = None
 
@@ -130,11 +126,14 @@ def k_spectrum(gram: GramMatrix) -> SpectralSummary:
     nonzero one is taken as the second-smallest after clamping, discarding
     the single null direction introduced by centering. The conditioning
     ratio is null when the spectral norm is (numerically) zero. Sample order
-    is canonicalized first, so summaries do not depend on draw order.
+    is canonicalized first, so summaries do not depend on draw order; the
+    eigenvector rows are mapped back to the caller's sample order, so
+    ``k_top_eigvecs`` can pair them with the gradient rows as given.
     """
     order = _canonical_sample_order(gram.entries)
     canonical = gram.entries[np.ix_(order, order)]
     pairs = jacobi_eigh(DenseSymmetric.from_array(canonical))
+    vectors = pairs.eigenvectors[np.argsort(order)]  # rows back in sample order
     clamped = np.maximum(pairs.eigenvalues, 0.0)  # descending
     lambda_k1 = float(clamped[0])
     lambda_k_star = float(clamped[-2]) if clamped.size >= 2 else float(clamped[-1])
@@ -146,36 +145,30 @@ def k_spectrum(gram: GramMatrix) -> SpectralSummary:
         trace_k=trace_k,
         cond_ratio=cond,
         gram_eigenvalues=clamped,
+        gram_eigenvectors=vectors,
     )
 
 
 def k_top_eigvecs(
-    grads: np.ndarray, gbar: np.ndarray, gram: GramMatrix, k: int = 5
+    grads: np.ndarray, gbar: np.ndarray, ks: SpectralSummary, k: int = 5
 ) -> np.ndarray:
     """Top-k ambient-space eigenvectors of the covariance, as columns.
 
     A Gram eigenvector u with eigenvalue lambda > 0 maps to the ambient
-    eigenvector normalize(sum_i u_i (g_i - gbar)).
+    eigenvector normalize(sum_i u_i (g_i - gbar)). The Gram eigenpairs come
+    from ``ks = k_spectrum(gram_from_gradients(grads, gbar))``, so the Gram
+    matrix is diagonalized once per set of samples.
     """
-    if k > gram.n_samples - 1:
-        raise InvalidParamsError(f"k={k} exceeds L-1={gram.n_samples - 1}")
-    order = _canonical_sample_order(gram.entries)
-    canonical = gram.entries[np.ix_(order, order)]
-    pairs = jacobi_eigh(DenseSymmetric.from_array(canonical))
-    positive = pairs.eigenvalues >= RANK_TOL
-    if int(np.sum(positive)) < k:
-        raise RankDeficientError(
-            f"only {int(np.sum(positive))} positive eigenvalues, need {k}"
-        )
+    n_samples = ks.gram_eigenvectors.shape[0]
+    if k > n_samples - 1:
+        raise InvalidParamsError(f"k={k} exceeds L-1={n_samples - 1}")
+    n_positive = int(np.sum(ks.gram_eigenvalues >= RANK_TOL))
+    if n_positive < k:
+        raise RankDeficientError(f"only {n_positive} positive eigenvalues, need {k}")
     centered = np.asarray(grads, dtype=np.float64) - np.asarray(gbar, dtype=np.float64)
-    centered = centered[order]
-    ambient = centered.T @ pairs.eigenvectors[:, :k]
+    ambient = centered.T @ ks.gram_eigenvectors[:, :k]
     ambient /= np.linalg.norm(ambient, axis=0, keepdims=True)
-    # inherit the eigenvector sign convention in ambient space
-    idx = np.argmax(np.abs(ambient), axis=0)
-    signs = np.sign(ambient[idx, np.arange(k)])
-    signs[signs == 0] = 1.0
-    return ambient * signs
+    return _canonical_signs(ambient)
 
 
 def grad_subspace_ratio(g: np.ndarray, top_vecs: np.ndarray) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .datasets import Dataset
 from .errors import (
+    BreakevenError,
     DegenerateProjectionError,
     InsufficientDataError,
     InvalidConfigError,
@@ -221,16 +222,17 @@ def sgd_step(
 
 def delta_loss(
     spec: MlpSpec,
-    theta_before: np.ndarray,
+    loss_before: float,
     theta_after: np.ndarray,
     train_set: Batch,
     bn_mode=BATCH_STATS,
 ) -> float:
     """Training-set loss reduction across one step; positive means the step
-    reduced the loss."""
-    before = forward_loss(spec, theta_before, train_set, bn_mode).mean_loss
-    after = forward_loss(spec, theta_after, train_set, bn_mode).mean_loss
-    return before - after
+    reduced the loss. ``loss_before`` is the mean training-set loss at the
+    pre-step parameters under the same ``bn_mode``; the checkpoint record
+    already holds it as ``train_loss``, so only the post-step loss is
+    evaluated here."""
+    return loss_before - forward_loss(spec, theta_after, train_set, bn_mode).mean_loss
 
 
 def _as_model_batch(spec: MlpSpec, batch: Batch) -> Batch:
@@ -291,8 +293,7 @@ def _checkpoint_record(
         spec, theta, train_set, sp.n_gradient_samples, m,
         seed=derive_seed(config.seed, 3, step), bn_mode=eval_mode,
     )
-    gram = gram_from_gradients(grads, gbar)
-    ks = k_spectrum(gram)
+    ks = k_spectrum(gram_from_gradients(grads, gbar))
     record.lambda_k1 = ks.lambda_k1
     record.lambda_k_star = ks.lambda_k_star
     record.cond_ratio = ks.cond_ratio
@@ -306,7 +307,7 @@ def _checkpoint_record(
     record.lambda_h_top = [float(v) for v in hs.eigenvalues]
 
     try:
-        top_vecs = k_top_eigvecs(grads, gbar, gram, k=min(5, sp.n_gradient_samples - 1))
+        top_vecs = k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1))
         g_now = grad(spec, theta, step_batch, eval_mode)
         record.g_ratio = grad_subspace_ratio(g_now, top_vecs)
     except (RankDeficientError, DegenerateProjectionError):
@@ -376,7 +377,9 @@ def run_training(
                 if record is not None:
                     eval_mode = running if running is not None else BATCH_STATS
                     try:
-                        record.delta_loss = delta_loss(spec, theta, theta_next, train_set, eval_mode)
+                        record.delta_loss = delta_loss(
+                            spec, record.train_loss, theta_next, train_set, eval_mode
+                        )
                     except NonFiniteError:
                         record.delta_loss = None
                         records.append(record)
@@ -521,8 +524,9 @@ def sweep(
     The variance-reduction reading holds when the seed-averaged maxima of
     lambda_k1 (and lambda_h1, trace_k) strictly shrink toward larger learning
     rate / momentum or smaller batch size; the pre-conditioning reading when
-    max cond_ratio strictly grows in the same direction. Failed or diverged
-    cells are isolated and excluded from the means.
+    max cond_ratio strictly grows in the same direction. Diverged cells and
+    cells that fail with a package error (``BreakevenError``) are isolated
+    and excluded from the means; any other exception is a bug and propagates.
     """
     if axis_name not in AXIS_FIELDS:
         raise InvalidConfigError(f"unknown sweep axis {axis_name!r}")
@@ -556,7 +560,7 @@ def sweep(
                         config=cfg,
                     )
                 )
-            except Exception as exc:  # isolate per-cell failures
+            except BreakevenError as exc:  # isolate per-cell failures; bugs propagate
                 cells.append(
                     SweepCell(
                         axis_value=value, seed=seed, summary=None, diverged=True,

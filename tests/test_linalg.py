@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from breakeven.errors import (
     DimensionMismatchError,
     InvalidKError,
+    NoConvergenceError,
     NonFiniteError,
 )
 from breakeven.linalg import (
@@ -68,6 +69,14 @@ class TestJacobi:
         ds = DenseSymmetric.from_array(a)
         assert np.array_equal(ds.entries, ds.entries.T)
         assert ds.entries[0, 1] == 1.0
+
+    def test_lapack_failure_is_typed(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            jacobi_eigh(DenseSymmetric.from_array(np.eye(3)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=10**6))

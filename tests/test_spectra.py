@@ -122,13 +122,13 @@ class TestTopEigvecs:
         v = np.array([3.0, 4.0, 0.0])
         g = np.vstack([v, -v])
         gram = gram_from_gradients(g, np.zeros(3))
-        vecs = k_top_eigvecs(g, np.zeros(3), gram, k=1)
+        vecs = k_top_eigvecs(g, np.zeros(3), k_spectrum(gram), k=1)
         assert np.allclose(np.abs(vecs[:, 0]), np.abs(v) / 5.0, atol=1e-12)
 
     def test_ambient_eigen_residual_vs_dense(self):
         g, gbar = random_grads(8, 50, 11)
         gram = gram_from_gradients(g, gbar)
-        vecs = k_top_eigvecs(g, gbar, gram, k=5)
+        vecs = k_top_eigvecs(g, gbar, k_spectrum(gram), k=5)
         centered = g - gbar
         cov = centered.T @ centered / g.shape[0]
         eigs = k_spectrum(gram).gram_eigenvalues[:5]
@@ -147,12 +147,28 @@ class TestTopEigvecs:
         nz = gram_eigs[gram_eigs > 1e-12]
         assert np.max(np.abs(nz - dense[: nz.size])) < 1e-10
 
+    def test_shuffled_sample_order_gives_same_vectors(self):
+        g, gbar = random_grads(10, 40, 17)
+        perm = np.random.default_rng(3).permutation(10)
+        a = k_top_eigvecs(g, gbar, k_spectrum(gram_from_gradients(g, gbar)), k=4)
+        b = k_top_eigvecs(g[perm], gbar, k_spectrum(gram_from_gradients(g[perm], gbar)), k=4)
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_gram_eigenvectors_reconstruct_gram(self):
+        g, gbar = random_grads(9, 30, 19)
+        gram = gram_from_gradients(g, gbar)
+        summary = k_spectrum(gram)
+        vecs = summary.gram_eigenvectors
+        recon = vecs @ np.diag(summary.gram_eigenvalues) @ vecs.T
+        assert np.max(np.abs(recon - gram.entries)) < 1e-12
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
+
     def test_rank_deficient(self):
         v = np.array([1.0, 0.0])
         g = np.vstack([v, -v, v, -v])
         gram = gram_from_gradients(g, np.zeros(2))
         with pytest.raises(RankDeficientError):
-            k_top_eigvecs(g, np.zeros(2), gram, k=2)
+            k_top_eigvecs(g, np.zeros(2), k_spectrum(gram), k=2)
 
 
 class TestSubspaceRatio:

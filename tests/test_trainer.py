@@ -9,7 +9,7 @@ from breakeven.errors import (
     InvalidConfigError,
     NeedTwoValuesError,
 )
-from breakeven.netmodel import BATCH_STATS, Batch, MlpSpec, grad, init_params
+from breakeven.netmodel import BATCH_STATS, Batch, MlpSpec, forward_loss, grad, init_params
 from breakeven.trainer import (
     LrSchedule,
     MetricRecord,
@@ -79,7 +79,7 @@ class TestDeltaLoss:
         spec = MlpSpec(layer_sizes=(2, 4, 2), seed=0)
         theta = init_params(spec)
         batch = Batch(inputs=[[1.0, 0.0], [0.0, 1.0]], labels=np.array([0, 1]))
-        assert delta_loss(spec, theta, theta, batch) == 0.0
+        assert delta_loss(spec, forward_loss(spec, theta, batch).mean_loss, theta, batch) == 0.0
 
     def test_1d_quadratic_sign_flips_at_two_over_eta(self):
         # L = lambda theta^2 / 2 realized as a 1->1 identity net with w fixed
@@ -92,7 +92,7 @@ class TestDeltaLoss:
             g = grad(spec, theta, batch)
             g[1] = 0.0  # keep the bias out of the 1-d picture
             after = theta - eta * g
-            dl = delta_loss(spec, theta, after, batch)
+            dl = delta_loss(spec, forward_loss(spec, theta, batch).mean_loss, after, batch)
             expected = eta * lam**2 * 1.0**2 * (1 - eta * lam / 2)
             assert dl == pytest.approx(expected, rel=1e-12)
             assert (dl < 0) == (eta * lam > 2)
@@ -104,8 +104,23 @@ class TestDeltaLoss:
         batch = Batch(inputs=rng.standard_normal((16, 2)), labels=rng.integers(0, 2, size=16))
         g = grad(spec, theta, batch)
         eta = 1e-4
-        dl = delta_loss(spec, theta, theta - eta * g, batch)
+        dl = delta_loss(spec, forward_loss(spec, theta, batch).mean_loss, theta - eta * g, batch)
         assert dl == pytest.approx(eta * float(g @ g), rel=0.1)
+
+    def test_logged_value_equals_two_forward_difference(self):
+        # the record reuses its train_loss as the pre-step loss; that must be
+        # bit-identical to evaluating the training set at both parameter points
+        ds = smoke_dataset(n=128)
+        thetas = {}
+        records, _ = run_training(
+            smoke_config(epochs=1, eval_every=1), ds, param_sink=lambda s, t: thetas.update({s: t})
+        )
+        spec, train = smoke_config().model, ds.train()
+        assert len(records) >= 2
+        for r in records[:-1]:
+            before = forward_loss(spec, thetas[r.step], train).mean_loss
+            after = forward_loss(spec, thetas[r.step + 1], train).mean_loss
+            assert r.delta_loss == before - after
 
 
 class TestRunTraining:
@@ -297,6 +312,18 @@ class TestSweep:
         bad = [c for c in report.cells if c.axis_value == 2.0]
         assert not ok[0].diverged and ok[0].summary is not None
         assert bad[0].diverged
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only package errors are isolated per cell; a bug must not read as a
+        # diverged cell
+        def broken_step(*args, **kwargs):
+            raise TypeError("bug in the update rule")
+
+        monkeypatch.setattr("breakeven.trainer.sgd_step", broken_step)
+        ds = smoke_dataset(n=128)
+        cfg = smoke_config(epochs=1, spectra=SpectraParams(n_gradient_samples=6, lanczos_iters=8, top_k=2))
+        with pytest.raises(TypeError, match="bug in the update rule"):
+            sweep(cfg, ds, "eta", [0.01, 0.05], seeds=[0])
 
     def test_unknown_axis(self):
         ds = smoke_dataset(n=128)
