@@ -24,7 +24,6 @@ from . import __version__
 from .datasets import Dataset, make_dataset
 from .errors import (
     ComputationalError,
-    NonFiniteError,
     SchemaError,
     UnknownMetricError,
     ValidationError,
@@ -114,7 +113,8 @@ break-even indicators when computable.
 SWEEP_COLUMNS = """\
 Each cell writes logs/cell_<value-index>_<seed-index>.jsonl in the train
 format above. sweep_report.json holds axis values, seeds, per-cell summaries
-(cells marked diverged are isolated), seed-averaged maxima per axis value,
+(cells marked diverged are isolated; a failed cell's error and error_type
+name why), seed-averaged maxima per axis value,
 and ordinal verdicts (holds | violated | tie | undefined) for:
   variance_reduction_lambda_k1 / _lambda_h1 / _trace_k
   preconditioning_cond_ratio
@@ -148,10 +148,7 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise exc
+    text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -462,11 +459,12 @@ def cmd_sweep(args) -> int:
                 "log": log_name if cell.records is not None else None,
                 "diverged": cell.diverged,
                 "error": cell.error,
+                "error_type": cell.error_type,
                 "summary": None if cell.summary is None else cell.summary.to_json_dict(),
             }
         )
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config_hash": config_hash(raw),
         "prng_algorithm": PRNG_ALGORITHM,
         "artifact_version": __version__,
@@ -663,15 +661,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, UnknownMetricError) as exc:
-        return _fail(EXIT_SCHEMA, str(exc))
-    except ValidationError as exc:
+    except ValidationError as exc:  # includes SchemaError and UnknownMetricError
         return _fail(EXIT_SCHEMA, str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
-    except NonFiniteError as exc:
-        return _fail(EXIT_COMPUTATIONAL, str(exc))
-    except ComputationalError as exc:
+    except ComputationalError as exc:  # includes NonFiniteError
         return _fail(EXIT_COMPUTATIONAL, str(exc))
 
 

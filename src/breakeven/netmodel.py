@@ -6,9 +6,15 @@ each layer, weights (fan_in x fan_out, row-major), then biases, then, when the
 layer is batch-normalized, gamma and beta. Hidden layers apply
 linear -> (batch norm) -> activation; the output layer is linear (logits).
 
-Two Hessian-vector products are provided: an exact forward-over-reverse
-product (``hvp_pearlmutter``, BN-free specs only) and a central-difference
-product on gradients (``hvp_fd``, supports BN with frozen statistics).
+There is one forward pass (``_forward``) and one reverse pass
+(``_backward``); every derivative is built on them. Both take a batch of
+examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
+example axis within each group, so ``grouped_grads`` returns one minibatch
+gradient per group from a single pass and ``per_example_grads`` is its
+groups-of-one case. Two Hessian-vector products are provided: an exact
+forward-over-reverse product (``hvp_pearlmutter``, BN-free specs only), whose
+R-pass reads ``_forward``'s caches, and a central-difference product on
+gradients (``hvp_fd``, supports BN with frozen statistics).
 """
 
 from __future__ import annotations
@@ -94,6 +100,24 @@ class MlpSpec:
             raise InvalidParamsError("softmax cross-entropy needs >= 2 output classes")
         if self.init not in ("gaussian_scaled", "constant"):
             raise InvalidParamsError(f"unknown init {self.init!r}")
+        layout = []
+        offset = 0
+        for layer in range(len(sizes) - 1):
+            fan_in, fan_out = sizes[layer], sizes[layer + 1]
+            entry = {"layer": layer, "fan_in": fan_in, "fan_out": fan_out}
+            entry["w"] = slice(offset, offset + fan_in * fan_out)
+            offset += fan_in * fan_out
+            entry["b"] = slice(offset, offset + fan_out)
+            offset += fan_out
+            if layer < hidden and self.batch_norm[layer]:
+                entry["gamma"] = slice(offset, offset + fan_out)
+                offset += fan_out
+                entry["beta"] = slice(offset, offset + fan_out)
+                offset += fan_out
+            layout.append(entry)
+        # built once per spec; not a dataclass field, so it stays out of
+        # equality, repr and the config dicts written to logs
+        object.__setattr__(self, "_layout", tuple(layout))
 
     @property
     def n_layers(self) -> int:
@@ -111,29 +135,13 @@ class MlpSpec:
     def bn_layers(self) -> tuple[int, ...]:
         return tuple(i for i, bn in enumerate(self.batch_norm) if bn)
 
-    def layout(self) -> list[dict]:
+    def layout(self) -> tuple[dict, ...]:
         """Slices of the flat parameter vector, one entry per layer."""
-        out = []
-        offset = 0
-        for layer in range(self.n_layers):
-            fan_in = self.layer_sizes[layer]
-            fan_out = self.layer_sizes[layer + 1]
-            entry = {"layer": layer, "fan_in": fan_in, "fan_out": fan_out}
-            entry["w"] = slice(offset, offset + fan_in * fan_out)
-            offset += fan_in * fan_out
-            entry["b"] = slice(offset, offset + fan_out)
-            offset += fan_out
-            if layer < self.n_hidden and self.batch_norm[layer]:
-                entry["gamma"] = slice(offset, offset + fan_out)
-                offset += fan_out
-                entry["beta"] = slice(offset, offset + fan_out)
-                offset += fan_out
-            out.append(entry)
-        return out
+        return self._layout
 
     @property
     def param_dim(self) -> int:
-        last = self.layout()[-1]
+        last = self._layout[-1]
         final = last.get("beta", last["b"])
         return final.stop
 
@@ -252,8 +260,16 @@ def _resolve_bn(spec: MlpSpec, bn_mode: BnMode):
     raise InvalidParamsError(f"unknown bn_mode {bn_mode!r}")
 
 
+def _matrix(vec: np.ndarray, entry: dict) -> np.ndarray:
+    return vec[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
+
+
 def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
     """Run the network, returning logits plus per-layer caches for backward.
+
+    ``x`` is (n, d), or (G, M, d) for G groups of M examples: every
+    reduction runs over the example axis -2, so each group gets its own BN
+    batch statistics and a group computes exactly what it would alone.
 
     Overflow is not a numpy warning here: non-finite activations raise
     NonFiniteError, which training loops treat as divergence.
@@ -270,7 +286,7 @@ def _forward_impl(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMo
     bn_index = 0
     for entry in layout[:-1]:
         layer = entry["layer"]
-        w = theta[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
+        w = _matrix(theta, entry)
         b = theta[entry["b"]]
         z = a @ w + b
         cache = {"a_in": a, "z": z, "w": w, "entry": entry}
@@ -278,14 +294,14 @@ def _forward_impl(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMo
             gamma = theta[entry["gamma"]]
             beta = theta[entry["beta"]]
             if mode == BATCH_STATS:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
+                mu = z.mean(axis=-2)
+                var = z.var(axis=-2)
             else:
                 mu = mode.means[bn_index]
                 var = mode.variances[bn_index]
             bn_index += 1
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mu) * inv
+            inv = 1.0 / np.sqrt(var[..., None, :] + BN_EPS)
+            xhat = (z - mu[..., None, :]) * inv
             y = gamma * xhat + beta
             cache.update(gamma=gamma, mu=mu, var=var, inv=inv, xhat=xhat, batch_stats=(mode == BATCH_STATS))
         else:
@@ -296,9 +312,8 @@ def _forward_impl(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMo
         caches.append(cache)
         a = h
     last = layout[-1]
-    w = theta[last["w"]].reshape(last["fan_in"], last["fan_out"])
-    b = theta[last["b"]]
-    logits = a @ w + b
+    w = _matrix(theta, last)
+    logits = a @ w + theta[last["b"]]
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("activations overflowed during the forward pass")
     return logits, caches, {"a_in": a, "w": w, "entry": last}
@@ -312,15 +327,16 @@ def _per_example_loss(spec: MlpSpec, logits: np.ndarray, labels) -> np.ndarray:
     return np.sum((logits - labels) ** 2, axis=1)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _loss_grad_logits(spec: MlpSpec, logits: np.ndarray, labels) -> np.ndarray:
     """d(per-example loss)/d(logits), one row per example."""
     if spec.loss == SOFTMAX_CE:
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        p = e / e.sum(axis=1, keepdims=True)
-        g = p.copy()
-        g[np.arange(logits.shape[0]), labels] -= 1.0
-        return g
+        # subtracting the boolean one-hot takes 1.0 off the label entry only
+        return _softmax(logits) - (labels[..., None] == np.arange(logits.shape[-1]))
     return 2.0 * (logits - labels)
 
 
@@ -359,34 +375,37 @@ def forward_loss(
 
 
 def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
-    """Accumulate parameter gradients given d(loss)/d(logits) rows."""
-    grad = np.zeros_like(theta)
+    """Accumulate parameter gradients given d(loss)/d(logits) rows.
+
+    Sums run over the example axis -2; for grouped caches the result has one
+    gradient row per group.
+    """
+    grad = np.zeros(dlogits.shape[:-2] + theta.shape)
+    lead = grad.shape[:-1]
     delta = dlogits
     entry = last["entry"]
-    grad[entry["w"]] = (last["a_in"].T @ delta).ravel()
-    grad[entry["b"]] = delta.sum(axis=0)
+    grad[..., entry["w"]] = (last["a_in"].swapaxes(-1, -2) @ delta).reshape(lead + (-1,))
+    grad[..., entry["b"]] = delta.sum(axis=-2)
     d_a = delta @ last["w"].T
     for cache in reversed(caches):
         entry = cache["entry"]
         layer = entry["layer"]
         dy = d_a * _act_d(spec.activation[layer], cache["y"], cache["h"])
         if "gamma" in cache:
-            grad[entry["gamma"]] = (dy * cache["xhat"]).sum(axis=0)
-            grad[entry["beta"]] = dy.sum(axis=0)
+            grad[..., entry["gamma"]] = (dy * cache["xhat"]).sum(axis=-2)
+            grad[..., entry["beta"]] = dy.sum(axis=-2)
             dxhat = dy * cache["gamma"]
             if cache["batch_stats"]:
-                nb = dy.shape[0]
-                dz = (
-                    cache["inv"]
-                    / nb
-                    * (nb * dxhat - dxhat.sum(axis=0) - cache["xhat"] * (dxhat * cache["xhat"]).sum(axis=0))
-                )
+                nb = dy.shape[-2]
+                sum_dxhat = dxhat.sum(axis=-2, keepdims=True)
+                sum_dxhat_xhat = (dxhat * cache["xhat"]).sum(axis=-2, keepdims=True)
+                dz = cache["inv"] / nb * (nb * dxhat - sum_dxhat - cache["xhat"] * sum_dxhat_xhat)
             else:
                 dz = dxhat * cache["inv"]
         else:
             dz = dy
-        grad[entry["w"]] = (cache["a_in"].T @ dz).ravel()
-        grad[entry["b"]] = dz.sum(axis=0)
+        grad[..., entry["w"]] = (cache["a_in"].swapaxes(-1, -2) @ dz).reshape(lead + (-1,))
+        grad[..., entry["b"]] = dz.sum(axis=-2)
         d_a = dz @ cache["w"].T
     return grad
 
@@ -419,6 +438,29 @@ def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnSta
     return BnStats(means=tuple(means), variances=tuple(variances))
 
 
+def grouped_grads(
+    spec: MlpSpec, theta: np.ndarray, batch: Batch, groups, bn_mode: BnMode = BATCH_STATS
+) -> np.ndarray:
+    """Mean loss gradient of each group of examples, one row per group.
+
+    ``groups`` is a (G, M) array of example indices into ``batch``. Row g
+    equals ``grad(spec, theta, batch.subset(groups[g]), bn_mode)``; with BN
+    batch statistics each group is normalized by its own statistics. All
+    groups share one forward and one reverse pass.
+    """
+    theta = check_params(spec, theta)
+    _check_classification_labels(spec, batch)
+    groups = np.asarray(groups)
+    if groups.ndim != 2 or groups.shape[1] < 1:
+        raise InvalidParamsError("groups must be a (G, M >= 1) index array")
+    logits, caches, last = _forward(spec, theta, batch.inputs[groups], bn_mode)
+    dlogits = _loss_grad_logits(spec, logits, batch.labels[groups]) / groups.shape[1]
+    g = _backward(spec, theta, caches, last, dlogits)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteError("gradient overflowed")
+    return g
+
+
 def per_example_grads(
     spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS
 ) -> np.ndarray:
@@ -427,36 +469,11 @@ def per_example_grads(
     The mean over rows equals ``grad`` on the same batch. With BN layers the
     statistics must be frozen, otherwise per-example gradients are undefined.
     """
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
     if spec.has_bn and not isinstance(bn_mode, BnStats):
         raise BnBatchStatsUnsupportedError(
             "per-example gradients need frozen BN statistics"
         )
-    logits, caches, last = _forward(spec, theta, batch.inputs, bn_mode)
-    n = batch.size
-    out = np.zeros((n, theta.size))
-    delta = _loss_grad_logits(spec, logits, batch.labels)
-    entry = last["entry"]
-    out[:, entry["w"]] = np.einsum("bi,bj->bij", last["a_in"], delta).reshape(n, -1)
-    out[:, entry["b"]] = delta
-    d_a = delta @ last["w"].T
-    for cache in reversed(caches):
-        entry = cache["entry"]
-        layer = entry["layer"]
-        dy = d_a * _act_d(spec.activation[layer], cache["y"], cache["h"])
-        if "gamma" in cache:
-            out[:, entry["gamma"]] = dy * cache["xhat"]
-            out[:, entry["beta"]] = dy
-            dz = dy * cache["gamma"] * cache["inv"]
-        else:
-            dz = dy
-        out[:, entry["w"]] = np.einsum("bi,bj->bij", cache["a_in"], dz).reshape(n, -1)
-        out[:, entry["b"]] = dz
-        d_a = dz @ cache["w"].T
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("per-example gradients overflowed")
-    return out
+    return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_mode)
 
 
 def hvp_pearlmutter(spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray:
@@ -479,68 +496,46 @@ def hvp_pearlmutter(spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarra
 
 
 def _hvp_pearlmutter_impl(spec: MlpSpec, theta, batch: Batch, v: np.ndarray) -> np.ndarray:
-    layout = spec.layout()
-    x = batch.inputs
+    logits, caches, last = _forward(spec, theta, batch.inputs, BATCH_STATS)
     n = batch.size
 
-    # forward pass together with its directional (R-) derivative
-    a, ra = x, np.zeros_like(x)
-    zs, acts, ras, rzs = [], [x], [np.zeros_like(x)], []
-    for entry in layout[:-1]:
-        w = theta[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
-        vw = v[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
-        z = a @ w + theta[entry["b"]]
-        rz = a @ vw + ra @ w + v[entry["b"]]
-        kind = spec.activation[entry["layer"]]
-        h = _act(kind, z)
-        ra = _act_d(kind, z, h) * rz
-        a = h
-        zs.append(z)
-        rzs.append(rz)
-        acts.append(a)
+    # directional (R-) derivatives of each layer's input and pre-activation
+    ra = np.zeros_like(batch.inputs)
+    ras, rzs = [], []
+    for cache in caches:
+        entry = cache["entry"]
+        rz = cache["a_in"] @ _matrix(v, entry) + ra @ cache["w"] + v[entry["b"]]
         ras.append(ra)
-    last = layout[-1]
-    w = theta[last["w"]].reshape(last["fan_in"], last["fan_out"])
-    vw = v[last["w"]].reshape(last["fan_in"], last["fan_out"])
-    logits = a @ w + theta[last["b"]]
-    rlogits = a @ vw + ra @ w + v[last["b"]]
-    if not np.all(np.isfinite(logits)):
-        raise NonFiniteError("activations overflowed during the forward pass")
+        rzs.append(rz)
+        ra = _act_d(spec.activation[entry["layer"]], cache["z"], cache["h"]) * rz
+    entry = last["entry"]
+    vw = _matrix(v, entry)
+    rlogits = last["a_in"] @ vw + ra @ last["w"] + v[entry["b"]]
 
     # loss curvature at the output
+    delta = _loss_grad_logits(spec, logits, batch.labels) / n
     if spec.loss == SOFTMAX_CE:
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        p = e / e.sum(axis=1, keepdims=True)
-        delta = p.copy()
-        delta[np.arange(n), batch.labels] -= 1.0
-        delta /= n
+        p = _softmax(logits)
         prz = p * rlogits
         rdelta = (prz - p * prz.sum(axis=1, keepdims=True)) / n
     else:
-        delta = 2.0 * (logits - batch.labels) / n
         rdelta = 2.0 * rlogits / n
 
     out = np.zeros_like(theta)
-    out[last["w"]] = (ras[-1].T @ delta + acts[-1].T @ rdelta).ravel()
-    out[last["b"]] = rdelta.sum(axis=0)
-    w_next = w
-    vw_next = vw
-    for i in range(len(zs) - 1, -1, -1):
-        entry = layout[i]
-        kind = spec.activation[i]
-        z, h = zs[i], acts[i + 1]
-        d1 = _act_d(kind, z, h)
-        d2 = _act_dd(kind, z, h)
+    out[entry["w"]] = (ra.T @ delta + last["a_in"].T @ rdelta).ravel()
+    out[entry["b"]] = rdelta.sum(axis=0)
+    w_next, vw_next = last["w"], vw
+    for cache, ra, rz in zip(reversed(caches), reversed(ras), reversed(rzs)):
+        entry = cache["entry"]
+        kind = spec.activation[entry["layer"]]
+        d1 = _act_d(kind, cache["z"], cache["h"])
+        d2 = _act_dd(kind, cache["z"], cache["h"])
         back = delta @ w_next.T
         rback = rdelta @ w_next.T + delta @ vw_next.T
-        new_delta = back * d1
-        new_rdelta = rback * d1 + back * d2 * rzs[i]
-        delta, rdelta = new_delta, new_rdelta
-        out[entry["w"]] = (ras[i].T @ delta + acts[i].T @ rdelta).ravel()
+        delta, rdelta = back * d1, rback * d1 + back * d2 * rz
+        out[entry["w"]] = (ra.T @ delta + cache["a_in"].T @ rdelta).ravel()
         out[entry["b"]] = rdelta.sum(axis=0)
-        w_next = theta[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
-        vw_next = v[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
+        w_next, vw_next = cache["w"], _matrix(v, entry)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("Hessian-vector product overflowed")
     return out

@@ -30,7 +30,6 @@ STABLE = "stable"
 BREAKEVEN = "breakeven"
 UNSTABLE = "unstable"
 
-BREAKEVEN_BAND = 1e-12
 PHASE_DIAGRAM_BAND = 1e-9
 INCREASING = "increasing_from_stable"
 DECREASING = "decreasing_from_unstable"
@@ -105,10 +104,6 @@ def stability_lhs_scalar(lambda_h: float, s_squared: float, eta: float, batch_si
 def stability_lhs(model: QuadraticModel, setting: SgdSetting) -> float:
     """Stability condition left-hand side; stable iff <= 1, break-even at 1."""
     return stability_lhs_scalar(model.lambda_h, model.s_squared, setting.eta, setting.batch_size, model.n)
-
-
-def is_breakeven(lhs: float, band: float = BREAKEVEN_BAND) -> bool:
-    return abs(lhs - 1.0) <= band
 
 
 @dataclass(frozen=True)

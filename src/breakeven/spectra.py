@@ -27,7 +27,9 @@ from .errors import (
     RankDeficientError,
 )
 from .linalg import DenseSymmetric, _canonical_signs, jacobi_eigh, lanczos_topk, project_onto_subspace
-from .netmodel import BATCH_STATS, Batch, BnMode, MlpSpec, grad, hessian_operator
+# ``grad`` is unused here but stays bound: perfbench/tracepoints.py patches
+# ``breakeven.spectra.grad`` (ROADMAP item 5a)
+from .netmodel import BATCH_STATS, Batch, BnMode, MlpSpec, grad, grouped_grads, hessian_operator
 from .rng import derive_seed, make_rng
 
 RANK_TOL = 1e-12
@@ -69,9 +71,11 @@ def sample_minibatch_gradients(
     """Draw ``n_batches`` independent minibatches (without replacement within
     each batch) and return their gradients as rows plus the sample mean.
 
-    The mean of the sampled gradients stands in for the full-batch gradient
-    when forming the Gram matrix; use ``grad`` on the whole dataset when the
-    exact full gradient is needed (oracle tests do).
+    Row i equals ``grad`` on the i-th drawn minibatch; all rows come from one
+    ``grouped_grads`` pass over the (n_batches, batch_size) index sets. The
+    mean of the sampled gradients stands in for the full-batch gradient when
+    forming the Gram matrix; use ``grad`` on the whole dataset when the exact
+    full gradient is needed (oracle tests do).
     """
     if n_batches < 2:
         raise InvalidParamsError("need at least 2 gradient samples")
@@ -80,10 +84,8 @@ def sample_minibatch_gradients(
             f"batch size {batch_size} not drawable from {dataset.size} examples"
         )
     rng = make_rng(seed)
-    grads = np.empty((n_batches, spec.param_dim))
-    for i in range(n_batches):
-        idx = rng.choice(dataset.size, size=batch_size, replace=False)
-        grads[i] = grad(spec, theta, dataset.subset(idx), bn_mode)
+    groups = np.stack([rng.choice(dataset.size, size=batch_size, replace=False) for _ in range(n_batches)])
+    grads = grouped_grads(spec, theta, dataset, groups, bn_mode)
     return grads, grads.mean(axis=0)
 
 

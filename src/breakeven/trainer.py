@@ -480,6 +480,7 @@ class SweepCell:
     summary: Optional[RunSummary]
     diverged: bool
     error: Optional[str] = None
+    error_type: Optional[str] = None  # exception class name of a failed cell
     records: Optional[list] = None
     config: Optional[RunConfig] = None
 
@@ -564,7 +565,7 @@ def sweep(
                 cells.append(
                     SweepCell(
                         axis_value=value, seed=seed, summary=None, diverged=True,
-                        error=str(exc), config=cfg,
+                        error=str(exc), error_type=type(exc).__name__, config=cfg,
                     )
                 )
 

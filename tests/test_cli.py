@@ -181,6 +181,20 @@ class TestSweepCli:
             assert (out / cell["log"]).exists()
             validate_metric_log((out / cell["log"]).read_text())
 
+    def test_failed_cell_records_error_type(self, tmp_path, train_config):
+        cfg = json.loads(Path(train_config).read_text())
+        cfg["epochs"] = 1
+        # the second cell cannot run: the batch exceeds the training split
+        cfg["axis"] = {"name": "batch_size", "values": [32, 10_000]}
+        path = write_json(tmp_path / "sweep_bad.json", cfg)
+        out = tmp_path / "sweep_bad"
+        assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert report["schema_version"] == 2
+        ok, bad = report["cells"]
+        assert ok["error_type"] is None and not ok["diverged"]
+        assert bad["error_type"] == "InvalidConfigError" and bad["diverged"]
+
     def test_single_axis_value_exit_2(self, tmp_path, train_config):
         cfg = json.loads(Path(train_config).read_text())
         cfg["axis"] = {"name": "eta", "values": [0.05]}

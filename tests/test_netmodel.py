@@ -20,6 +20,7 @@ from breakeven.netmodel import (
     bn_gamma_norm,
     forward_loss,
     grad,
+    grouped_grads,
     hessian_operator,
     hvp_fd,
     hvp_pearlmutter,
@@ -173,6 +174,32 @@ class TestGrad:
         stats = bn_batch_statistics(spec, theta, batch)
         frozen = BnStats(means=stats.means, variances=stats.variances)
         assert max_rel_err(grad(spec, theta, batch, frozen), fd_grad(spec, theta, batch, frozen)) < 1e-5
+
+
+class TestGroupedGrads:
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("bn", ["none", "batch_stats", "frozen"])
+    def test_each_row_equals_grad_on_its_subset(self, loss, activation, bn):
+        spec = MlpSpec(layer_sizes=(4, 9, 7, 3), activation=activation, batch_norm=bn != "none",
+                       loss=loss, seed=6)
+        theta = init_params(spec)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 4))
+        y = rng.integers(0, 3, size=40) if loss == "softmax_cross_entropy" else rng.standard_normal((40, 3))
+        batch = Batch(inputs=x, labels=y)
+        mode = bn_batch_statistics(spec, theta, batch) if bn == "frozen" else BATCH_STATS
+        groups = np.stack([rng.choice(40, size=6, replace=False) for _ in range(5)])
+        rows = grouped_grads(spec, theta, batch, groups, mode)
+        assert rows.shape == (5, spec.param_dim)
+        for g in range(5):
+            assert np.array_equal(rows[g], grad(spec, theta, batch.subset(groups[g]), mode))
+
+    def test_groups_must_be_a_matrix(self):
+        spec = MlpSpec(layer_sizes=(2, 3, 2), seed=0)
+        batch = Batch(inputs=np.zeros((4, 2)), labels=np.array([0, 1, 0, 1]))
+        with pytest.raises(InvalidParamsError):
+            grouped_grads(spec, init_params(spec), batch, np.arange(4))
 
 
 class TestPerExampleGrads:

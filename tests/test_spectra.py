@@ -8,7 +8,8 @@ from breakeven.errors import (
     RankDeficientError,
 )
 from breakeven.linalg import DenseSymmetric, jacobi_eigh
-from breakeven.netmodel import Batch, MlpSpec, grad, init_params
+from breakeven.netmodel import Batch, MlpSpec, bn_batch_statistics, grad, init_params
+from breakeven.rng import make_rng
 from breakeven.spectra import (
     GramMatrix,
     grad_subspace_ratio,
@@ -214,6 +215,23 @@ class TestSampleMinibatchGradients:
         assert np.allclose(grads, grads[0], atol=1e-15)
         gram = gram_from_gradients(grads, gbar)
         assert np.max(np.abs(gram.entries)) < 1e-20
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_equals_one_grad_call_per_drawn_batch(self, batch_norm):
+        # the reference: one make_rng(seed).choice draw, then one grad call,
+        # per minibatch
+        spec = MlpSpec(layer_sizes=(3, 6, 2), batch_norm=batch_norm, seed=2)
+        theta = init_params(spec)
+        rng = np.random.default_rng(4)
+        data = Batch(inputs=rng.standard_normal((30, 3)), labels=rng.integers(0, 2, size=30))
+        for bn_mode in ("batch", bn_batch_statistics(spec, theta, data)):
+            grads, gbar = sample_minibatch_gradients(spec, theta, data, 7, 5, seed=9, bn_mode=bn_mode)
+            draw = make_rng(9)
+            expected = np.stack(
+                [grad(spec, theta, data.subset(draw.choice(30, size=5, replace=False)), bn_mode) for _ in range(7)]
+            )
+            assert np.array_equal(grads, expected)
+            assert np.array_equal(gbar, expected.mean(axis=0))
 
     def test_oversized_batch_rejected(self):
         spec = MlpSpec(layer_sizes=(2, 4, 2), seed=0)

@@ -298,6 +298,7 @@ class TestSweep:
         bad = [c for c in report.cells if c.axis_value == 10_000]
         assert not ok[0].diverged and ok[0].summary is not None
         assert bad[0].diverged and bad[0].error is not None
+        assert bad[0].error_type == "InvalidConfigError" and ok[0].error_type is None
 
     def test_diverging_cell_isolated(self):
         # linear net with square loss: eta=2 sits past the stability edge and
