@@ -109,14 +109,17 @@ def jacobi_eigh(a: DenseSymmetric) -> EigenPairs:
     return _sorted_pairs(values, vectors)
 
 
-def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray, j: int) -> np.ndarray:
-    """Random unit vector orthogonal to the first ``j`` columns of ``basis``."""
-    n = basis.shape[0]
+def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``v`` minus its projection onto the rows of ``basis`` (orthonormal),
+    by classical Gram-Schmidt applied twice, which suffices in float64."""
+    v = v - basis.T @ (basis @ v)
+    return v - basis.T @ (basis @ v)
+
+
+def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """Random unit vector orthogonal to the rows of ``basis``."""
     for _ in range(64):
-        v = rng.standard_normal(n)
-        if j > 0:
-            v -= basis[:, :j] @ (basis[:, :j].T @ v)
-            v -= basis[:, :j] @ (basis[:, :j].T @ v)
+        v = _orthogonalize(rng.standard_normal(basis.shape[1]), basis)
         norm = np.linalg.norm(v)
         if norm > 1e-10:
             return v / norm
@@ -127,14 +130,16 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> Eigen
     """Top-k algebraically largest eigenpairs via Lanczos with full
     reorthogonalization.
 
-    Builds a Krylov tridiagonal from a seeded random start vector,
-    reorthogonalizing each residual against all previous Lanczos vectors
-    (twice, which suffices in float64). On breakdown (residual norm below
-    1e-13) the iteration restarts with a fresh random vector orthogonal to
-    the converged subspace, leaving a zero coupling in the tridiagonal; if
-    the space is exhausted the spectrum found so far is exact. The
-    tridiagonal is diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz
-    vectors are mapped back to the ambient space.
+    Builds an m-step Krylov tridiagonal, m = min(max_iters, dim), from a
+    seeded random start vector. The Lanczos vectors are the rows of an
+    (m, dim) basis, and one helper (``_orthogonalize``) removes each new
+    vector's components along all previous rows, both in the iteration and
+    when drawing a restart vector. On breakdown (residual norm below 1e-13)
+    the iteration restarts with a fresh random vector orthogonal to the
+    converged subspace, leaving a zero coupling in the tridiagonal; if the
+    space is exhausted the spectrum found so far is exact. The tridiagonal is
+    diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz vectors are
+    mapped back to the ambient space.
     """
     n = op.dim
     if k < 1 or k > n or k > max_iters:
@@ -142,47 +147,33 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> Eigen
     m = min(max_iters, n)
 
     rng = make_rng(seed)
-    Q = np.zeros((n, m))
+    Q = np.zeros((m, n))
     alphas = np.zeros(m)
-    betas = np.zeros(max(m - 1, 0))
+    betas = np.zeros(m - 1)
 
-    q = _fresh_start_vector(rng, Q, 0)
-    j = 0
-    while j < m:
-        Q[:, j] = q
-        u = np.asarray(op.apply(q), dtype=np.float64)
+    Q[0] = _fresh_start_vector(rng, Q[:0])
+    for j in range(m):
+        u = np.asarray(op.apply(Q[j]), dtype=np.float64)
         if u.shape != (n,):
             raise DimensionMismatchError(f"operator returned shape {u.shape}, expected ({n},)")
         if not np.all(np.isfinite(u)):
             raise NonFiniteError("operator produced NaN or Inf")
-        alphas[j] = q @ u
-        r = u - alphas[j] * q
-        if j > 0:
-            r -= betas[j - 1] * Q[:, j - 1]
-        r -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ r)
-        r -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ r)
-        beta = float(np.linalg.norm(r))
-        j += 1
-        if j == m:
+        alphas[j] = Q[j] @ u
+        if j == m - 1:
             break
+        r = _orthogonalize(u, Q[: j + 1])
+        beta = float(np.linalg.norm(r))
         if beta < LANCZOS_BREAKDOWN_TOL:
-            betas[j - 1] = 0.0
-            q = _fresh_start_vector(rng, Q, j)
+            Q[j + 1] = _fresh_start_vector(rng, Q[: j + 1])
         else:
-            betas[j - 1] = beta
-            q = r / beta
+            betas[j] = beta
+            Q[j + 1] = r / beta
 
-    T = np.diag(alphas[:j])
-    if j > 1:
-        T += np.diag(betas[: j - 1], 1) + np.diag(betas[: j - 1], -1)
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     ritz = jacobi_eigh(DenseSymmetric.from_array(T))
-    if k > j:  # pragma: no cover - guarded by k <= min(dim, max_iters)
-        raise InvalidKError(f"only {j} Ritz pairs available, requested {k}")
-
-    values = ritz.eigenvalues[:k]
-    vectors = Q[:, :j] @ ritz.eigenvectors[:, :k]
+    vectors = Q.T @ ritz.eigenvectors[:, :k]
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EigenPairs(eigenvalues=values.copy(), eigenvectors=_canonical_signs(vectors))
+    return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=_canonical_signs(vectors))
 
 
 def project_onto_subspace(v: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,7 @@ from .linalg import LinearOperator
 from .rng import make_rng
 
 BN_EPS = 1e-5
+FD_EPS = 1e-4  # central-difference step of hvp_fd, along a unit direction
 
 RELU = "relu"
 TANH = "tanh"
@@ -264,6 +265,7 @@ def _matrix(vec: np.ndarray, entry: dict) -> np.ndarray:
     return vec[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
     """Run the network, returning logits plus per-layer caches for backward.
 
@@ -274,11 +276,6 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
     Overflow is not a numpy warning here: non-finite activations raise
     NonFiniteError, which training loops treat as divergence.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_impl(spec, theta, x, bn_mode)
-
-
-def _forward_impl(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
     layout = spec.layout()
     mode = _resolve_bn(spec, bn_mode)
     a = x
@@ -476,6 +473,7 @@ def per_example_grads(
     return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_mode)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hvp_pearlmutter(spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray:
     """Exact Hessian-vector product by forward-over-reverse differentiation.
 
@@ -491,11 +489,6 @@ def hvp_pearlmutter(spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarra
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("direction has NaN or Inf entries")
     _check_classification_labels(spec, batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _hvp_pearlmutter_impl(spec, theta, batch, v)
-
-
-def _hvp_pearlmutter_impl(spec: MlpSpec, theta, batch: Batch, v: np.ndarray) -> np.ndarray:
     logits, caches, last = _forward(spec, theta, batch.inputs, BATCH_STATS)
     n = batch.size
 
@@ -546,11 +539,11 @@ def hvp_fd(
     theta: np.ndarray,
     batch: Batch,
     v: np.ndarray,
-    eps: float = 1e-4,
     bn_mode: BnMode = BATCH_STATS,
 ) -> np.ndarray:
     """Hessian-vector product by central differences of the gradient along
-    the normalized direction; invariant to the scale of ``v``."""
+    the normalized direction, with step ``FD_EPS``; invariant to the scale
+    of ``v``."""
     theta = check_params(spec, theta)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.shape:
@@ -559,9 +552,9 @@ def hvp_fd(
     if norm == 0.0:
         raise ZeroDirectionError("direction has zero norm")
     u = v / norm
-    g_plus = grad(spec, theta + eps * u, batch, bn_mode)
-    g_minus = grad(spec, theta - eps * u, batch, bn_mode)
-    return (g_plus - g_minus) * (norm / (2.0 * eps))
+    g_plus = grad(spec, theta + FD_EPS * u, batch, bn_mode)
+    g_minus = grad(spec, theta - FD_EPS * u, batch, bn_mode)
+    return (g_plus - g_minus) * (norm / (2.0 * FD_EPS))
 
 
 def hessian_operator(
@@ -570,7 +563,6 @@ def hessian_operator(
     batch: Batch,
     method: str = "pearlmutter",
     bn_mode: BnMode = BATCH_STATS,
-    fd_eps: float = 1e-4,
 ) -> LinearOperator:
     """The Hessian of the mean batch loss as a symmetric linear operator."""
     theta = check_params(spec, theta)
@@ -579,9 +571,7 @@ def hessian_operator(
             raise BnUnsupportedError("exact HVP does not support batch-norm layers")
         return LinearOperator(dim=theta.size, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v))
     if method == "fd":
-        return LinearOperator(
-            dim=theta.size, apply=lambda v: hvp_fd(spec, theta, batch, v, eps=fd_eps, bn_mode=bn_mode)
-        )
+        return LinearOperator(dim=theta.size, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
     raise InvalidParamsError(f"unknown HVP method {method!r}")
 
 

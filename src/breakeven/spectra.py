@@ -46,8 +46,7 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Per-checkpoint spectral diagnostics of the gradient covariance
-    (optionally joined with Hessian eigenvalues by the trainer)."""
+    """Per-checkpoint spectral diagnostics of the gradient covariance."""
 
     lambda_k1: float
     lambda_k_star: float
@@ -55,8 +54,6 @@ class SpectralSummary:
     cond_ratio: Optional[float]
     gram_eigenvalues: np.ndarray  # full clamped spectrum, descending
     gram_eigenvectors: np.ndarray  # columns pair with gram_eigenvalues; rows in sample order
-    lambda_h_top: Optional[np.ndarray] = None
-    hvp_method: Optional[str] = None
 
 
 def sample_minibatch_gradients(
@@ -185,18 +182,6 @@ def grad_subspace_ratio(g: np.ndarray, top_vecs: np.ndarray) -> float:
     return g_norm / p_norm
 
 
-@dataclass(frozen=True)
-class HessianSpectrum:
-    """Top Hessian eigenvalues on an evaluation subset, with the inputs that
-    reproduce them."""
-
-    eigenvalues: np.ndarray  # descending, length k
-    top_eigenvector: np.ndarray
-    method: str
-    seed: int
-    subset_indices: Optional[np.ndarray] = None
-
-
 def hessian_spectrum(
     spec: MlpSpec,
     theta: np.ndarray,
@@ -206,22 +191,17 @@ def hessian_spectrum(
     max_iters: int = 40,
     seed: int = 0,
     bn_mode: BnMode = BATCH_STATS,
-    subset_indices: Optional[np.ndarray] = None,
-) -> HessianSpectrum:
-    """Top-k Hessian eigenvalues via Lanczos over a Hessian-vector-product
-    operator evaluated on a subset of the data."""
+) -> np.ndarray:
+    """Top Hessian eigenvalues, descending, via Lanczos over a
+    Hessian-vector-product operator evaluated on a subset of the data.
+
+    Returns min(k, dim, max_iters) values.
+    """
     if eval_subset.size < 1:
         raise InsufficientDataError("evaluation subset is empty")
     op = hessian_operator(spec, theta, eval_subset, method=method, bn_mode=bn_mode)
     k_eff = min(k, op.dim, max_iters)
-    pairs = lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed)
-    return HessianSpectrum(
-        eigenvalues=pairs.eigenvalues,
-        top_eigenvector=pairs.eigenvectors[:, 0],
-        method=method,
-        seed=seed,
-        subset_indices=None if subset_indices is None else np.asarray(subset_indices),
-    )
+    return lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed).eigenvalues
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
@@ -253,7 +233,6 @@ def m_sensitivity_report(
     seed: int,
     m_values: Sequence[int] = (1, 32),
     samples_times_batch: Optional[int] = None,
-    bn_modes: Optional[Sequence[BnMode]] = None,
 ) -> MSensitivityReport:
     """Covariance spectral norm tracked across checkpoints for different
     minibatch sizes, holding the total example budget L*M constant.
@@ -269,7 +248,6 @@ def m_sensitivity_report(
     budget = samples_times_batch if samples_times_batch is not None else 25 * max(m_values)
     series = {m: np.empty(len(thetas)) for m in m_values}
     for t, theta in enumerate(thetas):
-        bn_mode = bn_modes[t] if bn_modes is not None else BATCH_STATS
         for m in m_values:
             n_batches = budget // m
             if n_batches < 2 or m > dataset.size:
@@ -277,7 +255,7 @@ def m_sensitivity_report(
                     f"budget {budget} with batch size {m} is not drawable"
                 )
             grads, gbar = sample_minibatch_gradients(
-                spec, theta, dataset, n_batches, m, seed=derive_seed(seed, t, m), bn_mode=bn_mode
+                spec, theta, dataset, n_batches, m, seed=derive_seed(seed, t, m)
             )
             series[m][t] = k_spectrum(gram_from_gradients(grads, gbar)).lambda_k1
     r = pearson(series[m_values[0]], series[m_values[1]])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,24 +154,6 @@ class RunConfig:
         return d
 
 
-METRIC_FIELDS = (
-    "step",
-    "epoch",
-    "train_loss",
-    "train_acc",
-    "val_acc",
-    "delta_loss",
-    "lambda_k1",
-    "lambda_k_star",
-    "cond_ratio",
-    "trace_k",
-    "lambda_h_top",
-    "g_ratio",
-    "bn_gamma_norms",
-    "lr_current",
-)
-
-
 @dataclass
 class MetricRecord:
     step: int
@@ -190,7 +172,10 @@ class MetricRecord:
     lr_current: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_FIELDS}
+        return asdict(self)
+
+
+METRIC_FIELDS = tuple(f.name for f in fields(MetricRecord))
 
 
 @dataclass
@@ -299,12 +284,12 @@ def _checkpoint_record(
     record.cond_ratio = ks.cond_ratio
     record.trace_k = ks.trace_k
 
-    hs = hessian_spectrum(
+    lambda_h = hessian_spectrum(
         spec, theta, eval_subset,
         k=sp.top_k, method=sp.resolve_method(spec), max_iters=sp.lanczos_iters,
         seed=derive_seed(config.seed, 4, step), bn_mode=eval_mode,
     )
-    record.lambda_h_top = [float(v) for v in hs.eigenvalues]
+    record.lambda_h_top = [float(v) for v in lambda_h]
 
     try:
         top_vecs = k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1))

@@ -138,6 +138,17 @@ class TestLanczos:
         ep = lanczos_topk(op, k=3, max_iters=5, seed=2)
         assert np.allclose(ep.eigenvalues, [4.0, 4.0, 1.0], atol=1e-9)
 
+    def test_restart_ritz_vectors_orthonormal(self):
+        # a rank-2 projector exhausts each Krylov space within a few steps:
+        # nine of the twelve Lanczos vectors come from restart draws
+        basis, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((12, 2)))
+        p = basis @ basis.T
+        ep = lanczos_topk(LinearOperator.from_dense(DenseSymmetric.from_array(p)), k=4, max_iters=12, seed=1)
+        v = ep.eigenvectors
+        assert np.allclose(ep.eigenvalues, [1.0, 1.0, 0.0, 0.0], atol=1e-10)
+        assert np.max(np.abs(v.T @ v - np.eye(4))) <= 1e-10
+        assert np.max(np.abs(p @ v - v * ep.eigenvalues)) <= 1e-10
+
 
 class TestProjection:
     def test_in_span(self):
