@@ -360,7 +360,8 @@ def cmd_simulate(args) -> int:
         steps = int(mc.get("steps", 200))
         n_traj = int(mc.get("n_traj", 10_000))
         psi0 = float(mc.get("psi0", 1.0))
-        seed = int(mc.get("seed", cfg.get("seed", 0)))
+        # --seed wins over monte_carlo.seed; the curvature seed keeps the model
+        seed = args.seed if args.seed is not None else int(mc.get("seed", cfg.get("seed", 0)))
         rng = make_rng(seed, 100)
         lines = [header, "case,eta,batch_size,n,lambda_h,s_squared,lhs,log_lhs,fitted_rate,abs_diff\n"]
         for case in range(cases):
@@ -613,11 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON config file")
-    common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    def common(seed_help="override the config seed"):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--config", required=True, help="JSON config file")
+        parent.add_argument("--out", required=True, help="output directory")
+        parent.add_argument("--seed", type=int, default=None, help=seed_help)
+        parent.add_argument("--quiet", action="store_true", help="suppress progress output")
+        return parent
 
     overrides = argparse.ArgumentParser(add_help=False)
     overrides.add_argument("--eta", type=float, default=None, help="override learning rate")
@@ -628,28 +631,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common(
+            "override the config seed and monte_carlo.seed (the Monte-Carlo draws); "
+            "curvatures.seed still defines the model"
+        )],
         help="stability tables for the quadratic model",
         epilog=SIMULATE_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     ).set_defaults(func=cmd_simulate)
     sub.add_parser(
         "train",
-        parents=[common, overrides],
+        parents=[common(), overrides],
         help="one instrumented training run",
         epilog=TRAIN_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     ).set_defaults(func=cmd_train)
     sub.add_parser(
         "sweep",
-        parents=[common, overrides],
+        parents=[common(), overrides],
         help="hyperparameter sweep with ordinal verdicts",
         epilog=SWEEP_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     ).set_defaults(func=cmd_sweep)
     sub.add_parser(
         "report",
-        parents=[common],
+        parents=[common()],
         help="SVG panels and a Markdown summary from metric logs",
         epilog=REPORT_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,

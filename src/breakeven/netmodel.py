@@ -375,13 +375,21 @@ def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
     """Accumulate parameter gradients given d(loss)/d(logits) rows.
 
     Sums run over the example axis -2; for grouped caches the result has one
-    gradient row per group.
+    gradient row per group. Each weight gradient is written by ``np.matmul``
+    straight into its slice of the result, so no (G, fan_in, fan_out)
+    temporary is built.
     """
     grad = np.zeros(dlogits.shape[:-2] + theta.shape)
     lead = grad.shape[:-1]
+
+    def weight_grad(entry, a_in, dz):
+        # splits only the contiguous last axis, so the reshape is a view
+        out = grad[..., entry["w"]].reshape(lead + (entry["fan_in"], entry["fan_out"]))
+        np.matmul(a_in.swapaxes(-1, -2), dz, out=out)
+
     delta = dlogits
     entry = last["entry"]
-    grad[..., entry["w"]] = (last["a_in"].swapaxes(-1, -2) @ delta).reshape(lead + (-1,))
+    weight_grad(entry, last["a_in"], delta)
     grad[..., entry["b"]] = delta.sum(axis=-2)
     d_a = delta @ last["w"].T
     for cache in reversed(caches):
@@ -401,7 +409,7 @@ def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
                 dz = dxhat * cache["inv"]
         else:
             dz = dy
-        grad[..., entry["w"]] = (cache["a_in"].swapaxes(-1, -2) @ dz).reshape(lead + (-1,))
+        weight_grad(entry, cache["a_in"], dz)
         grad[..., entry["b"]] = dz.sum(axis=-2)
         d_a = dz @ cache["w"].T
     return grad

@@ -34,6 +34,7 @@ from .rng import derive_seed, make_rng
 
 RANK_TOL = 1e-12
 COND_RATIO_TOL = 1e-12
+CENTER_BLOCK_COLS = 8192  # 2.6 MB of centered samples at L = 40
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,39 @@ def sample_minibatch_gradients(
     return grads, grads.mean(axis=0)
 
 
+def _centered_column_blocks(grads: np.ndarray, gbar: np.ndarray):
+    """Yield ``grads[:, cols] - gbar[cols]`` over consecutive blocks of at
+    most ``CENTER_BLOCK_COLS`` columns, so the centered samples never exist
+    as one full L x D copy. Every block is written into one reused buffer:
+    use it before asking for the next."""
+    n_cols = grads.shape[1]
+    buf = np.empty((grads.shape[0], min(n_cols, CENTER_BLOCK_COLS)))
+    for start in range(0, n_cols, CENTER_BLOCK_COLS):
+        stop = min(start + CENTER_BLOCK_COLS, n_cols)
+        yield np.subtract(grads[:, start:stop], gbar[start:stop], out=buf[:, : stop - start])
+
+
 def gram_from_gradients(grads: np.ndarray, gbar: np.ndarray) -> GramMatrix:
-    """Gram matrix with entries (1/L) <g_i - gbar, g_j - gbar>."""
+    """Gram matrix with entries (1/L) <g_i - gbar, g_j - gbar>.
+
+    The inner products are accumulated over column blocks of the centered
+    samples, each centered before it is multiplied (never as G G^T minus a
+    correction, whose cancellation would swamp the small eigenvalues), so
+    no full centered copy of ``grads`` is made.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     gbar = np.asarray(gbar, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] < 2:
         raise InvalidParamsError("need a (L >= 2, D) gradient matrix")
     if gbar.shape != (grads.shape[1],):
         raise DimensionMismatchError("mean gradient length does not match samples")
-    centered = grads - gbar
     n = grads.shape[0]
+    products = np.zeros((n, n))
     # overflow here surfaces as NonFiniteError downstream (divergence policy)
     with np.errstate(over="ignore", invalid="ignore"):
-        upper = np.triu(centered @ centered.T) / n
+        for c in _centered_column_blocks(grads, gbar):
+            products += c @ c.T
+        upper = np.triu(products) / n
     entries = upper + np.triu(upper, 1).T
     return GramMatrix(entries=entries)
 
@@ -156,7 +177,9 @@ def k_top_eigvecs(
     A Gram eigenvector u with eigenvalue lambda > 0 maps to the ambient
     eigenvector normalize(sum_i u_i (g_i - gbar)). The Gram eigenpairs come
     from ``ks = k_spectrum(gram_from_gradients(grads, gbar))``, so the Gram
-    matrix is diagonalized once per set of samples.
+    matrix is diagonalized once per set of samples. The samples are
+    centered one column block at a time, so no full centered copy of
+    ``grads`` is made.
     """
     n_samples = ks.gram_eigenvectors.shape[0]
     if k > n_samples - 1:
@@ -164,8 +187,9 @@ def k_top_eigvecs(
     n_positive = int(np.sum(ks.gram_eigenvalues >= RANK_TOL))
     if n_positive < k:
         raise RankDeficientError(f"only {n_positive} positive eigenvalues, need {k}")
-    centered = np.asarray(grads, dtype=np.float64) - np.asarray(gbar, dtype=np.float64)
-    ambient = centered.T @ ks.gram_eigenvectors[:, :k]
+    top = ks.gram_eigenvectors[:, :k]
+    blocks = _centered_column_blocks(np.asarray(grads, dtype=np.float64), np.asarray(gbar, dtype=np.float64))
+    ambient = np.concatenate([c.T @ top for c in blocks])
     ambient /= np.linalg.norm(ambient, axis=0, keepdims=True)
     return _canonical_signs(ambient)
 

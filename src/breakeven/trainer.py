@@ -2,11 +2,14 @@
 
 A run walks epochs of shuffled without-replacement minibatches. Every
 ``eval_every`` steps the full metric record is computed at the pre-step
-parameters: losses and accuracies, the covariance spectrum from sampled
-minibatch gradients, the top Hessian eigenvalues on a fixed evaluation
-subset, the gradient-to-top-subspace ratio, BN gamma norms, and the
-training-set loss change across the step (delta_loss, positive when the step
-reduced the loss).
+parameters, in this order: losses and accuracies, the top Hessian
+eigenvalues on a fixed evaluation subset, the covariance spectrum from
+sampled minibatch gradients, the gradient-to-top-subspace ratio, BN gamma
+norms, and the training-set loss change across the step (delta_loss,
+positive when the step reduced the loss). The Hessian spectrum comes first
+so that its Lanczos basis and the L x D block of minibatch gradients are
+never held at the same time; each spectral reading draws from its own
+derived seed, so the order changes no logged value.
 
 BN runs train with batch statistics and keep an exponential moving average
 (decay 0.99) that freezes statistics for every spectral evaluation, so
@@ -273,6 +276,14 @@ def _checkpoint_record(
     record.val_acc = forward_loss(spec, theta, val_set, eval_mode).accuracy
 
     sp = config.spectra
+    # the Lanczos basis is released before the L x D gradient block exists
+    lambda_h = hessian_spectrum(
+        spec, theta, eval_subset,
+        k=sp.top_k, method=sp.resolve_method(spec), max_iters=sp.lanczos_iters,
+        seed=derive_seed(config.seed, 4, step), bn_mode=eval_mode,
+    )
+    record.lambda_h_top = [float(v) for v in lambda_h]
+
     m = sp.resolve_batch_size(train_set.size)
     grads, gbar = sample_minibatch_gradients(
         spec, theta, train_set, sp.n_gradient_samples, m,
@@ -283,13 +294,6 @@ def _checkpoint_record(
     record.lambda_k_star = ks.lambda_k_star
     record.cond_ratio = ks.cond_ratio
     record.trace_k = ks.trace_k
-
-    lambda_h = hessian_spectrum(
-        spec, theta, eval_subset,
-        k=sp.top_k, method=sp.resolve_method(spec), max_iters=sp.lanczos_iters,
-        seed=derive_seed(config.seed, 4, step), bn_mode=eval_mode,
-    )
-    record.lambda_h_top = [float(v) for v in lambda_h]
 
     try:
         top_vecs = k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1))

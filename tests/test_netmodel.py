@@ -195,6 +195,22 @@ class TestGroupedGrads:
         for g in range(5):
             assert np.array_equal(rows[g], grad(spec, theta, batch.subset(groups[g]), mode))
 
+    @pytest.mark.parametrize("bn", [False, True])
+    def test_peak_memory_is_one_output_block(self, bn, traced_peak):
+        # the 128 x 128 layer's weight gradients for 40 groups alone would be
+        # over 90% of the output; they must be written in place, not copied in
+        spec = MlpSpec(layer_sizes=(4, 128, 128, 2), batch_norm=bn, loss="mse", seed=0)
+        theta = init_params(spec)
+        rng = np.random.default_rng(0)
+        batch = Batch(inputs=rng.standard_normal((200, 4)), labels=rng.standard_normal((200, 2)))
+        groups = np.stack([rng.choice(200, size=2, replace=False) for _ in range(40)])
+        # a forward pass over the same 80 examples holds the same caches, and
+        # the reverse pass's per-layer temporaries are no larger
+        _, forward_peak = traced_peak(lambda: forward_loss(spec, theta, batch.subset(groups.ravel())))
+        rows, peak = traced_peak(lambda: grouped_grads(spec, theta, batch, groups))
+        # the finiteness check's boolean mask is 1/8 of the output
+        assert peak <= 1.25 * rows.nbytes + 2 * forward_peak
+
     def test_groups_must_be_a_matrix(self):
         spec = MlpSpec(layer_sizes=(2, 3, 2), seed=0)
         batch = Batch(inputs=np.zeros((4, 2)), labels=np.array([0, 1, 0, 1]))

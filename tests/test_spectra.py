@@ -9,6 +9,7 @@ from breakeven.errors import (
 )
 from breakeven.linalg import DenseSymmetric, jacobi_eigh
 from breakeven.netmodel import Batch, MlpSpec, bn_batch_statistics, grad, init_params
+from breakeven import spectra
 from breakeven.rng import make_rng
 from breakeven.spectra import (
     GramMatrix,
@@ -66,6 +67,20 @@ class TestGram:
         dense_eigs = dense_covariance_eigs(g, gbar)
         k = min(len(gram_eigs), len(dense_eigs))
         assert np.max(np.abs(gram_eigs[:k][gram_eigs[:k] > 1e-12] - dense_eigs[: np.sum(gram_eigs[:k] > 1e-12)])) < 1e-10
+
+    def test_column_blocks_match_full_centering(self, monkeypatch):
+        g, gbar = random_grads(7, 40, 5)
+        centered = g - gbar
+        expected = centered @ centered.T / 7
+        monkeypatch.setattr(spectra, "CENTER_BLOCK_COLS", 6)  # six full blocks and one of 4
+        entries = gram_from_gradients(g, gbar).entries
+        assert np.array_equal(entries, entries.T)
+        assert np.max(np.abs(entries - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    def test_peak_memory_below_one_gradient_block(self, traced_peak):
+        g, gbar = random_grads(40, 65536, 6)  # 21 MB
+        _, peak = traced_peak(lambda: gram_from_gradients(g, gbar))
+        assert peak < 0.25 * g.nbytes
 
     def test_row_sums_vanish_with_sample_mean(self):
         g, gbar = random_grads(8, 30, 3)
@@ -163,6 +178,23 @@ class TestTopEigvecs:
         recon = vecs @ np.diag(summary.gram_eigenvalues) @ vecs.T
         assert np.max(np.abs(recon - gram.entries)) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
+
+    def test_column_blocks_match_full_centering(self, monkeypatch):
+        g, gbar = random_grads(8, 45, 23)
+        ks = k_spectrum(gram_from_gradients(g, gbar))
+        centered = g - gbar
+        expected = centered.T @ ks.gram_eigenvectors[:, :4]
+        expected /= np.linalg.norm(expected, axis=0)
+        monkeypatch.setattr(spectra, "CENTER_BLOCK_COLS", 8)  # five full blocks and one of 5
+        vecs = k_top_eigvecs(g, gbar, ks, k=4)
+        assert np.allclose(np.abs(vecs), np.abs(expected), rtol=0.0, atol=1e-12)
+
+    def test_peak_memory_below_one_gradient_block(self, traced_peak):
+        g, gbar = random_grads(40, 65536, 24)  # 21 MB
+        ks = k_spectrum(gram_from_gradients(g, gbar))
+        _, peak = traced_peak(lambda: k_top_eigvecs(g, gbar, ks, k=5))
+        # the D x 5 output and two temporaries of its size, one centered block
+        assert peak < 0.5 * g.nbytes
 
     def test_rank_deficient(self):
         v = np.array([1.0, 0.0])

@@ -214,6 +214,19 @@ class TestRunTraining:
         assert summary.diverged
         assert len(records) >= 1
 
+    def test_g_ratio_null_when_gradients_span_too_few_directions(self):
+        # zero weights behind relu units: only the output bias has a gradient,
+        # so the minibatch gradients span one direction, fewer than top-k
+        spec = MlpSpec(layer_sizes=(2, 8, 8, 2), activation="relu", init="constant", seed=3)
+        cfg = smoke_config(model=spec, epochs=2, eval_every=2)
+        records, summary = run_training(cfg, smoke_dataset(n=128))
+        assert not summary.diverged and len(records) >= 2
+        for r in records:
+            assert r.g_ratio is None
+            assert len(r.lambda_h_top) == cfg.spectra.top_k
+            assert all(np.isfinite(v) for v in r.lambda_h_top)
+            assert r.lambda_k1 > 0 and r.trace_k > 0
+
     def test_summary_maxima_match_log_columns(self):
         ds = smoke_dataset()
         records, summary = run_training(smoke_config(), ds)
