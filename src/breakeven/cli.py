@@ -337,7 +337,7 @@ def cmd_simulate(args) -> int:
             )
         except ValidationError as exc:
             raise SchemaError("growth", str(exc)) from None
-        max_steps = int(growth.get("max_steps", 1_000_000))
+        max_steps = _positive(int(growth.get("max_steps", 1_000_000)), "growth.max_steps")
         lines = [header, "eta,batch_size,flipped,step_of_breakeven,lambda_at_flip,lambda_max,psi_at_stop\n"]
         for eta in etas:
             for s in batch_sizes:

@@ -34,6 +34,11 @@ PHASE_DIAGRAM_BAND = 1e-9
 INCREASING = "increasing_from_stable"
 DECREASING = "decreasing_from_unstable"
 
+# bytes of selection keys an ensemble draws at once (at least one step's worth)
+ENSEMBLE_BLOCK_BYTES = 256 * 1024
+# schedule steps the growth dynamics evaluate per vectorized chunk
+GROWTH_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class QuadraticModel:
@@ -157,28 +162,48 @@ def ensemble_second_moments(
 ) -> np.ndarray:
     """Mean of (psi - psi_star)^2 over an ensemble at every step.
 
-    Vectorized over trajectories; batches are drawn without replacement per
-    trajectory per step. numpy's pairwise summation in ``mean`` keeps the
-    reduction order-insensitive at the stated tolerances.
+    Each trajectory draws its batch without replacement at every step: one
+    uniform key per example, and the batch is the ``batch_size`` examples
+    with the smallest keys. Keys are drawn for a block of steps at once
+    (``ENSEMBLE_BLOCK_BYTES``), which consumes the generator exactly as one
+    draw per step would. The batch mean curvature is the masked sum
+    ``(u <= kth) @ h / batch_size``, where ``kth`` is the ``batch_size``-th
+    smallest key; a row whose mask counts more than ``batch_size`` keys
+    (tied keys) is resolved by ``argpartition`` instead.
+    The deviations then advance as running products down the step axis.
     """
     if steps < 1 or n_traj < 1:
         raise InvalidParamsError("steps and n_traj must be >= 1")
     n = model.n
     s = setting.batch_size
+    if s > n:
+        raise InvalidParamsError(f"batch size {s} exceeds example count {n}")
     rng = make_rng(seed)
+    h = model.curvatures
     dev = np.full(n_traj, float(psi0) - model.psi_star)
     out = np.empty(steps + 1)
     out[0] = float(np.mean(dev * dev))
-    h = model.curvatures
-    for t in range(1, steps + 1):
+    block = max(1, ENSEMBLE_BLOCK_BYTES // (8 * n_traj * n))
+    # one product gives each row's masked curvature sum and its mask count
+    h_and_count = np.column_stack([h, np.ones(n)])
+    for t0 in range(0, steps, block):
+        b = min(block, steps - t0)
         if s == n:
-            hbar = model.lambda_h
+            hbar = np.full((b, n_traj), model.lambda_h)
         else:
-            u = rng.random((n_traj, n))
-            idx = np.argpartition(u, s - 1, axis=1)[:, :s]
-            hbar = np.mean(h[idx], axis=1)
-        dev = dev * (1.0 - setting.eta * hbar)
-        out[t] = float(np.mean(dev * dev))
+            u = rng.random((b, n_traj, n))
+            mask = u <= np.partition(u, s - 1, axis=-1)[..., s - 1, None]
+            sums = mask @ h_and_count
+            hbar = sums[..., 0] / s
+            tied = sums[..., 1] != s
+            if tied.any():
+                idx = np.argpartition(u[tied], s - 1, axis=-1)[:, :s]
+                hbar[tied] = np.mean(h[idx], axis=-1)
+        factors = 1.0 - setting.eta * hbar
+        factors[0] *= dev
+        devs = np.multiply.accumulate(factors, axis=0, out=factors)
+        out[t0 + 1 : t0 + b + 1] = np.mean(devs * devs, axis=-1)
+        dev = devs[-1]
     return out
 
 
@@ -234,8 +259,9 @@ class GrowthSchedule:
             raise InvalidParamsError(f"unknown direction {self.direction!r}")
         if self.lambda0 <= 0.0:
             raise InvalidParamsError("initial curvature must be positive")
-        if self.psi0 == 0.0:
-            raise InvalidParamsError("initial offset must be nonzero")
+        if self.psi0 * self.psi0 == 0.0:
+            # the coupled noise alpha * lambda / psi^2 divides by the square
+            raise InvalidParamsError("initial offset must be nonzero, with a nonzero square")
         if self.rho == 1.0 or self.rho <= 0.0:
             raise InvalidParamsError("rho must be positive and != 1")
         if self.direction == INCREASING and self.rho < 1.0:
@@ -264,34 +290,53 @@ def run_growth_dynamics(
     flips (stable -> unstable for increasing schedules, the reverse for
     decreasing ones). Stability is evaluated with the coupled noise
     s^2 = alpha * lambda / psi^2. If max_steps is exhausted without a flip
-    the result reports flipped=False rather than raising."""
+    the result reports flipped=False rather than raising.
 
-    def stable(lam: float, psi: float) -> bool:
-        s2 = alpha * lam / (psi * psi)
-        return stability_lhs_scalar(lam, s2, setting.eta, setting.batch_size, n) <= 1.0
-
+    Until the flip the state never changes, so lambda and psi are running
+    products (psi / r while stable, psi * r while unstable). They are
+    evaluated ``GROWTH_CHUNK`` steps at a time with ``accumulate``, which
+    rounds exactly as the step-by-step recursion does, and the predicate is
+    evaluated over the chunk in the operation order of
+    ``stability_lhs_scalar``, so the flip step and every reported value are
+    those of the step-by-step recursion."""
+    if max_steps < 1:
+        raise InvalidParamsError("max_steps must be >= 1")
+    eta = setting.eta
     lam = schedule.lambda0
     psi = schedule.psi0
-    start_stable = stable(lam, psi)
+    start_stable = stability_lhs_scalar(lam, alpha * lam / (psi * psi), eta, setting.batch_size, n) <= 1.0
     if schedule.direction == INCREASING and not start_stable:
         raise InvalidParamsError("increasing schedule must start stable")
     if schedule.direction == DECREASING and start_stable:
         raise InvalidParamsError("decreasing schedule must start unstable")
 
     r = max(schedule.rho, 1.0 / schedule.rho)
+    move_psi = np.divide if start_stable else np.multiply
+    nf = noise_factor(setting.batch_size, n)
     lam_max = lam
-    state = start_stable
-    for step in range(1, max_steps + 1):
-        psi = psi / r if state else psi * r
-        lam = lam * schedule.rho
-        lam_max = max(lam_max, lam)
-        state = stable(lam, psi)
-        if state != start_stable:
+    for done in range(0, max_steps, GROWTH_CHUNK):
+        m = min(GROWTH_CHUNK, max_steps - done)
+        lams = np.multiply.accumulate(np.r_[lam, np.full(m, schedule.rho)])[1:]
+        psis = move_psi.accumulate(np.r_[psi, np.full(m, r)])[1:]
+        # inf and nan propagate as they do in Python float arithmetic; only
+        # psi^2 == 0, where the scalar predicate would divide by zero, is rejected
+        with np.errstate(all="ignore"):
+            psi_sq = psis * psis
+            s2 = alpha * lams / psi_sq
+            # float_power calls the C library's pow, as Python's float ** does
+            lhs = np.float_power(1.0 - eta * lams, 2.0) + s2 * eta * eta * nf
+        flips = np.flatnonzero((lhs <= 1.0) != start_stable)
+        end = int(flips[0]) + 1 if flips.size else m
+        if not np.all(psi_sq[:end]):
+            raise InvalidParamsError("offset psi underflowed to zero before the predicate flipped")
+        lam_max = max(lam_max, float(np.max(lams[:end])))
+        lam, psi = float(lams[end - 1]), float(psis[end - 1])
+        if flips.size:
             return GrowthResult(
                 lambda_max=lam_max,
                 lambda_at_flip=lam,
                 psi_at_stop=psi,
-                step_of_breakeven=step,
+                step_of_breakeven=done + end,
                 flipped=True,
             )
     return GrowthResult(

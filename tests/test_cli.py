@@ -111,6 +111,21 @@ class TestSimulate:
         assert (out / "growth_dynamics.csv").exists()
         assert (out / "breakeven_table.csv").exists()
 
+    def test_zero_max_steps_schema_error_exit_2(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "simzero.json",
+            {
+                "etas": [0.1],
+                "batch_sizes": [10],
+                "curvatures": {"kind": "constant", "value": 1.0, "count": 10},
+                "growth": {"lambda0": 0.1, "rho": 1.01, "max_steps": 0},
+            },
+        )
+        out = tmp_path / "outzero"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "growth.max_steps" in capsys.readouterr().err
+        assert not (out / "growth_dynamics.csv").exists()
+
     def test_mc_validation_close_to_closed_form(self, tmp_path):
         cfg = write_json(
             tmp_path / "simmc.json",

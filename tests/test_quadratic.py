@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from breakeven import quadratic
 from breakeven.errors import DegenerateOffsetError, InvalidParamsError
 from breakeven.quadratic import (
     BREAKEVEN,
@@ -8,6 +9,7 @@ from breakeven.quadratic import (
     INCREASING,
     STABLE,
     UNSTABLE,
+    GrowthResult,
     GrowthSchedule,
     QuadraticModel,
     SgdSetting,
@@ -20,6 +22,7 @@ from breakeven.quadratic import (
     stability_lhs,
     stability_lhs_scalar,
 )
+from breakeven.rng import make_rng
 
 
 def uniform_model(n, seed, lo=0.5, hi=1.5, alpha=0.0):
@@ -101,6 +104,91 @@ class TestSimulateSgd:
         a = simulate_sgd(model, setting, psi0=1.0, steps=100, seed=21)
         b = simulate_sgd(model, setting, psi0=1.0, steps=100, seed=21)
         assert np.array_equal(a.trajectory, b.trajectory)
+
+
+def ensemble_reference(model, setting, psi0, steps, n_traj, rng):
+    # one step at a time, each batch the argpartition of that step's keys
+    n, s, h = model.n, setting.batch_size, model.curvatures
+    dev = np.full(n_traj, float(psi0) - model.psi_star)
+    out = [float(np.mean(dev * dev))]
+    for _ in range(steps):
+        if s == n:
+            hbar = model.lambda_h
+        else:
+            u = rng.random((n_traj, n))
+            idx = np.argpartition(u, s - 1, axis=1)[:, :s]
+            hbar = np.mean(h[idx], axis=1)
+        dev = dev * (1.0 - setting.eta * hbar)
+        out.append(float(np.mean(dev * dev)))
+    return np.array(out)
+
+
+class QuantizedRng:
+    """Keys on a grid of four values, so that tied keys are common."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        return np.floor(self.rng.random(shape) * 4) / 4
+
+
+class TestEnsembleSecondMoments:
+    @pytest.mark.parametrize(
+        "n, batch_size, n_traj, steps",
+        [(50, 5, 100, 200), (30, 1, 40, 60), (100, 99, 30, 50), (40, 40, 20, 30), (60, 12, 600, 9)],
+    )
+    def test_matches_per_step_argpartition(self, n, batch_size, n_traj, steps):
+        model = uniform_model(n, n, alpha=0.5)
+        setting = SgdSetting(eta=0.1, batch_size=batch_size)
+        got = ensemble_second_moments(model, setting, 1.5, steps, n_traj, seed=7)
+        want = ensemble_reference(model, setting, 1.5, steps, n_traj, make_rng(7))
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        # 100 x 50 keys per step: the default block holds 6 steps, so 200
+        # steps run 33 full blocks and a short last one
+        model = uniform_model(50, 1)
+        setting = SgdSetting(eta=0.1, batch_size=5)
+        blocked = ensemble_second_moments(model, setting, 1.0, 200, 100, seed=3)
+        monkeypatch.setattr(quadratic, "ENSEMBLE_BLOCK_BYTES", 1)
+        stepwise = ensemble_second_moments(model, setting, 1.0, 200, 100, seed=3)
+        assert np.array_equal(blocked, stepwise)
+
+    def test_tied_keys_fall_back_to_argpartition(self, monkeypatch):
+        model = uniform_model(20, 5)
+        setting = SgdSetting(eta=0.1, batch_size=6)
+        monkeypatch.setattr(quadratic, "make_rng", lambda seed: QuantizedRng(make_rng(seed)))
+        fallback_rows = []
+        argpartition = np.argpartition
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np, "argpartition",
+                lambda a, *args, **kw: fallback_rows.append(len(a)) or argpartition(a, *args, **kw),
+            )
+            got = ensemble_second_moments(model, setting, 1.0, 40, 50, seed=11)
+        want = ensemble_reference(model, setting, 1.0, 40, 50, QuantizedRng(make_rng(11)))
+        assert sum(fallback_rows) > 0
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    @pytest.mark.parametrize("n_traj, n, steps", [(100, 50, 200), (1500, 30, 20)])
+    def test_peak_memory_does_not_grow_with_steps(self, traced_peak, n_traj, n, steps):
+        # (100, 50) draws 6 steps per block; (1500, 30) has 360 KB of keys
+        # per step, above the block budget, so each block is one step
+        model = uniform_model(n, 2)
+        setting = SgdSetting(eta=0.05, batch_size=n // 3)
+
+        def peak(k):
+            return traced_peak(lambda: ensemble_second_moments(model, setting, 1.0, k, n_traj, seed=4))[1]
+
+        short, long = peak(steps), peak(10 * steps)
+        out_growth = 8 * 9 * steps
+        assert long <= short + out_growth + 4096
+        assert long < 3 * max(quadratic.ENSEMBLE_BLOCK_BYTES, 8 * n_traj * n) + 8 * (10 * steps + 1)
+
+    def test_batch_larger_than_population_rejected(self):
+        with pytest.raises(InvalidParamsError):
+            ensemble_second_moments(uniform_model(10, 0), SgdSetting(eta=0.1, batch_size=11), 1.0, 5, 4, seed=0)
 
 
 class TestBreakevenClosedForm:
@@ -185,6 +273,64 @@ class TestGrowthDynamics:
         schedule = GrowthSchedule(direction=INCREASING, lambda0=1000.0, rho=1.01, psi0=1.0)
         with pytest.raises(InvalidParamsError):
             run_growth_dynamics(setting, schedule, alpha=0.0, n=10)
+
+    def test_nonpositive_max_steps_rejected(self):
+        schedule = GrowthSchedule(direction=INCREASING, lambda0=0.1, rho=1.01, psi0=1.0)
+        with pytest.raises(InvalidParamsError):
+            run_growth_dynamics(SgdSetting(eta=0.1, batch_size=10), schedule, alpha=0.0, n=10, max_steps=0)
+
+    def test_offset_underflow_rejected(self):
+        for psi0 in (0.0, 1e-200):
+            with pytest.raises(InvalidParamsError):
+                GrowthSchedule(direction=INCREASING, lambda0=1.0, rho=2.0, psi0=psi0)
+        # eta = 0 never flips, and psi^2 reaches zero near step 538
+        schedule = GrowthSchedule(direction=INCREASING, lambda0=1.0, rho=2.0, psi0=1.0)
+        with pytest.raises(InvalidParamsError):
+            run_growth_dynamics(SgdSetting(eta=0.0, batch_size=10), schedule, alpha=0.0, n=10, max_steps=1000)
+
+
+def growth_reference(setting, schedule, alpha, n, max_steps):
+    # the scalar recursion, one schedule step at a time
+    def stable(lam, psi):
+        s2 = alpha * lam / (psi * psi)
+        return stability_lhs_scalar(lam, s2, setting.eta, setting.batch_size, n) <= 1.0
+
+    lam, psi = schedule.lambda0, schedule.psi0
+    start_stable = stable(lam, psi)
+    r = max(schedule.rho, 1.0 / schedule.rho)
+    lam_max = lam
+    for step in range(1, max_steps + 1):
+        psi = psi / r if start_stable else psi * r
+        lam = lam * schedule.rho
+        lam_max = max(lam_max, lam)
+        if stable(lam, psi) != start_stable:
+            return GrowthResult(lam_max, lam, psi, step, True)
+    return GrowthResult(lam_max, None, psi, None, False)
+
+
+GROWTH_CASES = {
+    # name: (eta, batch_size, n, alpha, schedule)
+    "increasing": (0.05, 8, 300, 0.5, GrowthSchedule(INCREASING, 0.05, 1.001, 1.0)),
+    "decreasing": (0.1, 32, 1000, 0.5, GrowthSchedule(DECREASING, 500.0, 1 / 1.003, 1.0)),
+    "full_batch": (0.1, 100, 100, 0.0, GrowthSchedule(INCREASING, 0.5, 1.0001, 1.0)),
+    "flip_at_step_1": (0.1, 100, 100, 0.0, GrowthSchedule(INCREASING, 19.9, 1.01, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_growth_matches_scalar_recursion_across_chunk_boundaries(case, monkeypatch):
+    eta, batch_size, n, alpha, schedule = GROWTH_CASES[case]
+    setting = SgdSetting(eta=eta, batch_size=batch_size)
+    flip = growth_reference(setting, schedule, alpha, n, 10**6).step_of_breakeven
+    # chunks ending just before, at and just after the flip, and odd sizes
+    for chunk in sorted({1, 7, max(1, flip - 1), flip, flip + 1, 8192}):
+        monkeypatch.setattr(quadratic, "GROWTH_CHUNK", chunk)
+        # no flip within a max_steps that is not a multiple of the chunk,
+        # then a flip on the last allowed step, then the default cap
+        for max_steps in sorted({max(1, flip - 1), flip, 3 * chunk + 2, 10**6}):
+            got = run_growth_dynamics(setting, schedule, alpha, n, max_steps)
+            want = growth_reference(setting, schedule, alpha, n, max_steps)
+            assert repr(got) == repr(want), (chunk, max_steps)
 
 
 class TestPhaseDiagram:
