@@ -1,9 +1,12 @@
 """Command-line entry point: simulate, train, sweep, report.
 
-Configs are JSON files; flags override file values. Every output file starts
-with a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash
-of the fully-resolved config, and rerunning a subcommand with the same
-resolved config reproduces all outputs byte for byte.
+Configs are JSON files; flags override file values. Each config section is
+built from a frozen dataclass whose defaults are the only ones; an unknown key
+or a value of the wrong type exits 2, naming the key, before any output is
+written. Every output file starts with a metadata line (JSONL/Markdown) or
+comment (CSV/SVG) embedding the hash of the fully-resolved config, and
+rerunning a subcommand with the same resolved config reproduces all outputs
+byte for byte.
 
 Exit codes: 0 success; 1 non-fatal computational condition (diverged run, no
 schedule flip); 2 config/schema problem; 3 I/O problem.
@@ -12,11 +15,15 @@ schedule flip); 2 config/schema problem; 3 I/O problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
 import tempfile
+import typing
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -24,13 +31,14 @@ from . import __version__
 from .datasets import Dataset, make_dataset
 from .errors import (
     ComputationalError,
+    InvalidConfigError,
     SchemaError,
     UnknownMetricError,
     ValidationError,
 )
-from .netmodel import MlpSpec
 from .netmodel import init_params
 from .quadratic import (
+    GROWTH_MAX_STEPS,
     GrowthSchedule,
     QuadraticModel,
     SgdSetting,
@@ -44,9 +52,9 @@ from .quadratic import (
 )
 from .rng import PRNG_ALGORITHM, make_rng
 from .trainer import (
-    LrSchedule,
+    METRIC_FIELDS,
+    SWEEP_AXES,
     RunConfig,
-    SpectraParams,
     breakeven_indicators,
     config_hash,
     metric_log_lines,
@@ -158,152 +166,174 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _require(cfg: dict, field: str, kind, where: str = "config"):
-    if field not in cfg:
-        raise SchemaError(f"{where}.{field}", "required field missing")
-    value = cfg[field]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}.{field}", f"expected {kind.__name__}")
-    return value
-
-
-def _positive(value, field: str):
-    if not value > 0:
-        raise SchemaError(field, "must be > 0")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # config resolution
 
 
-def _build_model(raw: dict) -> MlpSpec:
-    if "layer_sizes" not in raw:
-        raise SchemaError("model.layer_sizes", "required field missing")
+def _join(path: str, name: str | None) -> str:
+    return ".".join(p for p in (path, name) if p) or "config"
+
+
+@contextlib.contextmanager
+def _section(path: str):
+    """Re-raise a package ValidationError as a SchemaError on ``path`` (or on
+    the field the error names below it)."""
     try:
-        return MlpSpec(
-            layer_sizes=tuple(raw["layer_sizes"]),
-            activation=raw.get("activation", "relu"),
-            batch_norm=raw.get("batch_norm", False),
-            loss=raw.get("loss", "softmax_cross_entropy"),
-            init=raw.get("init", "gaussian_scaled"),
-            init_gain=raw.get("init_gain"),
-            init_constant=raw.get("init_constant", 0.0),
-            seed=int(raw.get("seed", 0)),
-        )
+        yield
+    except SchemaError:
+        raise
     except ValidationError as exc:
-        raise SchemaError("model", str(exc)) from None
+        raise SchemaError(_join(path, exc.field), str(exc)) from None
 
 
-def _build_schedule(raw: dict) -> LrSchedule:
-    try:
-        return LrSchedule(
-            kind=raw.get("kind", "constant"),
-            decay_epoch=int(raw.get("decay_epoch", 0)),
-            decay_factor=float(raw.get("decay_factor", 10.0)),
-        )
-    except ValidationError as exc:
-        raise SchemaError("schedule", str(exc)) from None
+def _coerce(kind, value, path: str):
+    """Check one JSON value against a dataclass field type. ``int`` takes
+    JSON integers only (no bools), ``float`` any JSON number and stores a
+    float, ``Optional`` also null, a tuple of ints or floats a list checked
+    element by element, and a dataclass an object built by ``_build``.
+    Anything else is left to the dataclass's own checks."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if value is None:
+            return None
+        kind, args = args[0], typing.get_args(args[0])
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, path)
+    if kind in (int, float):
+        if type(value) not in (int, kind):
+            raise SchemaError(path, f"expected {kind.__name__}")
+        return kind(value)
+    if typing.get_origin(kind) is tuple and args[0] in (int, float):
+        if not isinstance(value, list):
+            raise SchemaError(path, "expected a list")
+        return tuple(_coerce(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    return value
 
 
-def _build_spectra(raw: dict) -> SpectraParams:
-    try:
-        return SpectraParams(
-            n_gradient_samples=int(raw.get("n_gradient_samples", 25)),
-            gram_batch_size=raw.get("gram_batch_size"),
-            top_k=int(raw.get("top_k", 5)),
-            hvp_method=raw.get("hvp_method", "auto"),
-            lanczos_iters=int(raw.get("lanczos_iters", 40)),
-        )
-    except ValidationError as exc:
-        raise SchemaError("spectra", str(exc)) from None
+def _build(cls, raw, path: str):
+    """Build the frozen dataclass ``cls`` from the JSON object ``raw``: an
+    unknown key is rejected, an absent field takes the dataclass default."""
+    if not isinstance(raw, dict):
+        raise SchemaError(_join(path, None), "expected an object")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in hints:
+            raise SchemaError(_join(path, key), "unknown field")
+        kwargs[key] = _coerce(hints[key], value, _join(path, key))
+    for f in dataclasses.fields(cls):
+        if f.name not in raw and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise SchemaError(_join(path, f.name), "required field missing")
+    with _section(path):
+        return cls(**kwargs)
 
 
-def resolve_run_config(raw: dict, args) -> tuple[RunConfig, dict, int]:
-    """Apply defaults and flag overrides; returns (config, dataset
-    provenance, dataset seed)."""
-    cfg = dict(raw)
-    if args.eta is not None:
-        cfg["eta"] = args.eta
-    if args.batch_size is not None:
-        cfg["batch_size"] = args.batch_size
-    if args.momentum is not None:
-        cfg["momentum"] = args.momentum
-    if args.epochs is not None:
-        cfg["epochs"] = args.epochs
-    if args.eval_every is not None:
-        cfg["eval_every"] = args.eval_every
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-
-    model = _build_model(_require(cfg, "model", dict))
-    dataset_cfg = _require(cfg, "dataset", dict)
-    dataset_seed = int(dataset_cfg.get("seed", 0))
-    try:
-        config = RunConfig(
-            model=model,
-            eta=_positive(float(_require(cfg, "eta", float)), "eta"),
-            batch_size=int(_require(cfg, "batch_size", int)),
-            epochs=int(_require(cfg, "epochs", int)),
-            momentum=float(cfg.get("momentum", 0.0)),
-            schedule=_build_schedule(cfg.get("schedule", {})),
-            eval_every=int(cfg.get("eval_every", 10)),
-            spectra=_build_spectra(cfg.get("spectra", {})),
-            eval_subset_fraction=float(cfg.get("eval_subset_fraction", 0.05)),
-            seed=int(cfg.get("seed", 0)),
-            accuracy_threshold=float(cfg.get("accuracy_threshold", 0.60)),
-        )
-    except ValidationError as exc:
-        raise SchemaError("config", str(exc)) from None
-    return config, dataset_cfg, dataset_seed
+# top-level keys of a train/sweep config that are not RunConfig fields
+_RUN_EXTRAS = ("dataset", "axis", "seeds", "snapshot_params")
 
 
-def _dataset_from_config(dataset_cfg: dict, seed: int) -> Dataset:
-    provenance = {k: v for k, v in dataset_cfg.items() if k != "seed"}
-    return make_dataset(provenance, seed)
+def resolve_run_config(raw: dict, args) -> RunConfig:
+    """The run config of a train/sweep config; a flag named after a RunConfig
+    field overrides it."""
+    cfg = {k: v for k, v in raw.items() if k not in _RUN_EXTRAS}
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            cfg[f.name] = getattr(args, f.name)
+    return _build(RunConfig, cfg, "")
+
+
+def _dataset_from_config(raw: dict) -> Dataset:
+    cfg = raw.get("dataset")
+    if not isinstance(cfg, dict):
+        raise SchemaError("dataset", "expected an object")
+    with _section("dataset"):
+        return make_dataset(cfg, _coerce(int, cfg.get("seed", 0), "dataset.seed"))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Axis:
+    name: str
+    values: list
+
+    def __post_init__(self):
+        choices = sorted(SWEEP_AXES)
+        if self.name not in choices:
+            raise InvalidConfigError(f"choose from {choices}", "name")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Curvatures:
+    kind: str = "uniform"
+    low: float = 0.5
+    high: float = 1.5
+    value: float = 1.0
+    count: int = 100
+    seed: int = 0
+
+    def draw(self) -> np.ndarray:
+        if self.count < 2:
+            raise InvalidConfigError("need at least 2 examples", "count")
+        if self.kind == "uniform":
+            return make_rng(self.seed).uniform(self.low, self.high, size=self.count)
+        if self.kind == "constant":
+            return np.full(self.count, self.value)
+        raise InvalidConfigError(f"unknown kind {self.kind!r}", "kind")
+
+
+@dataclasses.dataclass(frozen=True)
+class _PhaseGrid:
+    etas: Optional[tuple[float, ...]] = None  # None: the config's etas
+    batch_sizes: Optional[tuple[int, ...]] = None  # None: the config's batch sizes
+
+
+@dataclasses.dataclass(frozen=True)
+class _Growth(GrowthSchedule):
+    max_steps: int = GROWTH_MAX_STEPS  # the step cap of each run
+
+
+@dataclasses.dataclass(frozen=True)
+class _MonteCarlo:
+    cases: int = 5
+    steps: int = 200
+    n_traj: int = 10_000
+    psi0: float = 1.0
+    seed: Optional[int] = None  # None: the config's seed
+
+
+@dataclasses.dataclass(frozen=True)
+class _SimulateConfig:
+    etas: tuple[float, ...] = (0.5, 0.1, 0.02)
+    batch_sizes: tuple[int, ...] = (1, 10, 100)
+    alpha: float = 0.0
+    psi: float = 1.0
+    psi_star: float = QuadraticModel.psi_star
+    seed: int = 0
+    curvatures: _Curvatures = dataclasses.field(default_factory=_Curvatures)
+    phase_grid: _PhaseGrid = dataclasses.field(default_factory=_PhaseGrid)
+    growth: Optional[_Growth] = None
+    monte_carlo: Optional[_MonteCarlo] = None
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def _model_from_simulate_config(cfg: dict) -> QuadraticModel:
-    spec = cfg.get("curvatures", {"kind": "uniform", "low": 0.5, "high": 1.5, "count": 100, "seed": 0})
-    kind = spec.get("kind", "uniform")
-    count = int(spec.get("count", 100))
-    if count < 2:
-        raise SchemaError("curvatures.count", "need at least 2 examples")
-    if kind == "uniform":
-        rng = make_rng(int(spec.get("seed", 0)))
-        h = rng.uniform(float(spec.get("low", 0.5)), float(spec.get("high", 1.5)), size=count)
-    elif kind == "constant":
-        h = np.full(count, float(spec.get("value", 1.0)))
-    else:
-        raise SchemaError("curvatures.kind", f"unknown kind {kind!r}")
-    try:
-        return QuadraticModel(curvatures=h, psi_star=float(cfg.get("psi_star", 0.0)), alpha=float(cfg.get("alpha", 0.0)))
-    except ValidationError as exc:
-        raise SchemaError("curvatures", str(exc)) from None
-
-
 def cmd_simulate(args) -> int:
-    cfg = _load_json(args.config)
+    raw = _load_json(args.config)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        raw["seed"] = args.seed
+    cfg = _build(_SimulateConfig, raw, "")
     out = Path(args.out)
-    etas = [float(e) for e in cfg.get("etas", [0.5, 0.1, 0.02])]
-    batch_sizes = [int(s) for s in cfg.get("batch_sizes", [1, 10, 100])]
-    alpha = float(cfg.get("alpha", 0.0))
-    psi = float(cfg.get("psi", 1.0))
-    model = _model_from_simulate_config(cfg)
+    with _section("curvatures"):
+        model = QuadraticModel(curvatures=cfg.curvatures.draw(), psi_star=cfg.psi_star)
     n = model.n
-    for s in batch_sizes:
+    for s in cfg.batch_sizes:
         if not 1 <= s <= n:
             raise SchemaError("batch_sizes", f"batch size {s} outside [1, {n}]")
-    digest = config_hash(cfg)
-    header = f"# config_hash={digest} tool=breakeven-{__version__} subcommand=simulate\n"
+    etas, batch_sizes, alpha, psi = cfg.etas, cfg.batch_sizes, cfg.alpha, cfg.psi
+    header = f"# config_hash={config_hash(raw)} tool=breakeven-{__version__} subcommand=simulate\n"
+    # every file is computed before the first is written, so an error leaves --out untouched
+    outputs = {}
 
     lines = [header, "eta,batch_size,n,alpha,psi,lambda_breakeven,no_stable_curvature\n"]
     for eta in etas:
@@ -312,36 +342,26 @@ def cmd_simulate(args) -> int:
             lines.append(
                 f"{eta!r},{s},{n},{alpha!r},{psi!r},{res.value!r},{int(res.no_stable_curvature)}\n"
             )
-    _atomic_write(out / "breakeven_table.csv", "".join(lines))
+    outputs["breakeven_table.csv"] = lines
 
-    grid = cfg.get("phase_grid", {})
-    grid_etas = [float(e) for e in grid.get("etas", etas)]
-    grid_sizes = [int(s) for s in grid.get("batch_sizes", batch_sizes)]
+    grid_etas = etas if cfg.phase_grid.etas is None else cfg.phase_grid.etas
+    grid_sizes = batch_sizes if cfg.phase_grid.batch_sizes is None else cfg.phase_grid.batch_sizes
     rows = phase_diagram(np.array(grid_etas), np.array(grid_sizes), model)
     lines = [header, "batch_size,eta,lhs,classification\n"]
     for i, s in enumerate(grid_sizes):
         for j, eta in enumerate(grid_etas):
             lhs = stability_lhs_scalar(model.lambda_h, model.s_squared, eta, s, n)
             lines.append(f"{s},{eta!r},{lhs!r},{rows[i][j]}\n")
-    _atomic_write(out / "phase_diagram.csv", "".join(lines))
+    outputs["phase_diagram.csv"] = lines
 
     exit_code = EXIT_OK
-    growth = cfg.get("growth")
+    growth = cfg.growth
     if growth is not None:
-        try:
-            schedule = GrowthSchedule(
-                direction=growth.get("direction", "increasing_from_stable"),
-                lambda0=float(growth.get("lambda0", 0.01)),
-                rho=float(growth.get("rho", 1.01)),
-                psi0=float(growth.get("psi0", 1.0)),
-            )
-        except ValidationError as exc:
-            raise SchemaError("growth", str(exc)) from None
-        max_steps = _positive(int(growth.get("max_steps", 1_000_000)), "growth.max_steps")
         lines = [header, "eta,batch_size,flipped,step_of_breakeven,lambda_at_flip,lambda_max,psi_at_stop\n"]
         for eta in etas:
             for s in batch_sizes:
-                res = run_growth_dynamics(SgdSetting(eta=eta, batch_size=s), schedule, alpha, n, max_steps)
+                with _section("growth"):
+                    res = run_growth_dynamics(SgdSetting(eta=eta, batch_size=s), growth, alpha, n, growth.max_steps)
                 if not res.flipped:
                     exit_code = EXIT_COMPUTATIONAL
                 lines.append(
@@ -350,21 +370,15 @@ def cmd_simulate(args) -> int:
                     f"{'' if res.lambda_at_flip is None else repr(res.lambda_at_flip)},"
                     f"{res.lambda_max!r},{res.psi_at_stop!r}\n"
                 )
-        _atomic_write(out / "growth_dynamics.csv", "".join(lines))
-        if exit_code and not args.quiet:
-            print("warning: growth dynamics hit max_steps without a flip", file=sys.stderr)
+        outputs["growth_dynamics.csv"] = lines
 
-    mc = cfg.get("monte_carlo")
+    mc = cfg.monte_carlo
     if mc is not None:
-        cases = int(mc.get("cases", 5))
-        steps = int(mc.get("steps", 200))
-        n_traj = int(mc.get("n_traj", 10_000))
-        psi0 = float(mc.get("psi0", 1.0))
         # --seed wins over monte_carlo.seed; the curvature seed keeps the model
-        seed = args.seed if args.seed is not None else int(mc.get("seed", cfg.get("seed", 0)))
+        seed = mc.seed if mc.seed is not None and args.seed is None else cfg.seed
         rng = make_rng(seed, 100)
         lines = [header, "case,eta,batch_size,n,lambda_h,s_squared,lhs,log_lhs,fitted_rate,abs_diff\n"]
-        for case in range(cases):
+        for case in range(mc.cases):
             case_n = int(rng.integers(30, 101))
             h = rng.uniform(0.5, 1.5, size=case_n)
             case_model = QuadraticModel(curvatures=h)
@@ -372,19 +386,22 @@ def cmd_simulate(args) -> int:
             s = int(rng.integers(1, case_n + 1))
             setting = SgdSetting(eta=eta, batch_size=s)
             lhs = stability_lhs(case_model, setting)
-            sm = ensemble_second_moments(case_model, setting, psi0, steps, n_traj, seed=seed + case)
-            rate = fit_growth_rate(sm)
+            with _section("monte_carlo"):
+                sm = ensemble_second_moments(case_model, setting, mc.psi0, mc.steps, mc.n_traj, seed=seed + case)
+                rate = fit_growth_rate(sm)
             log_lhs = float(np.log(lhs))
             lines.append(
                 f"{case},{eta!r},{s},{case_n},{case_model.lambda_h!r},{case_model.s_squared!r},"
                 f"{lhs!r},{log_lhs!r},{rate!r},{abs(rate - log_lhs)!r}\n"
             )
-        _atomic_write(out / "mc_validation.csv", "".join(lines))
+        outputs["mc_validation.csv"] = lines
 
+    for name, lines in outputs.items():
+        _atomic_write(out / name, "".join(lines))
+    if exit_code and not args.quiet:
+        print("warning: growth dynamics hit max_steps without a flip", file=sys.stderr)
     if not args.quiet:
-        print(f"simulate: wrote {out}/breakeven_table.csv, phase_diagram.csv"
-              + (", growth_dynamics.csv" if growth is not None else "")
-              + (", mc_validation.csv" if mc is not None else ""))
+        print(f"simulate: wrote {out}/" + ", ".join(outputs))
     return exit_code
 
 
@@ -414,8 +431,8 @@ def _summary_payload(config: RunConfig, records, summary) -> str:
 
 def cmd_train(args) -> int:
     raw = _load_json(args.config)
-    config, dataset_cfg, dataset_seed = resolve_run_config(raw, args)
-    dataset = _dataset_from_config(dataset_cfg, dataset_seed)
+    config = resolve_run_config(raw, args)
+    dataset = _dataset_from_config(raw)
     out = Path(args.out)
     records, summary = run_training(config, dataset)
     _atomic_write(out / "metrics.jsonl", "\n".join(metric_log_lines(config, records)) + "\n")
@@ -434,15 +451,15 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = _load_json(args.config)
-    axis = _require(raw, "axis", dict)
-    axis_name = _require(axis, "name", str, "axis")
-    values = _require(axis, "values", list, "axis")
-    seeds = [int(s) for s in raw.get("seeds", [0])]
-    base, dataset_cfg, dataset_seed = resolve_run_config(raw, args)
-    dataset = _dataset_from_config(dataset_cfg, dataset_seed)
+    axis = _build(_Axis, raw.get("axis"), "axis")
+    kind = typing.get_type_hints(RunConfig)[axis.name]
+    values = _coerce(tuple[kind, ...], axis.values, "axis.values")
+    seeds = list(_coerce(tuple[int, ...], raw.get("seeds", [0]), "seeds"))
+    base = resolve_run_config(raw, args)
+    dataset = _dataset_from_config(raw)
     out = Path(args.out)
     try:
-        report = sweep(base, dataset, axis_name, values, seeds, keep_records=True)
+        report = sweep(base, dataset, axis.name, values, seeds, keep_records=True)
     except ValidationError as exc:
         raise SchemaError("axis", str(exc)) from None
 
@@ -488,7 +505,39 @@ def cmd_sweep(args) -> int:
 # report
 
 
-def _series_from_log(meta, records, metric: str, x_axis: str):
+_PLOTTABLE = tuple(
+    f for f in METRIC_FIELDS if f not in ("step", "epoch", "lambda_h_top", "bn_gamma_norms")
+) + ("lambda_h1",)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Panel:
+    y: str
+    x: str = "step"
+    log_y: bool = Panel.log_y
+    title: Optional[str] = None  # None: the metric name
+
+    def __post_init__(self):
+        if self.x not in ("step", "epoch"):
+            raise InvalidConfigError("must be step or epoch", "x")
+        if self.y not in _PLOTTABLE:
+            raise UnknownMetricError(f"unknown metric {self.y!r}; choose from {sorted(_PLOTTABLE)}", "y")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    logs: list
+    panels: list
+    sweep_report: Optional[str] = None
+    threshold_vlines: bool = True
+
+    def __post_init__(self):
+        for name in ("logs", "panels"):
+            if not isinstance(getattr(self, name), list) or not getattr(self, name):
+                raise InvalidConfigError("need a nonempty list", name)
+
+
+def _series_from_log(records, metric: str, x_axis: str):
     xs, ys = [], []
     for r in records:
         xs.append(getattr(r, x_axis))
@@ -500,58 +549,40 @@ def _series_from_log(meta, records, metric: str, x_axis: str):
 
 
 def cmd_report(args) -> int:
-    cfg = _load_json(args.config)
-    logs = _require(cfg, "logs", list)
-    panels = _require(cfg, "panels", list)
-    if not panels:
-        raise SchemaError("panels", "need at least one panel")
-    if not logs:
-        raise SchemaError("logs", "need at least one log")
+    raw = _load_json(args.config)
+    cfg = _build(_Report, raw, "")
+    panels = [_build(_Panel, p, f"panels[{i}]") for i, p in enumerate(cfg.panels)]
     out = Path(args.out)
 
-    from .trainer import METRIC_FIELDS
-
-    plottable = [f for f in METRIC_FIELDS if f not in ("step", "epoch", "lambda_h_top", "bn_gamma_norms")]
-    plottable.append("lambda_h1")
-
     parsed = []
-    for path in logs:
-        text = Path(path).read_text(encoding="utf-8")
-        meta, records = parse_metric_log(text)
-        parsed.append((Path(path).stem, meta, records))
+    for path in cfg.logs:
+        meta, records = parse_metric_log(Path(path).read_text(encoding="utf-8"))
+        threshold = meta.get("config", {}).get("accuracy_threshold", RunConfig.accuracy_threshold)
+        parsed.append((Path(path).stem, threshold, records))
+    sweep_data = _load_json(cfg.sweep_report) if cfg.sweep_report else None
 
-    digest = config_hash(cfg)
-    svg_paths = []
-    for i, panel_cfg in enumerate(panels):
-        metric = _require(panel_cfg, "y", str, f"panels[{i}]")
-        x_axis = panel_cfg.get("x", "step")
-        if x_axis not in ("step", "epoch"):
-            raise SchemaError(f"panels[{i}].x", "must be step or epoch")
-        if metric not in plottable:
-            raise UnknownMetricError(f"unknown metric {metric!r}; choose from {sorted(plottable)}")
+    digest = config_hash(raw)
+    for i, p in enumerate(panels):
         series = []
         vlines = []
-        for label, meta, records in parsed:
-            xs, ys = _series_from_log(meta, records, metric, x_axis)
+        for label, threshold, records in parsed:
+            xs, ys = _series_from_log(records, p.y, p.x)
             series.append(Series(label=label, xs=xs, ys=ys))
-            threshold = meta.get("config", {}).get("accuracy_threshold", 0.6)
             marker = next(
                 (r for r in records if r.train_acc is not None and r.train_acc >= threshold), None
             )
-            if marker is not None and cfg.get("threshold_vlines", True):
-                vlines.append((getattr(marker, x_axis), f"acc>{threshold:g}"))
+            if marker is not None and cfg.threshold_vlines:
+                vlines.append((getattr(marker, p.x), f"acc>{threshold:g}"))
         panel = Panel(
-            title=panel_cfg.get("title", metric),
-            x_label=x_axis,
-            y_label=metric,
+            title=p.y if p.title is None else p.title,
+            x_label=p.x,
+            y_label=p.y,
             series=series,
             vlines=vlines,
-            log_y=bool(panel_cfg.get("log_y", False)),
+            log_y=bool(p.log_y),
         )
         svg = f"<!-- config_hash={digest} tool=breakeven-{__version__} -->\n" + render_panel(panel)
-        name = f"panel_{i:02d}_{metric}.svg"
-        _atomic_write(out / name, svg)
-        svg_paths.append(name)
+        _atomic_write(out / f"panel_{i:02d}_{p.y}.svg", svg)
 
     md = [f"<!-- config_hash={digest} tool=breakeven-{__version__} -->", "", "# Run summaries", ""]
     md.append(
@@ -567,31 +598,15 @@ def cmd_report(args) -> int:
             return f"{v:.6g}"
         return str(v)
 
-    for label, meta, records in parsed:
-        threshold = meta.get("config", {}).get("accuracy_threshold", 0.6)
+    columns = (
+        "max_lambda_k1", "max_lambda_k1_step", "max_lambda_h1", "max_lambda_h1_step", "max_cond_ratio",
+        "max_cond_ratio_step", "max_trace_k", "threshold_epoch", "first_negative_delta_loss_step",
+    )
+    for label, threshold, records in parsed:
         summary = summarize_run(records, diverged=False, accuracy_threshold=threshold)
-        md.append(
-            "| "
-            + " | ".join(
-                [
-                    label,
-                    cell(summary.max_lambda_k1),
-                    cell(summary.max_lambda_k1_step),
-                    cell(summary.max_lambda_h1),
-                    cell(summary.max_lambda_h1_step),
-                    cell(summary.max_cond_ratio),
-                    cell(summary.max_cond_ratio_step),
-                    cell(summary.max_trace_k),
-                    cell(summary.threshold_epoch),
-                    cell(summary.first_negative_delta_loss_step),
-                ]
-            )
-            + " |"
-        )
+        md.append("| " + " | ".join([label] + [cell(getattr(summary, c)) for c in columns]) + " |")
 
-    sweep_path = cfg.get("sweep_report")
-    if sweep_path:
-        sweep_data = _load_json(sweep_path)
+    if sweep_data is not None:
         md += ["", f"## Sweep verdicts (axis: {sweep_data.get('axis_name')})", ""]
         md.append("| check | verdict |")
         md.append("|---|---|")
@@ -599,7 +614,7 @@ def cmd_report(args) -> int:
             md.append(f"| {check} | {verdict} |")
     _atomic_write(out / "summary.md", "\n".join(md) + "\n")
     if not args.quiet:
-        print(f"report: wrote {len(svg_paths)} panel(s) and summary.md -> {out}")
+        print(f"report: wrote {len(panels)} panel(s) and summary.md -> {out}")
     return EXIT_OK
 
 
@@ -622,12 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
         parent.add_argument("--quiet", action="store_true", help="suppress progress output")
         return parent
 
+    # each override flag sets the RunConfig field it is named after, with its type
     overrides = argparse.ArgumentParser(add_help=False)
-    overrides.add_argument("--eta", type=float, default=None, help="override learning rate")
-    overrides.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    overrides.add_argument("--momentum", type=float, default=None)
-    overrides.add_argument("--epochs", type=int, default=None)
-    overrides.add_argument("--eval-every", dest="eval_every", type=int, default=None)
+    hints = typing.get_type_hints(RunConfig)
+    for name in ("eta", "batch_size", "momentum", "epochs", "eval_every"):
+        overrides.add_argument("--" + name.replace("_", "-"), type=hints[name], help=f"override {name}")
 
     sub.add_parser(
         "simulate",

@@ -52,18 +52,24 @@ def _class_counts(n: int, classes: int) -> np.ndarray:
 
 def _split(n: int, val_fraction: float, rng: np.random.Generator):
     if not 0.0 <= val_fraction < 1.0:
-        raise InvalidParamsError("val_fraction must lie in [0, 1)")
+        raise InvalidParamsError("val_fraction must lie in [0, 1)", "val_fraction")
     perm = rng.permutation(n)
     n_val = int(round(val_fraction * n))
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def _params(p: dict, **defaults) -> list:
+    """The values of a kind's keys, each converted to the type of its default
+    (which it takes when absent). A key of ``p`` that is none of them, nor
+    "kind", "val_fraction" or "seed", is rejected."""
+    for key in p:
+        if key not in defaults and key not in ("kind", "val_fraction", "seed"):
+            raise InvalidParamsError(f"{p['kind']} datasets read no key {key!r}", key)
+    return [type(default)(p.get(key, default)) for key, default in defaults.items()]
+
+
 def _gaussian_blobs(p: dict, rng: np.random.Generator):
-    n = int(p.get("n", 1000))
-    classes = int(p.get("classes", 2))
-    d = int(p.get("d", 2))
-    radius = float(p.get("radius", 1.0))
-    sigma = float(p.get("sigma", 0.5))
+    n, classes, d, radius, sigma = _params(p, n=1000, classes=2, d=2, radius=1.0, sigma=0.5)
     if classes < 2 or n < classes:
         raise InvalidParamsError("need classes >= 2 and n >= classes")
     if d < 2:
@@ -83,10 +89,7 @@ def _gaussian_blobs(p: dict, rng: np.random.Generator):
 
 
 def _spirals(p: dict, rng: np.random.Generator):
-    n = int(p.get("n", 1000))
-    classes = int(p.get("classes", 2))
-    turns = float(p.get("turns", 1.5))
-    sigma = float(p.get("sigma", 0.05))
+    n, classes, turns, sigma = _params(p, n=1000, classes=2, turns=1.5, sigma=0.05)
     if classes < 2 or n < classes:
         raise InvalidParamsError("need classes >= 2 and n >= classes")
     if sigma <= 0 or turns <= 0:
@@ -104,8 +107,7 @@ def _spirals(p: dict, rng: np.random.Generator):
 
 
 def _xor(p: dict, rng: np.random.Generator):
-    n = int(p.get("n", 1000))
-    sigma = float(p.get("sigma", 0.3))
+    n, sigma = _params(p, n=1000, sigma=0.3)
     if n < 4:
         raise InvalidParamsError("xor needs n >= 4")
     if sigma <= 0:
@@ -121,8 +123,10 @@ def _xor(p: dict, rng: np.random.Generator):
 
 
 def _csv(p: dict):
-    path = Path(p["path"])
-    text = path.read_text(encoding="utf-8")
+    (path,) = _params(p, path="")
+    if not path:
+        raise InvalidParamsError("csv provenance needs a path", "path")
+    text = Path(path).read_text(encoding="utf-8")
     rows = []
     labels = []
     width = None
@@ -173,15 +177,13 @@ def make_dataset(provenance: dict, seed: int) -> Dataset:
     kind = provenance.get("kind")
     rng = make_rng(seed, 0)
     recorded = dict(provenance)
-    if kind in _GENERATORS:
+    if isinstance(kind, str) and kind in _GENERATORS:
         inputs, labels = _GENERATORS[kind](provenance, rng)
     elif kind == "csv":
-        if "path" not in provenance:
-            raise InvalidParamsError("csv provenance needs a path")
         inputs, labels, digest = _csv(provenance)
         recorded["sha256"] = digest
     else:
-        raise InvalidParamsError(f"unknown dataset kind {kind!r}")
+        raise InvalidParamsError(f"unknown dataset kind {kind!r}", "kind")
     if not np.all(np.isfinite(inputs)):
         raise InvalidParamsError("feature values must be finite")
     train_idx, val_idx = _split(

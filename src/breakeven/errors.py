@@ -11,7 +11,12 @@ class BreakevenError(Exception):
 
 
 class ValidationError(BreakevenError):
-    """Bad inputs: shapes, parameter ranges, schema violations."""
+    """Bad inputs: shapes, parameter ranges, schema violations. ``field``
+    names the offending input when a single one is at fault."""
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ComputationalError(BreakevenError):
@@ -91,10 +96,10 @@ class NeedTwoValuesError(ValidationError):
 
 
 class SchemaError(ValidationError):
+    """A config value is rejected; ``field`` is its dotted path."""
+
     def __init__(self, field: str, reason: str):
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
+        super().__init__(f"{field}: {reason}", field)
 
 
 class UnknownMetricError(ValidationError):

@@ -63,10 +63,10 @@ def _as_tuple(value, count, kinds, what):
         value = (value,) * count
     value = tuple(value)
     if len(value) != count:
-        raise InvalidParamsError(f"{what} needs one entry per hidden layer ({count})")
+        raise InvalidParamsError(f"{what} needs one entry per hidden layer ({count})", what)
     for v in value:
         if kinds is not None and v not in kinds:
-            raise InvalidParamsError(f"unknown {what} entry {v!r}")
+            raise InvalidParamsError(f"unknown {what} entry {v!r}", what)
     return value
 
 
@@ -86,7 +86,7 @@ class MlpSpec:
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise InvalidParamsError("layer_sizes needs >= 2 positive entries")
+            raise InvalidParamsError("layer_sizes needs >= 2 positive entries", "layer_sizes")
         object.__setattr__(self, "layer_sizes", sizes)
         hidden = len(sizes) - 2
         object.__setattr__(
@@ -96,11 +96,11 @@ class MlpSpec:
             self, "batch_norm", _as_tuple(self.batch_norm, hidden, (True, False), "batch_norm")
         )
         if self.loss not in (SOFTMAX_CE, MSE):
-            raise InvalidParamsError(f"unknown loss {self.loss!r}")
+            raise InvalidParamsError(f"unknown loss {self.loss!r}", "loss")
         if self.loss == SOFTMAX_CE and sizes[-1] < 2:
-            raise InvalidParamsError("softmax cross-entropy needs >= 2 output classes")
+            raise InvalidParamsError("softmax cross-entropy needs >= 2 output classes", "layer_sizes")
         if self.init not in ("gaussian_scaled", "constant"):
-            raise InvalidParamsError(f"unknown init {self.init!r}")
+            raise InvalidParamsError(f"unknown init {self.init!r}", "init")
         layout = []
         offset = 0
         for layer in range(len(sizes) - 1):
@@ -422,7 +422,8 @@ def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH
     logits, caches, last = _forward(spec, theta, batch.inputs, bn_mode)
     dlogits = _loss_grad_logits(spec, logits, batch.labels) / batch.size
     g = _backward(spec, theta, caches, last, dlogits)
-    if not np.all(np.isfinite(g)):
+    # NaN propagates through min and max and an inf sits at one end: no G x D mask
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         raise NonFiniteError("gradient overflowed")
     return g
 
@@ -456,12 +457,13 @@ def grouped_grads(
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
     groups = np.asarray(groups)
-    if groups.ndim != 2 or groups.shape[1] < 1:
-        raise InvalidParamsError("groups must be a (G, M >= 1) index array")
+    if groups.ndim != 2 or min(groups.shape) < 1:
+        raise InvalidParamsError("groups must be a (G >= 1, M >= 1) index array")
     logits, caches, last = _forward(spec, theta, batch.inputs[groups], bn_mode)
     dlogits = _loss_grad_logits(spec, logits, batch.labels[groups]) / groups.shape[1]
     g = _backward(spec, theta, caches, last, dlogits)
-    if not np.all(np.isfinite(g)):
+    # NaN propagates through min and max and an inf sits at one end: no G x D mask
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         raise NonFiniteError("gradient overflowed")
     return g
 

@@ -38,15 +38,16 @@ DECREASING = "decreasing_from_unstable"
 ENSEMBLE_BLOCK_BYTES = 256 * 1024
 # schedule steps the growth dynamics evaluate per vectorized chunk
 GROWTH_CHUNK = 8192
+# schedule steps a growth run takes before it gives up without a flip
+GROWTH_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
 class QuadraticModel:
-    """Per-example curvatures with an optional minimum offset and coupling."""
+    """Per-example curvatures with an optional minimum offset."""
 
     curvatures: np.ndarray
     psi_star: float = 0.0
-    alpha: float = 0.0
 
     def __post_init__(self):
         h = np.asarray(self.curvatures, dtype=np.float64)
@@ -172,8 +173,9 @@ def ensemble_second_moments(
     (tied keys) is resolved by ``argpartition`` instead.
     The deviations then advance as running products down the step axis.
     """
-    if steps < 1 or n_traj < 1:
-        raise InvalidParamsError("steps and n_traj must be >= 1")
+    for name, count in (("steps", steps), ("n_traj", n_traj)):
+        if count < 1:
+            raise InvalidParamsError(f"{name} must be >= 1", name)
     n = model.n
     s = setting.batch_size
     if s > n:
@@ -249,25 +251,25 @@ class GrowthSchedule:
     (psi / r) while stable, away from it (psi * r) while unstable.
     """
 
-    direction: str
-    lambda0: float
-    rho: float
-    psi0: float
+    direction: str = INCREASING
+    lambda0: float = 0.01
+    rho: float = 1.01
+    psi0: float = 1.0
 
     def __post_init__(self):
         if self.direction not in (INCREASING, DECREASING):
-            raise InvalidParamsError(f"unknown direction {self.direction!r}")
+            raise InvalidParamsError(f"unknown direction {self.direction!r}", "direction")
         if self.lambda0 <= 0.0:
-            raise InvalidParamsError("initial curvature must be positive")
+            raise InvalidParamsError("initial curvature must be positive", "lambda0")
         if self.psi0 * self.psi0 == 0.0:
             # the coupled noise alpha * lambda / psi^2 divides by the square
-            raise InvalidParamsError("initial offset must be nonzero, with a nonzero square")
+            raise InvalidParamsError("initial offset must be nonzero, with a nonzero square", "psi0")
         if self.rho == 1.0 or self.rho <= 0.0:
-            raise InvalidParamsError("rho must be positive and != 1")
+            raise InvalidParamsError("rho must be positive and != 1", "rho")
         if self.direction == INCREASING and self.rho < 1.0:
-            raise InvalidParamsError("increasing schedule needs rho > 1")
+            raise InvalidParamsError("increasing schedule needs rho > 1", "rho")
         if self.direction == DECREASING and self.rho > 1.0:
-            raise InvalidParamsError("decreasing schedule needs rho < 1")
+            raise InvalidParamsError("decreasing schedule needs rho < 1", "rho")
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,7 @@ def run_growth_dynamics(
     schedule: GrowthSchedule,
     alpha: float,
     n: int,
-    max_steps: int = 1_000_000,
+    max_steps: int = GROWTH_MAX_STEPS,
 ) -> GrowthResult:
     """Iterate the curvature/offset schedule until the stability predicate
     flips (stable -> unstable for increasing schedules, the reverse for
@@ -300,7 +302,7 @@ def run_growth_dynamics(
     ``stability_lhs_scalar``, so the flip step and every reported value are
     those of the step-by-step recursion."""
     if max_steps < 1:
-        raise InvalidParamsError("max_steps must be >= 1")
+        raise InvalidParamsError("max_steps must be >= 1", "max_steps")
     eta = setting.eta
     lam = schedule.lambda0
     psi = schedule.psi0

@@ -81,12 +81,12 @@ class LrSchedule:
 
     def __post_init__(self):
         if self.kind not in ("constant", "step_decay"):
-            raise InvalidConfigError(f"unknown schedule kind {self.kind!r}")
+            raise InvalidConfigError(f"unknown schedule kind {self.kind!r}", "kind")
         if self.kind == "step_decay":
             if self.decay_epoch < 1:
-                raise InvalidConfigError("decay_epoch must be >= 1")
+                raise InvalidConfigError("decay_epoch must be >= 1", "decay_epoch")
             if self.decay_factor <= 0:
-                raise InvalidConfigError("decay_factor must be positive")
+                raise InvalidConfigError("decay_factor must be positive", "decay_factor")
 
     def lr_at(self, eta: float, epoch: int) -> float:
         if self.kind == "step_decay" and epoch >= self.decay_epoch:
@@ -104,11 +104,11 @@ class SpectraParams:
 
     def __post_init__(self):
         if self.n_gradient_samples < 2:
-            raise InvalidConfigError("need at least 2 gradient samples")
+            raise InvalidConfigError("need at least 2 gradient samples", "n_gradient_samples")
         if self.top_k < 1:
-            raise InvalidConfigError("top_k must be >= 1")
+            raise InvalidConfigError("top_k must be >= 1", "top_k")
         if self.hvp_method not in ("auto", "pearlmutter", "fd"):
-            raise InvalidConfigError(f"unknown hvp method {self.hvp_method!r}")
+            raise InvalidConfigError(f"unknown hvp method {self.hvp_method!r}", "hvp_method")
 
     def resolve_batch_size(self, n_train: int) -> int:
         if self.gram_batch_size is not None:
@@ -137,24 +137,21 @@ class RunConfig:
 
     def __post_init__(self):
         if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise InvalidConfigError("eta must be positive")
+            raise InvalidConfigError("eta must be positive", "eta")
         if self.batch_size < 1:
-            raise InvalidConfigError("batch_size must be >= 1")
+            raise InvalidConfigError("batch_size must be >= 1", "batch_size")
         if self.epochs < 1:
-            raise InvalidConfigError("epochs must be >= 1")
+            raise InvalidConfigError("epochs must be >= 1", "epochs")
         if not 0.0 <= self.momentum < 1.0:
-            raise InvalidConfigError("momentum must lie in [0, 1)")
+            raise InvalidConfigError("momentum must lie in [0, 1)", "momentum")
         if self.eval_every < 1:
-            raise InvalidConfigError("eval_every must be >= 1")
+            raise InvalidConfigError("eval_every must be >= 1", "eval_every")
         if not 0.0 < self.eval_subset_fraction <= 1.0:
-            raise InvalidConfigError("eval_subset_fraction must lie in (0, 1]")
+            raise InvalidConfigError("eval_subset_fraction must lie in (0, 1]", "eval_subset_fraction")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["model"]["layer_sizes"] = list(self.model.layer_sizes)
-        d["model"]["activation"] = list(self.model.activation)
-        d["model"]["batch_norm"] = list(self.model.batch_norm)
-        return d
+        # tuples stay tuples: JSON writes them as arrays
+        return asdict(self)
 
 
 @dataclass
@@ -457,9 +454,9 @@ def breakeven_indicators(records: Sequence[MetricRecord]) -> tuple[int, Optional
 # ---------------------------------------------------------------------------
 # sweeps
 
-AXIS_FIELDS = {"eta": "eta", "batch_size": "batch_size", "momentum": "momentum"}
-# direction in which the variance-reduction effect predicts the maxima shrink
-_SHRINKS_WITH_INCREASING = {"eta": True, "momentum": True, "batch_size": False}
+# the RunConfig fields a sweep can vary, each mapped to whether the
+# variance-reduction effect predicts the maxima shrink as it increases
+SWEEP_AXES = {"eta": True, "momentum": True, "batch_size": False}
 
 
 @dataclass
@@ -518,7 +515,7 @@ def sweep(
     cells that fail with a package error (``BreakevenError``) are isolated
     and excluded from the means; any other exception is a bug and propagates.
     """
-    if axis_name not in AXIS_FIELDS:
+    if axis_name not in SWEEP_AXES:
         raise InvalidConfigError(f"unknown sweep axis {axis_name!r}")
     axis_values = list(axis_values)
     if len(axis_values) < 2:
@@ -536,7 +533,7 @@ def sweep(
                 base,
                 seed=run_seed,
                 model=replace(base.model, seed=derive_seed(base.seed, int(seed), 1)),
-                **{AXIS_FIELDS[axis_name]: value},
+                **{axis_name: value},
             )
             try:
                 records, summary = run_training(cfg, dataset)
@@ -571,7 +568,7 @@ def sweep(
             means.append(_seed_mean(vals))
         seed_means[metric] = means
 
-    shrink = _SHRINKS_WITH_INCREASING[axis_name]
+    shrink = SWEEP_AXES[axis_name]
     verdicts = {
         "variance_reduction_lambda_k1": _ordinal_verdict(seed_means["max_lambda_k1"], decreasing=shrink),
         "variance_reduction_lambda_h1": _ordinal_verdict(seed_means["max_lambda_h1"], decreasing=shrink),

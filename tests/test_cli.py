@@ -1,11 +1,19 @@
+import copy
+import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from breakeven.cli import main
-from breakeven.trainer import validate_metric_log
+from breakeven import cli
+from breakeven.cli import TRAIN_COLUMNS, build_parser, main, resolve_run_config
+from breakeven.netmodel import MlpSpec
+from breakeven.trainer import METRIC_FIELDS, RunConfig, validate_metric_log
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def write_json(path, payload):
@@ -299,3 +307,96 @@ class TestReportCli:
         md = (out / "summary.md").read_text()
         assert "metrics" in md
         assert "max lambda_k1" in md
+
+
+class TestConfigBoundary:
+    SIMULATE = {
+        "etas": [0.1],
+        "batch_sizes": [10],
+        "curvatures": {"kind": "uniform", "count": 20, "seed": 0},
+        "growth": {"direction": "increasing_from_stable", "lambda0": 0.05, "rho": 1.01, "psi0": 1.0},
+        "monte_carlo": {"cases": 1, "steps": 20, "n_traj": 10, "seed": 3},
+    }
+    REPORT = {"logs": ["metrics.jsonl"], "panels": [{"y": "lambda_k1"}]}
+
+    @staticmethod
+    def with_value(cfg, dotted, value):
+        cfg = copy.deepcopy(cfg)
+        *parents, last = dotted.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return cfg
+
+    @pytest.mark.parametrize(
+        "subcommand, dotted, value, named",
+        [
+            ("sweep", "spectra.lanczos_iter", 10, "spectra.lanczos_iter"),
+            ("simulate", "growth.lamda0", 0.05, "growth.lamda0"),
+            ("simulate", "monte_carlo.sead", 1, "monte_carlo.sead"),
+            ("sweep", "dataset.sigmaa", 0.3, "dataset.sigmaa"),
+            ("simulate", "monte_carlo.steps", 0, "monte_carlo.steps"),
+            ("simulate", "growth.psi0", 1e-200, "growth.psi0"),
+            ("sweep", "axis", {"name": "batch_size", "values": [8, 12.5]}, "axis.values"),
+            ("sweep", "spectra.gram_batch_size", 4.5, "spectra.gram_batch_size"),
+            ("train", "model.layer_sizes", [2, 8.5, 2], "model.layer_sizes"),
+            ("train", "epochs", True, "epochs"),
+            ("report", "titel", "x", "titel"),
+            ("report", "panels", [{"y": "lambda_k1", "colour": "red"}], "panels[0].colour"),
+        ],
+    )
+    def test_rejected_value_exits_2_names_key_writes_nothing(
+        self, subcommand, dotted, value, named, train_config, tmp_path, capsys
+    ):
+        if subcommand == "simulate":
+            base = self.SIMULATE
+        elif subcommand == "report":
+            base = self.REPORT
+        else:
+            base = json.loads(Path(train_config).read_text())
+            base["axis"] = {"name": "eta", "values": [0.02, 0.1]}
+        path = write_json(tmp_path / "bad.json", self.with_value(base, dotted, value))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_minimal_run_config_takes_dataclass_defaults(self):
+        args = build_parser().parse_args(["train", "--config", "c.json", "--out", "o"])
+        raw = {"model": {"layer_sizes": [2, 3, 2]}, "dataset": {"kind": "xor"},
+               "eta": 0.1, "batch_size": 4, "epochs": 1}
+        want = RunConfig(model=MlpSpec(layer_sizes=(2, 3, 2)), eta=0.1, batch_size=4, epochs=1)
+        assert resolve_run_config(raw, args) == want
+
+    def test_integer_for_float_field_is_stored_as_float(self):
+        args = build_parser().parse_args(["train", "--config", "c.json", "--out", "o"])
+        raw = {"model": {"layer_sizes": [2, 3, 2], "init_gain": 1}, "eta": 1, "batch_size": 4, "epochs": 1}
+        config = resolve_run_config(raw, args)
+        assert type(config.model.init_gain) is float and type(config.eta) is float
+
+    def test_benchmark_workload_configs_resolve(self, tmp_path, monkeypatch):
+        # every variant of every benchmark config passes the schema; the
+        # first computation after resolution is replaced by a sentinel
+        class Resolved(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Resolved
+
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        monkeypatch.setattr(cli, "sweep", stop)
+        monkeypatch.setattr(cli, "breakeven_curvature_closed_form", stop)
+        for workload in workloads.WORKLOADS.values():
+            for variant in range(workloads.N_VARIANTS):
+                path = write_json(tmp_path / "w.json", workload.build_config(variant))
+                with pytest.raises(Resolved):
+                    main([workload.subcommand, "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
+
+    def test_train_columns_name_every_metric_field(self):
+        for name in METRIC_FIELDS:
+            assert re.search(rf"\b{name}\b", TRAIN_COLUMNS), name

@@ -68,6 +68,14 @@ class TestOtherKinds:
         with pytest.raises(InvalidParamsError):
             make_dataset({"kind": "moons"}, seed=0)
 
+    @pytest.mark.parametrize(
+        "kind, key", [("gaussian_blobs", "sigmaa"), ("spirals", "d"), ("xor", "classes"), ("csv", "sigma")]
+    )
+    def test_key_the_kind_does_not_read(self, kind, key):
+        with pytest.raises(InvalidParamsError) as err:
+            make_dataset({"kind": kind, "val_fraction": 0.2, "seed": 1, key: 1}, seed=0)
+        assert err.value.field == key
+
 
 class TestCsv:
     def test_roundtrip_with_header(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from breakeven import netmodel
 from breakeven.errors import (
     BnBatchStatsUnsupportedError,
     BnUnsupportedError,
@@ -208,8 +209,42 @@ class TestGroupedGrads:
         # the reverse pass's per-layer temporaries are no larger
         _, forward_peak = traced_peak(lambda: forward_loss(spec, theta, batch.subset(groups.ravel())))
         rows, peak = traced_peak(lambda: grouped_grads(spec, theta, batch, groups))
-        # the finiteness check's boolean mask is 1/8 of the output
+        # a quarter of the output block is headroom
         assert peak <= 1.25 * rows.nbytes + 2 * forward_peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_nonfinite_gradient_raises(self, bad, grouped, monkeypatch):
+        spec = MlpSpec(layer_sizes=(2, 3, 2), seed=0)
+        batch = Batch(inputs=np.zeros((4, 2)), labels=np.array([0, 1, 0, 1]))
+        backward = netmodel._backward
+
+        def poisoned(*args):
+            g = backward(*args)
+            g[..., spec.param_dim // 2] = bad
+            return g
+
+        monkeypatch.setattr(netmodel, "_backward", poisoned)
+        with pytest.raises(NonFiniteError):
+            if grouped:
+                grouped_grads(spec, init_params(spec), batch, np.arange(4).reshape(2, 2))
+            else:
+                grad(spec, init_params(spec), batch)
+
+    def test_finiteness_check_builds_no_mask(self, monkeypatch, traced_peak):
+        spec = MlpSpec(layer_sizes=(4, 128, 128, 2), loss="mse", seed=0)
+        theta = init_params(spec)
+        rng = np.random.default_rng(0)
+        batch = Batch(inputs=rng.standard_normal((200, 4)), labels=rng.standard_normal((200, 2)))
+        groups = np.stack([rng.choice(200, size=2, replace=False) for _ in range(40)])
+        block = np.ones((40, spec.param_dim))
+        monkeypatch.setattr(netmodel, "_backward", lambda *args: block)
+        _, forward_peak = traced_peak(lambda: forward_loss(spec, theta, batch.subset(groups.ravel())))
+        rows, peak = traced_peak(lambda: grouped_grads(spec, theta, batch, groups))
+        assert rows is block
+        # the check holds next to nothing beyond the forward caches; a G x D
+        # boolean mask would hold block.nbytes / 8
+        assert peak <= 1.25 * forward_peak + block.nbytes / 64
 
     def test_groups_must_be_a_matrix(self):
         spec = MlpSpec(layer_sizes=(2, 3, 2), seed=0)

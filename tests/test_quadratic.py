@@ -25,9 +25,9 @@ from breakeven.quadratic import (
 from breakeven.rng import make_rng
 
 
-def uniform_model(n, seed, lo=0.5, hi=1.5, alpha=0.0):
+def uniform_model(n, seed, lo=0.5, hi=1.5):
     rng = np.random.default_rng(seed)
-    return QuadraticModel(curvatures=rng.uniform(lo, hi, size=n), alpha=alpha)
+    return QuadraticModel(curvatures=rng.uniform(lo, hi, size=n))
 
 
 class TestStabilityLhs:
@@ -139,7 +139,7 @@ class TestEnsembleSecondMoments:
         [(50, 5, 100, 200), (30, 1, 40, 60), (100, 99, 30, 50), (40, 40, 20, 30), (60, 12, 600, 9)],
     )
     def test_matches_per_step_argpartition(self, n, batch_size, n_traj, steps):
-        model = uniform_model(n, n, alpha=0.5)
+        model = uniform_model(n, n)
         setting = SgdSetting(eta=0.1, batch_size=batch_size)
         got = ensemble_second_moments(model, setting, 1.5, steps, n_traj, seed=7)
         want = ensemble_reference(model, setting, 1.5, steps, n_traj, make_rng(7))
