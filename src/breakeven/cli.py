@@ -1,12 +1,15 @@
 """Command-line entry point: simulate, train, sweep, report.
 
 Configs are JSON files; flags override file values. Each config section is
-built from a frozen dataclass whose defaults are the only ones; an unknown key
-or a value of the wrong type exits 2, naming the key, before any output is
-written. Every output file starts with a metadata line (JSONL/Markdown) or
-comment (CSV/SVG) embedding the hash of the fully-resolved config, and
-rerunning a subcommand with the same resolved config reproduces all outputs
-byte for byte.
+built from a frozen dataclass whose defaults are the only ones, and every key
+it accepts changes an output. An unknown key, a value of the wrong type
+(``errors.config_value``) or a sweep axis value the run config rejects exits
+2, naming the key, before any output is written or any cell trains.
+``--seed`` sets the run seed of train/sweep and ``monte_carlo.seed`` of
+simulate; report draws nothing and takes none. Every output file starts with
+a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash of
+the fully-resolved config, and rerunning a subcommand with the same resolved
+config reproduces all outputs byte for byte.
 
 Exit codes: 0 success; 1 non-fatal computational condition (diverged run, no
 schedule flip); 2 config/schema problem; 3 I/O problem.
@@ -35,8 +38,8 @@ from .errors import (
     SchemaError,
     UnknownMetricError,
     ValidationError,
+    config_value,
 )
-from .netmodel import init_params
 from .quadratic import (
     GROWTH_MAX_STEPS,
     GrowthSchedule,
@@ -60,7 +63,6 @@ from .trainer import (
     metric_log_lines,
     parse_metric_log,
     run_training,
-    save_theta_snapshot,
     summarize_run,
     sweep,
 )
@@ -187,11 +189,11 @@ def _section(path: str):
 
 
 def _coerce(kind, value, path: str):
-    """Check one JSON value against a dataclass field type. ``int`` takes
-    JSON integers only (no bools), ``float`` any JSON number and stores a
-    float, ``Optional`` also null, a tuple of ints or floats a list checked
-    element by element, and a dataclass an object built by ``_build``.
-    Anything else is left to the dataclass's own checks."""
+    """Check one JSON value against a dataclass field type. ``int``,
+    ``float`` and ``str`` follow ``config_value``, ``Optional`` also takes
+    null, a tuple of ints or floats a list checked element by element, and a
+    dataclass an object built by ``_build``. Anything else is left to the
+    dataclass's own checks."""
     args = typing.get_args(kind)
     if type(None) in args:
         if value is None:
@@ -199,10 +201,9 @@ def _coerce(kind, value, path: str):
         kind, args = args[0], typing.get_args(args[0])
     if dataclasses.is_dataclass(kind):
         return _build(kind, value, path)
-    if kind in (int, float):
-        if type(value) not in (int, kind):
-            raise SchemaError(path, f"expected {kind.__name__}")
-        return kind(value)
+    if kind in (int, float, str):
+        with _section(path):
+            return config_value(kind, value)
     if typing.get_origin(kind) is tuple and args[0] in (int, float):
         if not isinstance(value, list):
             raise SchemaError(path, "expected a list")
@@ -229,7 +230,7 @@ def _build(cls, raw, path: str):
 
 
 # top-level keys of a train/sweep config that are not RunConfig fields
-_RUN_EXTRAS = ("dataset", "axis", "seeds", "snapshot_params")
+_RUN_EXTRAS = ("dataset", "axis", "seeds")
 
 
 def resolve_run_config(raw: dict, args) -> RunConfig:
@@ -296,8 +297,7 @@ class _MonteCarlo:
     cases: int = 5
     steps: int = 200
     n_traj: int = 10_000
-    psi0: float = 1.0
-    seed: Optional[int] = None  # None: the config's seed
+    seed: int = 0  # --seed replaces it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,8 +306,6 @@ class _SimulateConfig:
     batch_sizes: tuple[int, ...] = (1, 10, 100)
     alpha: float = 0.0
     psi: float = 1.0
-    psi_star: float = QuadraticModel.psi_star
-    seed: int = 0
     curvatures: _Curvatures = dataclasses.field(default_factory=_Curvatures)
     phase_grid: _PhaseGrid = dataclasses.field(default_factory=_PhaseGrid)
     growth: Optional[_Growth] = None
@@ -320,12 +318,12 @@ class _SimulateConfig:
 
 def cmd_simulate(args) -> int:
     raw = _load_json(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    if args.seed is not None and isinstance(raw.get("monte_carlo"), dict):
+        raw["monte_carlo"] = {**raw["monte_carlo"], "seed": args.seed}
     cfg = _build(_SimulateConfig, raw, "")
     out = Path(args.out)
     with _section("curvatures"):
-        model = QuadraticModel(curvatures=cfg.curvatures.draw(), psi_star=cfg.psi_star)
+        model = QuadraticModel(curvatures=cfg.curvatures.draw())
     n = model.n
     for s in cfg.batch_sizes:
         if not 1 <= s <= n:
@@ -374,9 +372,7 @@ def cmd_simulate(args) -> int:
 
     mc = cfg.monte_carlo
     if mc is not None:
-        # --seed wins over monte_carlo.seed; the curvature seed keeps the model
-        seed = mc.seed if mc.seed is not None and args.seed is None else cfg.seed
-        rng = make_rng(seed, 100)
+        rng = make_rng(mc.seed, 100)
         lines = [header, "case,eta,batch_size,n,lambda_h,s_squared,lhs,log_lhs,fitted_rate,abs_diff\n"]
         for case in range(mc.cases):
             case_n = int(rng.integers(30, 101))
@@ -387,7 +383,8 @@ def cmd_simulate(args) -> int:
             setting = SgdSetting(eta=eta, batch_size=s)
             lhs = stability_lhs(case_model, setting)
             with _section("monte_carlo"):
-                sm = ensemble_second_moments(case_model, setting, mc.psi0, mc.steps, mc.n_traj, seed=seed + case)
+                # psi0 scales every second moment alike, so the fitted rate does not read it
+                sm = ensemble_second_moments(case_model, setting, 1.0, mc.steps, mc.n_traj, seed=mc.seed + case)
                 rate = fit_growth_rate(sm)
             log_lhs = float(np.log(lhs))
             lines.append(
@@ -437,8 +434,6 @@ def cmd_train(args) -> int:
     records, summary = run_training(config, dataset)
     _atomic_write(out / "metrics.jsonl", "\n".join(metric_log_lines(config, records)) + "\n")
     _atomic_write(out / "summary.json", _summary_payload(config, records, summary))
-    if raw.get("snapshot_params"):
-        save_theta_snapshot(out / "theta_init.bin", init_params(config.model))
     if not args.quiet:
         state = "diverged" if summary.diverged else "completed"
         print(f"train: {state}, {len(records)} checkpoints -> {out}/metrics.jsonl")
@@ -515,7 +510,6 @@ class _Panel:
     y: str
     x: str = "step"
     log_y: bool = Panel.log_y
-    title: Optional[str] = None  # None: the metric name
 
     def __post_init__(self):
         if self.x not in ("step", "epoch"):
@@ -529,7 +523,6 @@ class _Report:
     logs: list
     panels: list
     sweep_report: Optional[str] = None
-    threshold_vlines: bool = True
 
     def __post_init__(self):
         for name in ("logs", "panels"):
@@ -555,8 +548,11 @@ def cmd_report(args) -> int:
     out = Path(args.out)
 
     parsed = []
-    for path in cfg.logs:
-        meta, records = parse_metric_log(Path(path).read_text(encoding="utf-8"))
+    for i, path in enumerate(cfg.logs):
+        try:
+            meta, records = parse_metric_log(Path(path).read_text(encoding="utf-8"))
+        except ValidationError as exc:
+            raise SchemaError(f"logs[{i}]", f"{path}: {exc}") from None
         threshold = meta.get("config", {}).get("accuracy_threshold", RunConfig.accuracy_threshold)
         parsed.append((Path(path).stem, threshold, records))
     sweep_data = _load_json(cfg.sweep_report) if cfg.sweep_report else None
@@ -571,10 +567,10 @@ def cmd_report(args) -> int:
             marker = next(
                 (r for r in records if r.train_acc is not None and r.train_acc >= threshold), None
             )
-            if marker is not None and cfg.threshold_vlines:
+            if marker is not None:
                 vlines.append((getattr(marker, p.x), f"acc>{threshold:g}"))
         panel = Panel(
-            title=p.y if p.title is None else p.title,
+            title=p.y,
             x_label=p.x,
             y_label=p.y,
             series=series,
@@ -629,11 +625,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(seed_help="override the config seed"):
+    def common(seed_help=None):
         parent = argparse.ArgumentParser(add_help=False)
         parent.add_argument("--config", required=True, help="JSON config file")
         parent.add_argument("--out", required=True, help="output directory")
-        parent.add_argument("--seed", type=int, default=None, help=seed_help)
+        if seed_help is not None:
+            parent.add_argument("--seed", type=int, default=None, help=seed_help)
         parent.add_argument("--quiet", action="store_true", help="suppress progress output")
         return parent
 
@@ -646,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "simulate",
         parents=[common(
-            "override the config seed and monte_carlo.seed (the Monte-Carlo draws); "
-            "curvatures.seed still defines the model"
+            "replace monte_carlo.seed (the Monte-Carlo draws) when that section is "
+            "configured; curvatures.seed still defines the model"
         )],
         help="stability tables for the quadratic model",
         epilog=SIMULATE_COLUMNS,
@@ -655,14 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(func=cmd_simulate)
     sub.add_parser(
         "train",
-        parents=[common(), overrides],
+        parents=[common("override seed"), overrides],
         help="one instrumented training run",
         epilog=TRAIN_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     ).set_defaults(func=cmd_train)
     sub.add_parser(
         "sweep",
-        parents=[common(), overrides],
+        parents=[common("override seed"), overrides],
         help="hyperparameter sweep with ordinal verdicts",
         epilog=SWEEP_COLUMNS,
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvParseError, InvalidParamsError
+from .errors import CsvParseError, InvalidParamsError, config_value
 from .netmodel import Batch
 from .rng import make_rng
 
@@ -59,13 +59,13 @@ def _split(n: int, val_fraction: float, rng: np.random.Generator):
 
 
 def _params(p: dict, **defaults) -> list:
-    """The values of a kind's keys, each converted to the type of its default
-    (which it takes when absent). A key of ``p`` that is none of them, nor
-    "kind", "val_fraction" or "seed", is rejected."""
+    """The values of a kind's keys, each checked by ``config_value`` against
+    the type of its default (which it takes when absent). A key of ``p`` that
+    is none of them, nor "kind", "val_fraction" or "seed", is rejected."""
     for key in p:
         if key not in defaults and key not in ("kind", "val_fraction", "seed"):
             raise InvalidParamsError(f"{p['kind']} datasets read no key {key!r}", key)
-    return [type(default)(p.get(key, default)) for key, default in defaults.items()]
+    return [config_value(type(default), p.get(key, default), key) for key, default in defaults.items()]
 
 
 def _gaussian_blobs(p: dict, rng: np.random.Generator):
@@ -186,9 +186,8 @@ def make_dataset(provenance: dict, seed: int) -> Dataset:
         raise InvalidParamsError(f"unknown dataset kind {kind!r}", "kind")
     if not np.all(np.isfinite(inputs)):
         raise InvalidParamsError("feature values must be finite")
-    train_idx, val_idx = _split(
-        inputs.shape[0], float(provenance.get("val_fraction", 0.2)), make_rng(seed, 1)
-    )
+    val_fraction = config_value(float, provenance.get("val_fraction", 0.2), "val_fraction")
+    train_idx, val_idx = _split(inputs.shape[0], val_fraction, make_rng(seed, 1))
     if train_idx.size < 1:
         raise InvalidParamsError("training split is empty")
     recorded["seed"] = int(seed)

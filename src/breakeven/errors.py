@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: validation/schema problems exit with 2,
 I/O problems with 3, and non-fatal computational conditions (divergence,
-no break-even flip) with 1.
+no break-even flip) with 1. ``config_value`` is the type rule every config
+reader applies to a scalar value.
 """
 
 
@@ -104,3 +105,15 @@ class SchemaError(ValidationError):
 
 class UnknownMetricError(ValidationError):
     pass
+
+
+def config_value(kind: type, value, field: str | None = None):
+    """The one type rule for a scalar config value: an ``int`` takes JSON
+    integers only, a ``float`` any JSON number and is stored as a float, a
+    ``str`` only a string; a bool is none of them. Raises InvalidParamsError
+    naming ``field`` otherwise."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise InvalidParamsError(f"expected {kind.__name__}", field)
+    return value

@@ -10,11 +10,12 @@ There is one forward pass (``_forward``) and one reverse pass
 (``_backward``); every derivative is built on them. Both take a batch of
 examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
 example axis within each group, so ``grouped_grads`` returns one minibatch
-gradient per group from a single pass and ``per_example_grads`` is its
-groups-of-one case. Two Hessian-vector products are provided: an exact
-forward-over-reverse product (``hvp_pearlmutter``, BN-free specs only), whose
-R-pass reads ``_forward``'s caches, and a central-difference product on
-gradients (``hvp_fd``, supports BN with frozen statistics).
+gradient per group from a single pass; ``grad`` is its one-group case and
+``per_example_grads`` its groups-of-one case. Two Hessian-vector products
+are provided: an exact forward-over-reverse product (``hvp_pearlmutter``,
+BN-free specs only), whose R-pass reads ``_forward``'s caches, and a
+central-difference product on gradients (``hvp_fd``, supports BN with frozen
+statistics). ``hessian_operator`` is the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -415,19 +416,6 @@ def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
     return grad
 
 
-def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS) -> np.ndarray:
-    """Exact reverse-mode gradient of the mean batch loss."""
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
-    logits, caches, last = _forward(spec, theta, batch.inputs, bn_mode)
-    dlogits = _loss_grad_logits(spec, logits, batch.labels) / batch.size
-    g = _backward(spec, theta, caches, last, dlogits)
-    # NaN propagates through min and max and an inf sits at one end: no G x D mask
-    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-        raise NonFiniteError("gradient overflowed")
-    return g
-
-
 def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnStats:
     """Batch means/variances at each BN layer for the given inputs; used by
     the trainer to maintain running statistics."""
@@ -466,6 +454,12 @@ def grouped_grads(
     if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         raise NonFiniteError("gradient overflowed")
     return g
+
+
+def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS) -> np.ndarray:
+    """Exact reverse-mode gradient of the mean batch loss: the one-group case
+    of ``grouped_grads``."""
+    return grouped_grads(spec, theta, batch, np.arange(batch.size)[None], bn_mode)[0]
 
 
 def per_example_grads(
@@ -571,14 +565,19 @@ def hessian_operator(
     spec: MlpSpec,
     theta: np.ndarray,
     batch: Batch,
-    method: str = "pearlmutter",
+    method: str = "auto",
     bn_mode: BnMode = BATCH_STATS,
 ) -> LinearOperator:
-    """The Hessian of the mean batch loss as a symmetric linear operator."""
+    """The Hessian of the mean batch loss as a symmetric linear operator.
+
+    ``method`` "auto" takes the exact product (``hvp_pearlmutter``), or the
+    finite-difference one (``hvp_fd``) on a spec with batch norm, which the
+    exact product does not support; "pearlmutter" and "fd" pin one.
+    """
     theta = check_params(spec, theta)
+    if method == "auto":
+        method = "fd" if spec.has_bn else "pearlmutter"
     if method == "pearlmutter":
-        if spec.has_bn:
-            raise BnUnsupportedError("exact HVP does not support batch-norm layers")
         return LinearOperator(dim=theta.size, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v))
     if method == "fd":
         return LinearOperator(dim=theta.size, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))

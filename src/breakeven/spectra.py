@@ -211,13 +211,14 @@ def hessian_spectrum(
     theta: np.ndarray,
     eval_subset: Batch,
     k: int = 5,
-    method: str = "pearlmutter",
+    method: str = "auto",
     max_iters: int = 40,
     seed: int = 0,
     bn_mode: BnMode = BATCH_STATS,
 ) -> np.ndarray:
     """Top Hessian eigenvalues, descending, via Lanczos over a
-    Hessian-vector-product operator evaluated on a subset of the data.
+    Hessian-vector-product operator evaluated on a subset of the data;
+    ``method`` is passed to ``hessian_operator``, which resolves "auto".
 
     Returns min(k, dim, max_iters) values.
     """

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
@@ -67,8 +66,6 @@ from .spectra import (
 
 BN_EMA_DECAY = 0.99
 SCHEMA_VERSION = 1
-SNAPSHOT_MAGIC = b"BKLB"
-SNAPSHOT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,9 @@ class SpectraParams:
     n_gradient_samples: int = 25  # number of minibatch gradients per checkpoint
     gram_batch_size: Optional[int] = None  # None: max(8, n_train // n_gradient_samples)
     top_k: int = 5
-    hvp_method: str = "auto"  # exact product unless BN forces finite differences
+    # "auto": the exact product, or finite differences on a BN spec (resolved
+    # by netmodel.hessian_operator); "fd": finite differences on every spec
+    hvp_method: str = "auto"
     lanczos_iters: int = 40
 
     def __post_init__(self):
@@ -107,18 +106,13 @@ class SpectraParams:
             raise InvalidConfigError("need at least 2 gradient samples", "n_gradient_samples")
         if self.top_k < 1:
             raise InvalidConfigError("top_k must be >= 1", "top_k")
-        if self.hvp_method not in ("auto", "pearlmutter", "fd"):
+        if self.hvp_method not in ("auto", "fd"):
             raise InvalidConfigError(f"unknown hvp method {self.hvp_method!r}", "hvp_method")
 
     def resolve_batch_size(self, n_train: int) -> int:
         if self.gram_batch_size is not None:
             return min(self.gram_batch_size, n_train)
         return min(max(8, n_train // self.n_gradient_samples), n_train)
-
-    def resolve_method(self, spec: MlpSpec) -> str:
-        if self.hvp_method == "auto":
-            return "fd" if spec.has_bn else "pearlmutter"
-        return self.hvp_method
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,7 @@ def _checkpoint_record(
     # the Lanczos basis is released before the L x D gradient block exists
     lambda_h = hessian_spectrum(
         spec, theta, eval_subset,
-        k=sp.top_k, method=sp.resolve_method(spec), max_iters=sp.lanczos_iters,
+        k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
         seed=derive_seed(config.seed, 4, step), bn_mode=eval_mode,
     )
     record.lambda_h_top = [float(v) for v in lambda_h]
@@ -511,9 +505,11 @@ def sweep(
     The variance-reduction reading holds when the seed-averaged maxima of
     lambda_k1 (and lambda_h1, trace_k) strictly shrink toward larger learning
     rate / momentum or smaller batch size; the pre-conditioning reading when
-    max cond_ratio strictly grows in the same direction. Diverged cells and
-    cells that fail with a package error (``BreakevenError``) are isolated
-    and excluded from the means; any other exception is a bug and propagates.
+    max cond_ratio strictly grows in the same direction. A value the run
+    config rejects raises before any cell trains. Diverged cells and cells
+    that fail with a package error (``BreakevenError``) while training, such
+    as a batch larger than the training split, are isolated and excluded
+    from the means; any other exception is a bug and propagates.
     """
     if axis_name not in SWEEP_AXES:
         raise InvalidConfigError(f"unknown sweep axis {axis_name!r}")
@@ -523,37 +519,40 @@ def sweep(
     if len(seeds) < 1:
         raise InvalidConfigError("sweep needs at least one seed")
 
+    # every cell's config is built, and so checked, before the first cell
+    # trains; seeds pair up across axis values (matched design), so repeating
+    # an axis value reproduces its cells bitwise
+    plan = [
+        (value, seed, replace(
+            base,
+            seed=derive_seed(base.seed, int(seed)),
+            model=replace(base.model, seed=derive_seed(base.seed, int(seed), 1)),
+            **{axis_name: value},
+        ))
+        for value in axis_values
+        for seed in seeds
+    ]
     cells = []
-    for value in axis_values:
-        for seed in seeds:
-            # seeds pair up across axis values (matched design), so repeating
-            # an axis value reproduces its cells bitwise
-            run_seed = derive_seed(base.seed, int(seed))
-            cfg = replace(
-                base,
-                seed=run_seed,
-                model=replace(base.model, seed=derive_seed(base.seed, int(seed), 1)),
-                **{axis_name: value},
+    for value, seed, cfg in plan:
+        try:
+            records, summary = run_training(cfg, dataset)
+            cells.append(
+                SweepCell(
+                    axis_value=value,
+                    seed=seed,
+                    summary=summary,
+                    diverged=summary.diverged,
+                    records=records if keep_records else None,
+                    config=cfg,
+                )
             )
-            try:
-                records, summary = run_training(cfg, dataset)
-                cells.append(
-                    SweepCell(
-                        axis_value=value,
-                        seed=seed,
-                        summary=summary,
-                        diverged=summary.diverged,
-                        records=records if keep_records else None,
-                        config=cfg,
-                    )
+        except BreakevenError as exc:  # isolate per-cell failures; bugs propagate
+            cells.append(
+                SweepCell(
+                    axis_value=value, seed=seed, summary=None, diverged=True,
+                    error=str(exc), error_type=type(exc).__name__, config=cfg,
                 )
-            except BreakevenError as exc:  # isolate per-cell failures; bugs propagate
-                cells.append(
-                    SweepCell(
-                        axis_value=value, seed=seed, summary=None, diverged=True,
-                        error=str(exc), error_type=type(exc).__name__, config=cfg,
-                    )
-                )
+            )
 
     metrics = ("max_lambda_k1", "max_cond_ratio", "max_lambda_h1", "max_trace_k")
     seed_means = {}
@@ -610,15 +609,24 @@ def metric_log_lines(config: RunConfig, records: Sequence[MetricRecord]) -> list
 
 
 def parse_metric_log(text: str) -> tuple[dict, list[MetricRecord]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """The metadata object and the records of a JSONL metric log. A line
+    that is not a JSON object raises InvalidConfigError naming its line
+    number (blank lines count)."""
+    objects = []
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        if not ln.strip():
+            continue
+        try:
+            d = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfigError(f"line {lineno}: not JSON ({exc.msg})") from None
+        if not isinstance(d, dict):
+            raise InvalidConfigError(f"line {lineno}: expected a JSON object")
+        objects.append(d)
+    if not objects:
         raise InvalidConfigError("empty metric log")
-    meta = json.loads(lines[0])
-    records = []
-    for ln in lines[1:]:
-        d = json.loads(ln)
-        records.append(MetricRecord(**{k: d.get(k) for k in METRIC_FIELDS}))
-    return meta, records
+    meta, *rows = objects
+    return meta, [MetricRecord(**{k: d.get(k) for k in METRIC_FIELDS}) for d in rows]
 
 
 def validate_metric_log(text: str) -> None:
@@ -642,26 +650,3 @@ def validate_metric_log(text: str) -> None:
                     if x is not None and not np.isfinite(x):
                         raise InvalidConfigError(f"record {i}: field {name} has non-finite entry")
 
-
-def save_theta_snapshot(path, theta: np.ndarray) -> None:
-    """Debug-only parameter dump: 16-byte header (magic, version, length)
-    then raw little-endian float64."""
-    theta = np.asarray(theta, dtype=np.float64)
-    header = SNAPSHOT_MAGIC + struct.pack("<IQ", SNAPSHOT_VERSION, theta.size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(theta.astype("<f8").tobytes())
-
-
-def load_theta_snapshot(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != SNAPSHOT_MAGIC:
-            raise InvalidConfigError("not a parameter snapshot")
-        version, size = struct.unpack("<IQ", header[4:])
-        if version != SNAPSHOT_VERSION:
-            raise InvalidConfigError(f"unsupported snapshot version {version}")
-        data = np.frombuffer(fh.read(8 * size), dtype="<f8")
-        if data.size != size:
-            raise InvalidConfigError("snapshot truncated")
-        return data.astype(np.float64)

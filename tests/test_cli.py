@@ -297,6 +297,37 @@ class TestReportCli:
         if "clamped" in svg:
             assert "non-positive" in svg
 
+    def test_no_seed_flag(self, tmp_path, log_dir):
+        cfg = write_json(
+            tmp_path / "rep6.json",
+            {"logs": [str(log_dir / "metrics.jsonl")], "panels": [{"y": "train_loss"}]},
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", cfg, "--out", str(tmp_path / "r6"), "--seed", "1", "--quiet"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            (["not json"], "line 1: not JSON"),
+            (["[1]"], "line 1: expected a JSON object"),
+            (["{}", "", "[1]"], "line 3: expected a JSON object"),
+            (["{}", '{"step": 1,'], "line 2: not JSON"),
+        ],
+    )
+    def test_corrupt_log_exit_2_names_file(self, lines, named, tmp_path, log_dir, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_json(
+            tmp_path / "rep7.json",
+            {"logs": [str(log_dir / "metrics.jsonl"), str(bad)], "panels": [{"y": "train_loss"}]},
+        )
+        out = tmp_path / "r7"
+        assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"logs[1]: {bad}: {named}" in err
+        assert not out.exists()
+
     def test_summary_table_lists_all_logs(self, tmp_path, log_dir):
         cfg = write_json(
             tmp_path / "rep5.json",
@@ -344,6 +375,20 @@ class TestConfigBoundary:
             ("train", "epochs", True, "epochs"),
             ("report", "titel", "x", "titel"),
             ("report", "panels", [{"y": "lambda_k1", "colour": "red"}], "panels[0].colour"),
+            # settable values that changed no output are gone
+            ("simulate", "psi_star", 0.5, "psi_star"),
+            ("simulate", "monte_carlo.psi0", 7.0, "monte_carlo.psi0"),
+            ("simulate", "seed", 5, "seed: unknown field"),
+            ("train", "snapshot_params", True, "snapshot_params"),
+            ("report", "threshold_vlines", False, "threshold_vlines"),
+            ("report", "panels", [{"y": "lambda_k1", "title": "t"}], "panels[0].title"),
+            ("sweep", "spectra.hvp_method", "pearlmutter", "spectra.hvp_method"),
+            # dataset keys follow the same number rule as every other section
+            ("sweep", "dataset.n", 12.5, "dataset.n"),
+            ("sweep", "dataset.sigma", "0.3", "dataset.sigma"),
+            ("sweep", "dataset.val_fraction", "0.2", "dataset.val_fraction"),
+            # a rejected axis value stops the sweep before its first cell
+            ("sweep", "axis", {"name": "eta", "values": [0.02, -0.1]}, "axis"),
         ],
     )
     def test_rejected_value_exits_2_names_key_writes_nothing(

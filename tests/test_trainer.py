@@ -18,11 +18,9 @@ from breakeven.trainer import (
     breakeven_indicators,
     config_hash,
     delta_loss,
-    load_theta_snapshot,
     metric_log_lines,
     parse_metric_log,
     run_training,
-    save_theta_snapshot,
     sgd_step,
     summarize_run,
     sweep,
@@ -339,6 +337,19 @@ class TestSweep:
         with pytest.raises(TypeError, match="bug in the update rule"):
             sweep(cfg, ds, "eta", [0.01, 0.05], seeds=[0])
 
+    def test_rejected_axis_value_trains_no_cell(self, monkeypatch):
+        # the second value is checked before the first value's cells train
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr("breakeven.trainer.run_training", spy)
+        with pytest.raises(InvalidConfigError, match="eta must be positive"):
+            sweep(smoke_config(), smoke_dataset(n=128), "eta", [0.02, -0.1], seeds=[0, 1])
+        assert calls == []
+
     def test_unknown_axis(self):
         ds = smoke_dataset(n=128)
         with pytest.raises(InvalidConfigError):
@@ -374,15 +385,6 @@ class TestSerialization:
         ]
         with pytest.raises(InvalidConfigError):
             validate_metric_log("\n".join(lines))
-
-    def test_snapshot_roundtrip(self, tmp_path):
-        theta = np.linspace(-2, 3, 17)
-        path = tmp_path / "theta.bin"
-        save_theta_snapshot(path, theta)
-        raw = path.read_bytes()
-        assert raw[:4] == b"BKLB"
-        assert len(raw) == 16 + 8 * 17
-        assert np.array_equal(load_theta_snapshot(path), theta)
 
 
 def test_summarize_run_empty_log():
