@@ -157,14 +157,16 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, key: str = "config") -> dict:
+    """The JSON object in ``path``; errors name ``key``, the dotted key (or
+    flag) the path was given under."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError("config", f"invalid JSON: {exc}") from None
+        raise SchemaError(key, f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise SchemaError("config", "top level must be an object")
+        raise SchemaError(key, "top level must be an object")
     return data
 
 
@@ -229,8 +231,10 @@ def _build(cls, raw, path: str):
         return cls(**kwargs)
 
 
-# top-level keys of a train/sweep config that are not RunConfig fields
-_RUN_EXTRAS = ("dataset", "axis", "seeds")
+# top-level keys of a train/sweep config that are not RunConfig fields;
+# only sweep reads the last two, and train rejects them
+_SWEEP_ONLY = ("axis", "seeds")
+_RUN_EXTRAS = ("dataset",) + _SWEEP_ONLY
 
 
 def resolve_run_config(raw: dict, args) -> RunConfig:
@@ -430,6 +434,9 @@ def cmd_train(args) -> int:
     raw = _load_json(args.config)
     config = resolve_run_config(raw, args)
     dataset = _dataset_from_config(raw)
+    for key in _SWEEP_ONLY:
+        if key in raw:
+            raise SchemaError(key, "only sweep reads this key")
     out = Path(args.out)
     records, summary = run_training(config, dataset)
     _atomic_write(out / "metrics.jsonl", "\n".join(metric_log_lines(config, records)) + "\n")
@@ -553,9 +560,12 @@ def cmd_report(args) -> int:
             meta, records = parse_metric_log(Path(path).read_text(encoding="utf-8"))
         except ValidationError as exc:
             raise SchemaError(f"logs[{i}]", f"{path}: {exc}") from None
-        threshold = meta.get("config", {}).get("accuracy_threshold", RunConfig.accuracy_threshold)
+        threshold = _coerce(
+            float, meta.get("config", {}).get("accuracy_threshold", RunConfig.accuracy_threshold),
+            f"logs[{i}].config.accuracy_threshold",
+        )
         parsed.append((Path(path).stem, threshold, records))
-    sweep_data = _load_json(cfg.sweep_report) if cfg.sweep_report else None
+    sweep_data = _load_json(cfg.sweep_report, "sweep_report") if cfg.sweep_report else None
 
     digest = config_hash(raw)
     for i, p in enumerate(panels):

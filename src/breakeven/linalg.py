@@ -4,7 +4,10 @@ Everything operates on float64. The two entry points are ``jacobi_eigh``
 (full spectrum of a small dense symmetric matrix through LAPACK's ``eigh``,
 used both directly on Gram matrices and as the oracle in tests) and
 ``lanczos_topk`` (top-k eigenpairs of a symmetric operator given only
-matrix-vector products, used for Hessian spectra).
+matrix-vector products, used for Hessian spectra). Each Lanczos step is the
+three-term recurrence followed by one classical Gram-Schmidt pass over the
+whole basis; a second pass runs only when the Daniel-Gragg-Kaufman-Stewart
+(DGKS) test finds that the first removed most of the vector.
 """
 
 from __future__ import annotations
@@ -109,11 +112,18 @@ def jacobi_eigh(a: DenseSymmetric) -> EigenPairs:
     return _sorted_pairs(values, vectors)
 
 
+def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass, in place: ``v`` minus its projection
+    onto the rows of ``basis`` (orthonormal)."""
+    v -= basis.T @ (basis @ v)
+    return v
+
+
 def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``v`` minus its projection onto the rows of ``basis`` (orthonormal),
-    by classical Gram-Schmidt applied twice, which suffices in float64."""
-    v = v - basis.T @ (basis @ v)
-    return v - basis.T @ (basis @ v)
+    in place, by classical Gram-Schmidt applied twice, which suffices in
+    float64."""
+    return _project_out(_project_out(v, basis), basis)
 
 
 def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
@@ -126,29 +136,14 @@ def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarr
     raise NoConvergenceError("could not draw a start vector outside the Krylov span")
 
 
-def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> EigenPairs:
-    """Top-k algebraically largest eigenpairs via Lanczos with full
-    reorthogonalization.
-
-    Builds an m-step Krylov tridiagonal, m = min(max_iters, dim), from a
-    seeded random start vector. The Lanczos vectors are the rows of an
-    (m, dim) basis, and one helper (``_orthogonalize``) removes each new
-    vector's components along all previous rows, both in the iteration and
-    when drawing a restart vector. On breakdown (residual norm below 1e-13)
-    the iteration restarts with a fresh random vector orthogonal to the
-    converged subspace, leaving a zero coupling in the tridiagonal; if the
-    space is exhausted the spectrum found so far is exact. The tridiagonal is
-    diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz vectors are
-    mapped back to the ambient space.
-    """
+def _lanczos_basis(op: LinearOperator, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m Lanczos vectors of ``lanczos_topk``, as the rows of an (m, dim)
+    array, and the diagonal and off-diagonal of the tridiagonal they reduce
+    ``op`` to."""
     n = op.dim
-    if k < 1 or k > n or k > max_iters:
-        raise InvalidKError(f"k={k} must satisfy 1 <= k <= min(dim={n}, max_iters={max_iters})")
-    m = min(max_iters, n)
-
     rng = make_rng(seed)
-    Q = np.zeros((m, n))
-    alphas = np.zeros(m)
+    Q = np.empty((m, n))
+    alphas = np.empty(m)
     betas = np.zeros(m - 1)
 
     Q[0] = _fresh_start_vector(rng, Q[:0])
@@ -161,14 +156,45 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> Eigen
         alphas[j] = Q[j] @ u
         if j == m - 1:
             break
-        r = _orthogonalize(u, Q[: j + 1])
-        beta = float(np.linalg.norm(r))
+        # a new array: the operator may hand back a vector it still holds
+        r = u - alphas[j] * Q[j]
+        if j > 0:
+            r -= betas[j - 1] * Q[j - 1]
+        r3_norm = float(np.linalg.norm(r))
+        basis = Q[: j + 1]
+        beta = float(np.linalg.norm(_project_out(r, basis)))
+        if beta < r3_norm / np.sqrt(2.0):
+            beta = float(np.linalg.norm(_project_out(r, basis)))
         if beta < LANCZOS_BREAKDOWN_TOL:
-            Q[j + 1] = _fresh_start_vector(rng, Q[: j + 1])
+            Q[j + 1] = _fresh_start_vector(rng, basis)
         else:
             betas[j] = beta
             Q[j + 1] = r / beta
+    return Q, alphas, betas
 
+
+def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> EigenPairs:
+    """Top-k algebraically largest eigenpairs via Lanczos with full
+    reorthogonalization.
+
+    Builds an m-step Krylov tridiagonal, m = min(max_iters, dim), from a
+    seeded random start vector. Each step forms the three-term residual
+    r₃ = u - α_j q_j - β_{j-1} q_{j-1} (u = op(q_j)) and makes one classical
+    Gram-Schmidt pass against every previous Lanczos vector; a second pass
+    runs only when the first removed most of the residual (the
+    Daniel-Gragg-Kaufman-Stewart test ‖r‖ < ‖r₃‖/√2), which keeps the basis
+    orthonormal to rounding in float64. On breakdown (residual norm below
+    ``LANCZOS_BREAKDOWN_TOL``) the iteration restarts with a fresh random
+    vector orthogonal to the converged subspace (two full passes,
+    ``_orthogonalize``), leaving a zero coupling in the tridiagonal; if the
+    space is exhausted the spectrum found so far is exact. The tridiagonal
+    is diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz vectors are
+    mapped back to the ambient space.
+    """
+    n = op.dim
+    if k < 1 or k > n or k > max_iters:
+        raise InvalidKError(f"k={k} must satisfy 1 <= k <= min(dim={n}, max_iters={max_iters})")
+    Q, alphas, betas = _lanczos_basis(op, min(max_iters, n), seed)
     T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     ritz = jacobi_eigh(DenseSymmetric.from_array(T))
     vectors = Q.T @ ritz.eigenvectors[:, :k]

@@ -13,7 +13,8 @@ example axis within each group, so ``grouped_grads`` returns one minibatch
 gradient per group from a single pass; ``grad`` is its one-group case and
 ``per_example_grads`` its groups-of-one case. Two Hessian-vector products
 are provided: an exact forward-over-reverse product (``hvp_pearlmutter``,
-BN-free specs only), whose R-pass reads ``_forward``'s caches, and a
+BN-free specs only), whose R-pass reads the forward caches and first-order
+backward chain that ``linearize`` computes once per (θ, batch), and a
 central-difference product on gradients (``hvp_fd``, supports BN with frozen
 statistics). ``hessian_operator`` is the one place that picks between them.
 """
@@ -243,9 +244,11 @@ def _act_d(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _act_dd(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_dd(kind: str, z: np.ndarray, a: np.ndarray) -> Optional[np.ndarray]:
+    """The activation's second derivative; None where it is zero (relu and
+    identity are piecewise linear)."""
     if kind == RELU or kind == IDENTITY:
-        return np.zeros_like(z)
+        return None
     # tanh'' = -2 tanh (1 - tanh^2)
     return -2.0 * a * (1.0 - a * a)
 
@@ -477,62 +480,123 @@ def per_example_grads(
     return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_mode)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def hvp_pearlmutter(spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray:
-    """Exact Hessian-vector product by forward-over-reverse differentiation.
+@dataclass(frozen=True)
+class Linearization:
+    """The direction-independent half of an exact Hessian-vector product at
+    one (θ, batch), built by ``linearize`` and read by ``hvp_pearlmutter``.
 
-    Linear in ``v``. BN specs are rejected; use ``hvp_fd`` with frozen
-    statistics for those.
+    ``layers`` holds, per hidden layer in forward order, the layer input
+    ``a_in``, the weights ``w``, the activation derivative ``d1``, the
+    first-order δ and the curvature factor ``back_d2`` (the δ arriving from
+    above times the activation's second derivative; None where that is
+    zero). ``last`` holds the output layer's ``a_in``, ``w``, ``delta`` (the
+    gradient of the mean loss in the logits) and ``probs`` (their softmax,
+    None under MSE).
+    """
+
+    layers: tuple[dict, ...]
+    last: dict
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
+    """Forward pass and first-order backward chain of ``hvp_pearlmutter``,
+    run once for every direction at this (θ, batch).
+
+    Checks θ and the labels; BN specs raise BnUnsupportedError.
     """
     if spec.has_bn:
         raise BnUnsupportedError("exact HVP does not support batch-norm layers")
     theta = check_params(spec, theta)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != theta.shape:
-        raise DimensionMismatchError("direction and parameters differ in length")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError("direction has NaN or Inf entries")
     _check_classification_labels(spec, batch)
     logits, caches, last = _forward(spec, theta, batch.inputs, BATCH_STATS)
+    last = {
+        **last,
+        "delta": _loss_grad_logits(spec, logits, batch.labels) / batch.size,
+        "probs": _softmax(logits) if spec.loss == SOFTMAX_CE else None,
+    }
+    layers = []
+    upper = last
+    for cache in reversed(caches):
+        kind = spec.activation[cache["entry"]["layer"]]
+        back = upper["delta"] @ upper["w"].T
+        d1 = _act_d(kind, cache["z"], cache["h"])
+        d2 = _act_dd(kind, cache["z"], cache["h"])
+        upper = {
+            "a_in": cache["a_in"], "w": cache["w"], "entry": cache["entry"], "d1": d1,
+            "delta": back * d1, "back_d2": None if d2 is None else back * d2,
+        }
+        layers.append(upper)
+    return Linearization(layers=tuple(reversed(layers)), last=last)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def hvp_pearlmutter(
+    spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarray, lin: Optional[Linearization] = None
+) -> np.ndarray:
+    """Exact Hessian-vector product by forward-over-reverse differentiation.
+
+    Linear in ``v``. BN specs are rejected; use ``hvp_fd`` with frozen
+    statistics for those. ``lin``, when given, must be ``linearize(spec,
+    theta, batch)``: the call then runs only the R-forward and R-backward
+    passes over it, and a non-finite ``v`` surfaces as a non-finite product.
+    """
+    if lin is None:
+        lin = linearize(spec, theta, batch)
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteError("direction has NaN or Inf entries")
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (spec.param_dim,):
+        raise DimensionMismatchError("direction and parameters differ in length")
     n = batch.size
+    out = np.zeros(spec.param_dim)
+
+    def weight_rgrad(layer, ra, rdelta):
+        # ra is None where the layer input is the data: its terms are exact
+        # zeros and are skipped
+        entry = layer["entry"]
+        rw = out[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
+        np.matmul(layer["a_in"].T, rdelta, out=rw)
+        if ra is not None:
+            rw += ra.T @ layer["delta"]
+        out[entry["b"]] = rdelta.sum(axis=0)
+
+    def r_linear(layer, ra):
+        entry = layer["entry"]
+        rz = layer["a_in"] @ _matrix(v, entry)
+        if ra is not None:
+            rz += ra @ layer["w"]
+        rz += v[entry["b"]]
+        return rz
 
     # directional (R-) derivatives of each layer's input and pre-activation
-    ra = np.zeros_like(batch.inputs)
+    ra = None
     ras, rzs = [], []
-    for cache in caches:
-        entry = cache["entry"]
-        rz = cache["a_in"] @ _matrix(v, entry) + ra @ cache["w"] + v[entry["b"]]
+    for layer in lin.layers:
+        rz = r_linear(layer, ra)
         ras.append(ra)
         rzs.append(rz)
-        ra = _act_d(spec.activation[entry["layer"]], cache["z"], cache["h"]) * rz
-    entry = last["entry"]
-    vw = _matrix(v, entry)
-    rlogits = last["a_in"] @ vw + ra @ last["w"] + v[entry["b"]]
+        ra = layer["d1"] * rz
+    rlogits = r_linear(lin.last, ra)
 
     # loss curvature at the output
-    delta = _loss_grad_logits(spec, logits, batch.labels) / n
-    if spec.loss == SOFTMAX_CE:
-        p = _softmax(logits)
+    p = lin.last["probs"]
+    if p is not None:
         prz = p * rlogits
         rdelta = (prz - p * prz.sum(axis=1, keepdims=True)) / n
     else:
         rdelta = 2.0 * rlogits / n
 
-    out = np.zeros_like(theta)
-    out[entry["w"]] = (ra.T @ delta + last["a_in"].T @ rdelta).ravel()
-    out[entry["b"]] = rdelta.sum(axis=0)
-    w_next, vw_next = last["w"], vw
-    for cache, ra, rz in zip(reversed(caches), reversed(ras), reversed(rzs)):
-        entry = cache["entry"]
-        kind = spec.activation[entry["layer"]]
-        d1 = _act_d(kind, cache["z"], cache["h"])
-        d2 = _act_dd(kind, cache["z"], cache["h"])
-        back = delta @ w_next.T
-        rback = rdelta @ w_next.T + delta @ vw_next.T
-        delta, rdelta = back * d1, rback * d1 + back * d2 * rz
-        out[entry["w"]] = (ra.T @ delta + cache["a_in"].T @ rdelta).ravel()
-        out[entry["b"]] = rdelta.sum(axis=0)
-        w_next, vw_next = cache["w"], _matrix(v, entry)
+    weight_rgrad(lin.last, ra, rdelta)
+    upper = lin.last
+    for layer, ra, rz in zip(reversed(lin.layers), reversed(ras), reversed(rzs)):
+        rdelta = rdelta @ upper["w"].T
+        rdelta += upper["delta"] @ _matrix(v, upper["entry"]).T
+        rdelta *= layer["d1"]
+        if layer["back_d2"] is not None:
+            rdelta += layer["back_d2"] * rz
+        weight_rgrad(layer, ra, rdelta)
+        upper = layer
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("Hessian-vector product overflowed")
     return out
@@ -547,18 +611,19 @@ def hvp_fd(
 ) -> np.ndarray:
     """Hessian-vector product by central differences of the gradient along
     the normalized direction, with step ``FD_EPS``; invariant to the scale
-    of ``v``."""
-    theta = check_params(spec, theta)
+    of ``v``. θ is checked by the two ``grad`` calls, at θ ± the step."""
+    theta = np.asarray(theta, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.shape:
         raise DimensionMismatchError("direction and parameters differ in length")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroDirectionError("direction has zero norm")
-    u = v / norm
-    g_plus = grad(spec, theta + FD_EPS * u, batch, bn_mode)
-    g_minus = grad(spec, theta - FD_EPS * u, batch, bn_mode)
-    return (g_plus - g_minus) * (norm / (2.0 * FD_EPS))
+    step = v * (FD_EPS / norm)
+    hv = grad(spec, theta + step, batch, bn_mode)
+    hv -= grad(spec, theta - step, batch, bn_mode)
+    hv *= norm / (2.0 * FD_EPS)
+    return hv
 
 
 def hessian_operator(
@@ -572,14 +637,18 @@ def hessian_operator(
 
     ``method`` "auto" takes the exact product (``hvp_pearlmutter``), or the
     finite-difference one (``hvp_fd``) on a spec with batch norm, which the
-    exact product does not support; "pearlmutter" and "fd" pin one.
+    exact product does not support; "pearlmutter" and "fd" pin one. θ is
+    checked once here. The exact product is linearized once (``linearize``),
+    so each matvec runs only its R-passes; every matvec still calls the
+    module-level ``hvp_pearlmutter`` or ``hvp_fd``, looked up at call time.
     """
-    theta = check_params(spec, theta)
     if method == "auto":
         method = "fd" if spec.has_bn else "pearlmutter"
     if method == "pearlmutter":
-        return LinearOperator(dim=theta.size, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v))
+        lin = linearize(spec, theta, batch)
+        return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v, lin))
     if method == "fd":
+        theta = check_params(spec, theta)
         return LinearOperator(dim=theta.size, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
     raise InvalidParamsError(f"unknown HVP method {method!r}")
 

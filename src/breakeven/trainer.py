@@ -256,7 +256,9 @@ def _checkpoint_record(
     eval_subset: Batch,
     step_batch: Batch,
     frozen: Optional[BnStats],
-) -> MetricRecord:
+) -> tuple[MetricRecord, Optional[np.ndarray]]:
+    """The checkpoint's metric record, and the gradient on ``step_batch`` at
+    the evaluation statistics when ``g_ratio`` needed it (else None)."""
     spec = config.model
     eval_mode = frozen if frozen is not None else BATCH_STATS
     record = MetricRecord(step=step, epoch=epoch, lr_current=lr)
@@ -286,6 +288,7 @@ def _checkpoint_record(
     record.cond_ratio = ks.cond_ratio
     record.trace_k = ks.trace_k
 
+    g_now = None
     try:
         top_vecs = k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1))
         g_now = grad(spec, theta, step_batch, eval_mode)
@@ -295,7 +298,7 @@ def _checkpoint_record(
 
     if spec.has_bn:
         record.bn_gamma_norms = [bn_gamma_norm(spec, theta, i) for i in spec.bn_layers]
-    return record
+    return record, g_now
 
 
 def run_training(
@@ -344,15 +347,20 @@ def run_training(
             try:
                 if running is not None:
                     running = _update_bn_running(running, bn_batch_statistics(spec, theta, batch))
-                record = None
+                record, g = None, None
                 if step > 0 and step % config.eval_every == 0:
-                    record = _checkpoint_record(
+                    record, g_now = _checkpoint_record(
                         config, theta, step, epoch, lr,
                         train_set, val_set, eval_subset, batch, running,
                     )
+                    if not spec.has_bn:
+                        # without BN the checkpoint's g_now is this step's
+                        # gradient: the same call on the same batch
+                        g = g_now
                     if param_sink is not None:
                         param_sink(step, theta.copy())
-                g = grad(spec, theta, batch, BATCH_STATS)
+                if g is None:
+                    g = grad(spec, theta, batch, BATCH_STATS)
                 theta_next, velocity = sgd_step(theta, g, velocity, lr, config.momentum)
                 if record is not None:
                     eval_mode = running if running is not None else BATCH_STATS
@@ -610,8 +618,8 @@ def metric_log_lines(config: RunConfig, records: Sequence[MetricRecord]) -> list
 
 def parse_metric_log(text: str) -> tuple[dict, list[MetricRecord]]:
     """The metadata object and the records of a JSONL metric log. A line
-    that is not a JSON object raises InvalidConfigError naming its line
-    number (blank lines count)."""
+    that is not a JSON object, or metadata whose ``config`` is not one,
+    raises InvalidConfigError naming its line number (blank lines count)."""
     objects = []
     for lineno, ln in enumerate(text.splitlines(), start=1):
         if not ln.strip():
@@ -622,6 +630,8 @@ def parse_metric_log(text: str) -> tuple[dict, list[MetricRecord]]:
             raise InvalidConfigError(f"line {lineno}: not JSON ({exc.msg})") from None
         if not isinstance(d, dict):
             raise InvalidConfigError(f"line {lineno}: expected a JSON object")
+        if not objects and not isinstance(d.get("config", {}), dict):
+            raise InvalidConfigError(f"line {lineno}: metadata config must be an object")
         objects.append(d)
     if not objects:
         raise InvalidConfigError("empty metric log")

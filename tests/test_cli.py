@@ -196,6 +196,19 @@ class TestTrain:
     def test_missing_config_exit_3(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path), "--quiet"]) == 3
 
+    @pytest.mark.parametrize(
+        "key, value", [("axis", {"name": "eta", "values": [0.02, 0.1]}), ("seeds", [0, 1])]
+    )
+    def test_sweep_only_key_exit_2_writes_nothing(self, key, value, train_config, tmp_path, capsys):
+        cfg = json.loads(Path(train_config).read_text())
+        cfg[key] = value
+        path = write_json(tmp_path / "train_sweep_key.json", cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert f"{key}: only sweep reads this key" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_flag_overrides_echoed_in_metadata(self, train_config, tmp_path):
         out = tmp_path / "ov"
         main(["train", "--config", train_config, "--out", str(out), "--eta", "0.2",
@@ -313,6 +326,8 @@ class TestReportCli:
             (["[1]"], "line 1: expected a JSON object"),
             (["{}", "", "[1]"], "line 3: expected a JSON object"),
             (["{}", '{"step": 1,'], "line 2: not JSON"),
+            (['{"config": 5}'], "line 1: metadata config must be an object"),
+            (["", '{"config": []}'], "line 2: metadata config must be an object"),
         ],
     )
     def test_corrupt_log_exit_2_names_file(self, lines, named, tmp_path, log_dir, capsys):
@@ -326,6 +341,33 @@ class TestReportCli:
         assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert f"logs[1]: {bad}: {named}" in err
+        assert not out.exists()
+
+    def test_non_numeric_threshold_in_log_exit_2(self, tmp_path, log_dir, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"config": {"accuracy_threshold": "high"}}\n')
+        cfg = write_json(
+            tmp_path / "rep8.json",
+            {"logs": [str(log_dir / "metrics.jsonl"), str(bad)], "panels": [{"y": "train_loss"}]},
+        )
+        out = tmp_path / "r8"
+        assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "logs[1].config.accuracy_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_sweep_report_exit_2_names_it(self, text, tmp_path, log_dir, capsys):
+        bad = tmp_path / "sweep_report.json"
+        bad.write_text(text)
+        cfg = write_json(
+            tmp_path / "rep9.json",
+            {"logs": [str(log_dir / "metrics.jsonl")], "panels": [{"y": "train_loss"}],
+             "sweep_report": str(bad)},
+        )
+        out = tmp_path / "r9"
+        assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "sweep_report: " in err and "config: " not in err
         assert not out.exists()
 
     def test_summary_table_lists_all_logs(self, tmp_path, log_dir):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breakeven import linalg
 from breakeven.errors import (
     DimensionMismatchError,
     InvalidKError,
@@ -148,6 +149,69 @@ class TestLanczos:
         assert np.allclose(ep.eigenvalues, [1.0, 1.0, 0.0, 0.0], atol=1e-10)
         assert np.max(np.abs(v.T @ v - np.eye(4))) <= 1e-10
         assert np.max(np.abs(p @ v - v * ep.eigenvalues)) <= 1e-10
+
+
+def orthonormality_error(rows):
+    return float(np.max(np.abs(rows @ rows.T - np.eye(rows.shape[0]))))
+
+
+class TestSinglePassReorthogonalization:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Basis sizes of every Gram-Schmidt pass made, start draws included."""
+        calls = []
+        real = linalg._project_out
+
+        def counted(v, basis):
+            calls.append(basis.shape[0])
+            return real(v, basis)
+
+        monkeypatch.setattr(linalg, "_project_out", counted)
+        return calls
+
+    def test_one_pass_per_step_keeps_basis_orthonormal(self, passes):
+        dense = DenseSymmetric.from_array(random_symmetric(80, 21))
+        op = LinearOperator.from_dense(dense)
+        Q, _, betas = linalg._lanczos_basis(op, 30, seed=4)
+        # two passes draw the start vector, then one per step and no restart
+        assert passes == [0, 0] + list(range(1, 30))
+        assert np.all(betas > linalg.LANCZOS_BREAKDOWN_TOL)
+        assert orthonormality_error(Q) <= 1e-10
+        ep = lanczos_topk(op, k=5, max_iters=30, seed=4)
+        assert orthonormality_error(ep.eigenvectors.T) <= 1e-10
+
+    def test_restart_case_basis_and_ritz_vectors_orthonormal(self):
+        basis, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((12, 2)))
+        op = LinearOperator.from_dense(DenseSymmetric.from_array(basis @ basis.T))
+        Q, _, betas = linalg._lanczos_basis(op, 12, seed=1)
+        assert np.count_nonzero(betas == 0.0) >= 5  # restarts leave zero couplings
+        assert orthonormality_error(Q) <= 1e-10
+        ep = lanczos_topk(op, k=4, max_iters=12, seed=1)
+        assert orthonormality_error(ep.eigenvectors.T) <= 1e-10
+
+    def test_dgks_second_pass_restores_orthogonality(self, passes):
+        # a large non-symmetric rank-one term puts most of each three-term
+        # residual back along old Lanczos vectors, so the first pass removes
+        # most of its norm and the DGKS test asks for a second
+        rng = np.random.default_rng(7)
+        s = random_symmetric(60, 8)
+        e, f = rng.standard_normal(60), rng.standard_normal(60)
+        op = LinearOperator(dim=60, apply=lambda v: s @ v + 1e3 * e * (f @ v))
+        Q, _, betas = linalg._lanczos_basis(op, 20, seed=0)
+        assert np.all(betas > linalg.LANCZOS_BREAKDOWN_TOL)
+        second = len(passes) - 2 - 19
+        assert second >= 10
+        assert orthonormality_error(Q) <= 1e-10
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_single_pass_agrees_with_dense_eigh(self, case, passes):
+        # criterion 05's setting: a full 50-step Krylov space of a 50x50 matrix
+        a = np.random.default_rng(500 + case).standard_normal((50, 50))
+        dense = DenseSymmetric.from_array((a + a.T) / 2)
+        top5 = jacobi_eigh(dense).eigenvalues[:5]
+        ritz = lanczos_topk(LinearOperator.from_dense(dense), k=5, max_iters=50, seed=case).eigenvalues
+        assert len(passes) == 2 + 49
+        assert np.max(np.abs(ritz - top5)) <= 1e-8
 
 
 class TestProjection:

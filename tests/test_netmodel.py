@@ -401,6 +401,82 @@ class TestHessianOperator:
         assert eigs[-1] >= -1e-8
 
 
+BN_FREE_CASES = [0, 2, 4, 6]  # relu/tanh x cross-entropy/MSE without BN
+
+
+class TestLinearizedHvp:
+    @pytest.mark.parametrize("case", BN_FREE_CASES)
+    def test_operator_matvec_bitwise_equals_one_shot_product(self, case):
+        spec, batch = spec_matrix()[case]
+        theta = init_params(spec)
+        op = hessian_operator(spec, theta, batch, method="pearlmutter")
+        rng = np.random.default_rng(case)
+        for _ in range(3):
+            v = rng.standard_normal(theta.size)
+            assert np.array_equal(op.apply(v), hvp_pearlmutter(spec, theta, batch, v))
+
+    def test_linearized_once_and_every_matvec_enters_by_module_name(self, monkeypatch):
+        spec, batch = spec_matrix()[4]
+        theta = init_params(spec)
+        forwards, products = [], []
+        real_forward, real_hvp = netmodel._forward, netmodel.hvp_pearlmutter
+        monkeypatch.setattr(netmodel, "_forward", lambda *a: forwards.append(1) or real_forward(*a))
+        op = hessian_operator(spec, theta, batch)
+        monkeypatch.setattr(netmodel, "hvp_pearlmutter", lambda *a: products.append(1) or real_hvp(*a))
+        for j in range(4):
+            op.apply(np.eye(theta.size)[j])
+        assert len(forwards) == 1
+        assert len(products) == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_public_call_rejects_non_finite_theta_and_direction(self, bad):
+        spec, batch = spec_matrix()[0]
+        theta = init_params(spec)
+        v = np.ones_like(theta)
+        broken = theta.copy()
+        broken[3] = bad
+        with pytest.raises(NonFiniteError):
+            hvp_pearlmutter(spec, broken, batch, v)
+        with pytest.raises(NonFiniteError):
+            hessian_operator(spec, broken, batch, method="pearlmutter")
+        v[5] = bad
+        with pytest.raises(NonFiniteError):
+            hvp_pearlmutter(spec, theta, batch, v)
+        # the linearized matvec does not re-check v; the product is not finite
+        with pytest.raises(NonFiniteError):
+            hessian_operator(spec, theta, batch).apply(v)
+
+    def test_bn_spec_rejected_under_pearlmutter(self):
+        spec, batch = spec_matrix()[1]
+        theta = init_params(spec)
+        with pytest.raises(BnUnsupportedError):
+            hvp_pearlmutter(spec, theta, batch, np.ones_like(theta))
+        with pytest.raises(BnUnsupportedError):
+            hessian_operator(spec, theta, batch, method="pearlmutter")
+
+    @pytest.mark.parametrize("case", BN_FREE_CASES)
+    def test_fd_operator_within_tolerance_of_exact(self, case):
+        spec, batch = spec_matrix()[case]
+        theta = init_params(spec)
+        v = np.random.default_rng(case).standard_normal(theta.size)
+        exact = hessian_operator(spec, theta, batch).apply(v)
+        approx = hessian_operator(spec, theta, batch, method="fd").apply(v)
+        assert np.linalg.norm(exact - approx) < 1e-4 * max(1.0, np.linalg.norm(exact))
+
+    @pytest.mark.parametrize("case", [1, 3, 5, 7, 0])  # frozen BN cases, and one without BN
+    def test_fd_exactly_scale_invariant(self, case):
+        spec, batch = spec_matrix()[case]
+        theta = init_params(spec)
+        stats = bn_batch_statistics(spec, theta, batch) if spec.has_bn else BATCH_STATS
+        v = np.random.default_rng(case).standard_normal(theta.size)
+        a = hvp_fd(spec, theta, batch, v, stats)
+        # a power-of-two scale leaves the step vector bitwise unchanged
+        assert np.array_equal(2.0 * a, hvp_fd(spec, theta, batch, 2.0 * v, stats))
+        assert np.max(np.abs(a - hvp_fd(spec, theta, batch, 3.0 * v, stats) / 3.0)) < 1e-12 * np.linalg.norm(a)
+        op = hessian_operator(spec, theta, batch, method="auto" if spec.has_bn else "fd", bn_mode=stats)
+        assert np.array_equal(op.apply(v), a)
+
+
 class TestBnGammaNorm:
     def test_init_norm_is_sqrt_width(self):
         spec = MlpSpec(layer_sizes=(4, 16, 2), batch_norm=True, seed=0)

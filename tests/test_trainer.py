@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from breakeven import trainer
 from breakeven.datasets import make_dataset
 from breakeven.errors import (
     InsufficientDataError,
@@ -225,6 +226,28 @@ class TestRunTraining:
             assert all(np.isfinite(v) for v in r.lambda_h_top)
             assert r.lambda_k1 > 0 and r.trace_k > 0
 
+    def test_step_reuses_checkpoint_gradient_without_bn(self, monkeypatch):
+        # without BN the checkpoint's g_now is the step's gradient (the same
+        # call on the same batch): one grad call per step, same trajectory
+        ds = smoke_dataset(n=128)
+        cfg = smoke_config(epochs=2, eval_every=2)
+        steps = cfg.epochs * -(-ds.n_train // cfg.batch_size)
+        calls = []
+        real_grad = trainer.grad
+        monkeypatch.setattr(trainer, "grad", lambda *a: calls.append(a) or real_grad(*a))
+        reused = {}
+        records, _ = run_training(cfg, ds, param_sink=reused.__setitem__)
+        assert len(calls) == steps
+        assert any(r.g_ratio is not None for r in records)
+
+        real_record = trainer._checkpoint_record
+        monkeypatch.setattr(trainer, "_checkpoint_record", lambda *a: (real_record(*a)[0], None))
+        separate = {}
+        records_sep, _ = run_training(cfg, ds, param_sink=separate.__setitem__)
+        assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in records_sep]
+        assert reused.keys() == separate.keys()
+        assert all(np.array_equal(reused[s], separate[s]) for s in reused)
+
     def test_summary_maxima_match_log_columns(self):
         ds = smoke_dataset()
         records, summary = run_training(smoke_config(), ds)
@@ -246,6 +269,21 @@ class TestBnTraining:
         for r in records:
             assert r.bn_gamma_norms is not None and len(r.bn_gamma_norms) == 2
             assert all(np.isfinite(v) for v in r.bn_gamma_norms)
+
+
+    def test_step_gradient_uses_batch_statistics(self, monkeypatch):
+        # with BN the checkpoint's g_now is taken at the running statistics,
+        # so every step still takes its own batch-statistics gradient
+        ds = smoke_dataset(n=128)
+        spec = MlpSpec(layer_sizes=(2, 8, 8, 2), activation="relu", batch_norm=True, seed=3)
+        cfg = smoke_config(model=spec, epochs=2, eval_every=2)
+        steps = cfg.epochs * -(-ds.n_train // cfg.batch_size)
+        modes = []
+        real_grad = trainer.grad
+        monkeypatch.setattr(trainer, "grad", lambda *a: modes.append(a[3]) or real_grad(*a))
+        records, _ = run_training(cfg, ds)
+        assert sum(isinstance(m, str) for m in modes) == steps
+        assert len(modes) == steps + sum(r.g_ratio is not None for r in records)
 
 
 class TestBreakevenIndicators:
