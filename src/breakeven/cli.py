@@ -2,9 +2,10 @@
 
 Configs are JSON files; flags override file values. Each config section is
 built from a frozen dataclass whose defaults are the only ones, and every key
-it accepts changes an output. An unknown key, a value of the wrong type
-(``errors.config_value``) or a sweep axis value the run config rejects exits
-2, naming the key, before any output is written or any cell trains.
+it accepts changes an output. An unknown key, a key its section's kind does
+not read, a value of the wrong type (``errors.config_value``) or a sweep axis
+value the run config rejects exits 2, naming the key, before any output is
+written or any cell trains.
 ``--seed`` sets the run seed of train/sweep and ``monte_carlo.seed`` of
 simulate; report draws nothing and takes none. Every output file starts with
 a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash of
@@ -215,7 +216,10 @@ def _coerce(kind, value, path: str):
 
 def _build(cls, raw, path: str):
     """Build the frozen dataclass ``cls`` from the JSON object ``raw``: an
-    unknown key is rejected, an absent field takes the dataclass default."""
+    unknown key is rejected, an absent field takes the dataclass default.
+    A kind-bearing dataclass declares ``KIND_KEYS = (field, {kind: keys})``,
+    the keys only some kinds read; a key that the chosen kind does not read
+    is rejected too."""
     if not isinstance(raw, dict):
         raise SchemaError(_join(path, None), "expected an object")
     hints = typing.get_type_hints(cls)
@@ -224,6 +228,14 @@ def _build(cls, raw, path: str):
         if key not in hints:
             raise SchemaError(_join(path, key), "unknown field")
         kwargs[key] = _coerce(hints[key], value, _join(path, key))
+    if hasattr(cls, "KIND_KEYS"):
+        field, reads = cls.KIND_KEYS
+        kind = kwargs.get(field, getattr(cls, field))
+        if kind in reads:  # an unknown kind is the dataclass's to reject
+            unread = {key for keys in reads.values() for key in keys} - set(reads[kind])
+            for key in raw:
+                if key in unread:
+                    raise SchemaError(_join(path, key), f"{field} {kind!r} does not read this key")
     for f in dataclasses.fields(cls):
         if f.name not in raw and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise SchemaError(_join(path, f.name), "required field missing")
@@ -274,6 +286,9 @@ class _Curvatures:
     value: float = 1.0
     count: int = 100
     seed: int = 0
+
+    # the keys only some kinds read (_build rejects the others)
+    KIND_KEYS = ("kind", {"uniform": ("low", "high", "seed"), "constant": ("value",)})
 
     def draw(self) -> np.ndarray:
         if self.count < 2:
@@ -566,6 +581,10 @@ def cmd_report(args) -> int:
         )
         parsed.append((Path(path).stem, threshold, records))
     sweep_data = _load_json(cfg.sweep_report, "sweep_report") if cfg.sweep_report else None
+    if sweep_data is not None:
+        verdicts = sweep_data.get("verdicts", {})
+        if not isinstance(verdicts, dict) or not all(isinstance(v, str) for v in verdicts.values()):
+            raise SchemaError("sweep_report.verdicts", "expected an object of strings")
 
     digest = config_hash(raw)
     for i, p in enumerate(panels):
@@ -616,7 +635,7 @@ def cmd_report(args) -> int:
         md += ["", f"## Sweep verdicts (axis: {sweep_data.get('axis_name')})", ""]
         md.append("| check | verdict |")
         md.append("|---|---|")
-        for check, verdict in sorted(sweep_data.get("verdicts", {}).items()):
+        for check, verdict in sorted(verdicts.items()):
             md.append(f"| {check} | {verdict} |")
     _atomic_write(out / "summary.md", "\n".join(md) + "\n")
     if not args.quiet:

@@ -7,13 +7,15 @@ used both directly on Gram matrices and as the oracle in tests) and
 matrix-vector products, used for Hessian spectra). Each Lanczos step is the
 three-term recurrence followed by one classical Gram-Schmidt pass over the
 whole basis; a second pass runs only when the Daniel-Gragg-Kaufman-Stewart
-(DGKS) test finds that the first removed most of the vector.
+(DGKS) test finds that the first removed most of the vector. ``lanczos_topk``
+also runs a stack of operators in lockstep, one matvec call per step for all
+of them, so the cells of a sweep share each Hessian-vector product pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -112,6 +114,20 @@ def jacobi_eigh(a: DenseSymmetric) -> EigenPairs:
     return _sorted_pairs(values, vectors)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of rows (last axis) of ``a`` and ``b``, by
+    the BLAS dot that ``a @ b`` runs on one pair of vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis) of ``v``, computed as
+    ``np.linalg.norm`` computes one vector's: the square root of one BLAS
+    dot product, so a row's norm is bitwise that of the row alone. A 1-D
+    ``v`` gives a 0-d array."""
+    return np.sqrt(_row_dots(v, v))
+
+
 def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass, in place: ``v`` minus its projection
     onto the rows of ``basis`` (orthonormal)."""
@@ -136,44 +152,65 @@ def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarr
     raise NoConvergenceError("could not draw a start vector outside the Krylov span")
 
 
-def _lanczos_basis(op: LinearOperator, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lanczos_basis(
+    op: LinearOperator, m: int, seed: Union[int, Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The m Lanczos vectors of ``lanczos_topk``, as the rows of an (m, dim)
     array, and the diagonal and off-diagonal of the tridiagonal they reduce
-    ``op`` to."""
+    ``op`` to. With one seed per cell of a stacked ``op``, each result gains
+    a leading cell axis."""
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    apply = (lambda q: np.asarray(op.apply(q[0]), dtype=np.float64)[None]) if single else op.apply
     n = op.dim
-    rng = make_rng(seed)
-    Q = np.empty((m, n))
-    alphas = np.empty(m)
-    betas = np.zeros(m - 1)
+    cells = len(seeds)
+    rngs = [make_rng(s) for s in seeds]
+    Q = np.empty((cells, m, n))
+    alphas = np.empty((cells, m))
+    betas = np.zeros((cells, m - 1))
 
-    Q[0] = _fresh_start_vector(rng, Q[:0])
+    for c, rng in enumerate(rngs):
+        Q[c, 0] = _fresh_start_vector(rng, Q[c, :0])
     for j in range(m):
-        u = np.asarray(op.apply(Q[j]), dtype=np.float64)
-        if u.shape != (n,):
-            raise DimensionMismatchError(f"operator returned shape {u.shape}, expected ({n},)")
+        u = np.asarray(apply(Q[:, j]), dtype=np.float64)
+        if u.shape != (cells, n):
+            raise DimensionMismatchError(f"operator returned {u.shape} for a ({cells}, {n}) stack of vectors")
         if not np.all(np.isfinite(u)):
             raise NonFiniteError("operator produced NaN or Inf")
-        alphas[j] = Q[j] @ u
+        alphas[:, j] = _row_dots(Q[:, j], u)
         if j == m - 1:
             break
         # a new array: the operator may hand back a vector it still holds
-        r = u - alphas[j] * Q[j]
+        r = u - alphas[:, j, None] * Q[:, j]
         if j > 0:
-            r -= betas[j - 1] * Q[j - 1]
-        r3_norm = float(np.linalg.norm(r))
-        basis = Q[: j + 1]
-        beta = float(np.linalg.norm(_project_out(r, basis)))
-        if beta < r3_norm / np.sqrt(2.0):
-            beta = float(np.linalg.norm(_project_out(r, basis)))
-        if beta < LANCZOS_BREAKDOWN_TOL:
-            Q[j + 1] = _fresh_start_vector(rng, basis)
-        else:
-            betas[j] = beta
-            Q[j + 1] = r / beta
-    return Q, alphas, betas
+            r -= betas[:, j - 1, None] * Q[:, j - 1]
+        r3_norm = row_norms(r)
+        for c in range(cells):
+            _project_out(r[c], Q[c, : j + 1])
+        beta = row_norms(r)
+        for c in np.flatnonzero(beta < r3_norm / np.sqrt(2.0)):
+            beta[c] = row_norms(_project_out(r[c], Q[c, : j + 1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(r, beta[:, None], out=Q[:, j + 1])
+        for c in np.flatnonzero(beta < LANCZOS_BREAKDOWN_TOL):
+            beta[c] = 0.0
+            Q[c, j + 1] = _fresh_start_vector(rngs[c], Q[c, : j + 1])
+        betas[:, j] = beta
+    return (Q[0], alphas[0], betas[0]) if single else (Q, alphas, betas)
 
 
-def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> EigenPairs:
+def _ritz_pairs(Q: np.ndarray, alphas: np.ndarray, betas: np.ndarray, k: int) -> EigenPairs:
+    """Top-k Ritz pairs of one Lanczos basis and its tridiagonal."""
+    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    ritz = jacobi_eigh(DenseSymmetric.from_array(T))
+    vectors = Q.T @ ritz.eigenvectors[:, :k]
+    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
+    return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=_canonical_signs(vectors))
+
+
+def lanczos_topk(
+    op: LinearOperator, k: int, max_iters: int, seed: Union[int, Sequence[int]]
+) -> Union[EigenPairs, list[EigenPairs]]:
     """Top-k algebraically largest eigenpairs via Lanczos with full
     reorthogonalization.
 
@@ -190,16 +227,22 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seed: int) -> Eigen
     space is exhausted the spectrum found so far is exact. The tridiagonal
     is diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz vectors are
     mapped back to the ambient space.
+
+    ``seed`` may instead be a sequence, one seed per cell of a stacked
+    operator whose ``apply`` maps a (C, dim) stack of vectors to their C
+    images in one call. The cells then run in lockstep: each step makes one
+    stacked matvec, and every other quantity stays per cell (start vector,
+    α, β, DGKS pass, breakdown restart), with each cell's arithmetic
+    bitwise that of a run on its own. The result is then a list with one
+    EigenPairs per cell.
     """
     n = op.dim
     if k < 1 or k > n or k > max_iters:
         raise InvalidKError(f"k={k} must satisfy 1 <= k <= min(dim={n}, max_iters={max_iters})")
     Q, alphas, betas = _lanczos_basis(op, min(max_iters, n), seed)
-    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    ritz = jacobi_eigh(DenseSymmetric.from_array(T))
-    vectors = Q.T @ ritz.eigenvectors[:, :k]
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=_canonical_signs(vectors))
+    if np.ndim(seed) == 0:
+        return _ritz_pairs(Q, alphas, betas, k)
+    return [_ritz_pairs(*cell, k) for cell in zip(Q, alphas, betas)]
 
 
 def project_onto_subspace(v: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

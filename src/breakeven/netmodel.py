@@ -11,7 +11,16 @@ There is one forward pass (``_forward``) and one reverse pass
 examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
 example axis within each group, so ``grouped_grads`` returns one minibatch
 gradient per group from a single pass; ``grad`` is its one-group case and
-``per_example_grads`` its groups-of-one case. Two Hessian-vector products
+``per_example_grads`` its groups-of-one case.
+
+θ may carry leading axes too: a (C, D) stack holds one parameter vector per
+cell of a sweep. Weights are then read as (C, fan_in, fan_out) views and
+biases broadcast as (C, 1, width), and the leading axes of θ broadcast
+against those of the examples: a shared (n, d) batch is evaluated at every
+row of θ, a (C, n, d) batch (or C groups) pairs example block c with row c.
+Row c of a stacked result is bitwise equal to the call on row c alone,
+because every product runs the same BLAS kernel on each slice and every sum
+runs over the example axis in the same order. Two Hessian-vector products
 are provided: an exact forward-over-reverse product (``hvp_pearlmutter``,
 BN-free specs only), whose R-pass reads the forward caches and first-order
 backward chain that ``linearize`` computes once per (θ, batch), and a
@@ -35,7 +44,7 @@ from .errors import (
     NonFiniteError,
     ZeroDirectionError,
 )
-from .linalg import LinearOperator
+from .linalg import LinearOperator, row_norms
 from .rng import make_rng
 
 BN_EPS = 1e-5
@@ -84,6 +93,9 @@ class MlpSpec:
     init_gain: Optional[float] = None  # None: sqrt(2) for relu layers, 1 otherwise
     init_constant: float = 0.0
     seed: int = 0
+
+    # the keys only some inits read (cli._build rejects the others)
+    KIND_KEYS = ("init", {"gaussian_scaled": ("init_gain",), "constant": ("init_constant",)})
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -150,10 +162,11 @@ class MlpSpec:
 
 
 def check_params(spec: MlpSpec, theta: np.ndarray) -> np.ndarray:
+    """θ as float64: one parameter vector, (D,), or a stack of them, (..., D)."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.param_dim,):
+    if theta.ndim < 1 or theta.shape[-1] != spec.param_dim:
         raise DimensionMismatchError(
-            f"parameter vector has shape {theta.shape}, spec needs ({spec.param_dim},)"
+            f"parameter vector has shape {theta.shape}, spec needs (..., {spec.param_dim})"
         )
     if not np.all(np.isfinite(theta)):
         raise NonFiniteError("parameter vector has NaN or Inf entries")
@@ -185,29 +198,34 @@ def init_params(spec: MlpSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Batch:
+    """Examples with their labels: inputs (n, d) with class labels (n,) or
+    regression targets (n, out); or one such batch per cell of a stacked θ,
+    inputs (C, n, d) with labels (C, n) or (C, n, out)."""
+
     inputs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise InvalidParamsError("inputs must be a nonempty (n, d) matrix")
+        if x.ndim not in (2, 3) or x.shape[-2] < 1:
+            raise InvalidParamsError("inputs must be a nonempty (n, d) matrix or a (C, n, d) stack")
         if not np.all(np.isfinite(x)):
             raise NonFiniteError("inputs must be finite")
         y = np.asarray(self.labels)
         if np.issubdtype(y.dtype, np.integer):
-            if y.shape != (x.shape[0],):
+            if y.shape != x.shape[:-1]:
                 raise DimensionMismatchError("class labels must be a length-n vector")
         else:
             y = y.astype(np.float64)
-            if y.ndim != 2 or y.shape[0] != x.shape[0]:
+            if y.ndim != x.ndim or y.shape[:-1] != x.shape[:-1]:
                 raise DimensionMismatchError("regression labels must be (n, out)")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y)
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        """Examples per batch (per cell, for a stack)."""
+        return self.inputs.shape[-2]
 
     def subset(self, idx: np.ndarray) -> "Batch":
         return Batch(inputs=self.inputs[idx], labels=self.labels[idx])
@@ -224,7 +242,7 @@ def _check_classification_labels(spec: MlpSpec, batch: Batch):
     else:
         if np.issubdtype(np.asarray(y).dtype, np.integer):
             raise InvalidParamsError("mse needs (n, out) float targets")
-        if y.shape[1] != spec.layer_sizes[-1]:
+        if y.shape[-1] != spec.layer_sizes[-1]:
             raise DimensionMismatchError("target width does not match output size")
 
 
@@ -266,7 +284,19 @@ def _resolve_bn(spec: MlpSpec, bn_mode: BnMode):
 
 
 def _matrix(vec: np.ndarray, entry: dict) -> np.ndarray:
-    return vec[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
+    """The layer's weights as a (..., fan_in, fan_out) view of ``vec``."""
+    return vec[..., entry["w"]].reshape(vec.shape[:-1] + (entry["fan_in"], entry["fan_out"]))
+
+
+def _row(vec: np.ndarray, part: slice) -> np.ndarray:
+    """A per-unit block of ``vec`` (bias, gamma, beta) as a (..., 1, width)
+    view, which broadcasts over the example axis."""
+    return vec[..., None, part]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return a.swapaxes(-1, -2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -275,7 +305,9 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
 
     ``x`` is (n, d), or (G, M, d) for G groups of M examples: every
     reduction runs over the example axis -2, so each group gets its own BN
-    batch statistics and a group computes exactly what it would alone.
+    batch statistics and a group computes exactly what it would alone. A
+    stacked θ's leading axes broadcast against x's; frozen statistics may
+    carry the same leading axes as θ.
 
     Overflow is not a numpy warning here: non-finite activations raise
     NonFiniteError, which training loops treat as divergence.
@@ -288,12 +320,11 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
     for entry in layout[:-1]:
         layer = entry["layer"]
         w = _matrix(theta, entry)
-        b = theta[entry["b"]]
-        z = a @ w + b
+        z = a @ w + _row(theta, entry["b"])
         cache = {"a_in": a, "z": z, "w": w, "entry": entry}
         if "gamma" in entry:
-            gamma = theta[entry["gamma"]]
-            beta = theta[entry["beta"]]
+            gamma = _row(theta, entry["gamma"])
+            beta = _row(theta, entry["beta"])
             if mode == BATCH_STATS:
                 mu = z.mean(axis=-2)
                 var = z.var(axis=-2)
@@ -314,7 +345,7 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
         a = h
     last = layout[-1]
     w = _matrix(theta, last)
-    logits = a @ w + theta[last["b"]]
+    logits = a @ w + _row(theta, last["b"])
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("activations overflowed during the forward pass")
     return logits, caches, {"a_in": a, "w": w, "entry": last}
@@ -322,10 +353,11 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
 
 def _per_example_loss(spec: MlpSpec, logits: np.ndarray, labels) -> np.ndarray:
     if spec.loss == SOFTMAX_CE:
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-        return lse - logits[np.arange(logits.shape[0]), labels]
-    return np.sum((logits - labels) ** 2, axis=1)
+        m = logits.max(axis=-1, keepdims=True)
+        lse = m[..., 0] + np.log(np.sum(np.exp(logits - m), axis=-1))
+        picked = np.broadcast_to(labels, logits.shape[:-1])[..., None]
+        return lse - np.take_along_axis(logits, picked, axis=-1)[..., 0]
+    return np.sum((logits - labels) ** 2, axis=-1)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -343,9 +375,15 @@ def _loss_grad_logits(spec: MlpSpec, logits: np.ndarray, labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    mean_loss: float
+    """Floats for one θ; for a stacked θ, one entry per row."""
+
+    mean_loss: Union[float, np.ndarray]
     per_example: np.ndarray
-    accuracy: float
+    accuracy: Union[float, np.ndarray]
+
+
+def _scalar(x: np.ndarray):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def forward_loss(
@@ -363,27 +401,27 @@ def forward_loss(
         per_example = _per_example_loss(spec, logits, batch.labels)
     if not np.all(np.isfinite(per_example)):
         raise NonFiniteError("loss overflowed")
-    preds = np.argmax(logits, axis=1)
+    preds = np.argmax(logits, axis=-1)
     if np.issubdtype(np.asarray(batch.labels).dtype, np.integer):
         correct = preds == batch.labels
     else:
-        correct = preds == np.argmax(batch.labels, axis=1)
+        correct = preds == np.argmax(batch.labels, axis=-1)
     return ForwardResult(
-        mean_loss=float(np.mean(per_example)),
+        mean_loss=_scalar(per_example.mean(axis=-1)),
         per_example=per_example,
-        accuracy=float(np.mean(correct)),
+        accuracy=_scalar(correct.mean(axis=-1)),
     )
 
 
 def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
     """Accumulate parameter gradients given d(loss)/d(logits) rows.
 
-    Sums run over the example axis -2; for grouped caches the result has one
-    gradient row per group. Each weight gradient is written by ``np.matmul``
-    straight into its slice of the result, so no (G, fan_in, fan_out)
-    temporary is built.
+    Sums run over the example axis -2; for grouped caches (or a stacked θ)
+    the result has one gradient row per group (or per row of θ). Each weight
+    gradient is written by ``np.matmul`` straight into its slice of the
+    result, so no (G, fan_in, fan_out) temporary is built.
     """
-    grad = np.zeros(dlogits.shape[:-2] + theta.shape)
+    grad = np.zeros(dlogits.shape[:-2] + theta.shape[-1:])
     lead = grad.shape[:-1]
 
     def weight_grad(entry, a_in, dz):
@@ -395,7 +433,7 @@ def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
     entry = last["entry"]
     weight_grad(entry, last["a_in"], delta)
     grad[..., entry["b"]] = delta.sum(axis=-2)
-    d_a = delta @ last["w"].T
+    d_a = delta @ _t(last["w"])
     for cache in reversed(caches):
         entry = cache["entry"]
         layer = entry["layer"]
@@ -415,7 +453,7 @@ def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
             dz = dy
         weight_grad(entry, cache["a_in"], dz)
         grad[..., entry["b"]] = dz.sum(axis=-2)
-        d_a = dz @ cache["w"].T
+        d_a = dz @ _t(cache["w"])
     return grad
 
 
@@ -435,6 +473,18 @@ def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnSta
     return BnStats(means=tuple(means), variances=tuple(variances))
 
 
+def _mean_grads(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, labels, bn_mode: BnMode) -> np.ndarray:
+    """Gradient of the mean loss over the example axis -2 of ``x``: one
+    forward and one reverse pass, with θ and the labels already checked."""
+    logits, caches, last = _forward(spec, theta, x, bn_mode)
+    dlogits = _loss_grad_logits(spec, logits, labels) / x.shape[-2]
+    g = _backward(spec, theta, caches, last, dlogits)
+    # NaN propagates through min and max and an inf sits at one end: no G x D mask
+    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        raise NonFiniteError("gradient overflowed")
+    return g
+
+
 def grouped_grads(
     spec: MlpSpec, theta: np.ndarray, batch: Batch, groups, bn_mode: BnMode = BATCH_STATS
 ) -> np.ndarray:
@@ -443,26 +493,24 @@ def grouped_grads(
     ``groups`` is a (G, M) array of example indices into ``batch``. Row g
     equals ``grad(spec, theta, batch.subset(groups[g]), bn_mode)``; with BN
     batch statistics each group is normalized by its own statistics. All
-    groups share one forward and one reverse pass.
+    groups share one forward and one reverse pass. With a (G, D) stack θ,
+    group g is evaluated at row g.
     """
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
     groups = np.asarray(groups)
     if groups.ndim != 2 or min(groups.shape) < 1:
         raise InvalidParamsError("groups must be a (G >= 1, M >= 1) index array")
-    logits, caches, last = _forward(spec, theta, batch.inputs[groups], bn_mode)
-    dlogits = _loss_grad_logits(spec, logits, batch.labels[groups]) / groups.shape[1]
-    g = _backward(spec, theta, caches, last, dlogits)
-    # NaN propagates through min and max and an inf sits at one end: no G x D mask
-    if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-        raise NonFiniteError("gradient overflowed")
-    return g
+    return _mean_grads(spec, theta, batch.inputs[groups], batch.labels[groups], bn_mode)
 
 
 def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS) -> np.ndarray:
-    """Exact reverse-mode gradient of the mean batch loss: the one-group case
-    of ``grouped_grads``."""
-    return grouped_grads(spec, theta, batch, np.arange(batch.size)[None], bn_mode)[0]
+    """Exact reverse-mode gradient of the mean batch loss; the same pass as
+    one group of ``grouped_grads``. A stacked θ gives one gradient per row,
+    on the shared batch or, for a (C, n, d) batch, on block c."""
+    theta = check_params(spec, theta)
+    _check_classification_labels(spec, batch)
+    return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_mode)
 
 
 def per_example_grads(
@@ -519,7 +567,7 @@ def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
     upper = last
     for cache in reversed(caches):
         kind = spec.activation[cache["entry"]["layer"]]
-        back = upper["delta"] @ upper["w"].T
+        back = upper["delta"] @ _t(upper["w"])
         d1 = _act_d(kind, cache["z"], cache["h"])
         d2 = _act_dd(kind, cache["z"], cache["h"])
         upper = {
@@ -540,33 +588,35 @@ def hvp_pearlmutter(
     statistics for those. ``lin``, when given, must be ``linearize(spec,
     theta, batch)``: the call then runs only the R-forward and R-backward
     passes over it, and a non-finite ``v`` surfaces as a non-finite product.
+    A stacked θ takes a stack ``v`` of the same shape: row c is the product
+    at row c of θ.
     """
     if lin is None:
         lin = linearize(spec, theta, batch)
         if not np.all(np.isfinite(v)):
             raise NonFiniteError("direction has NaN or Inf entries")
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (spec.param_dim,):
+    if v.shape != np.shape(theta):
         raise DimensionMismatchError("direction and parameters differ in length")
     n = batch.size
-    out = np.zeros(spec.param_dim)
+    out = np.zeros(v.shape)
 
     def weight_rgrad(layer, ra, rdelta):
         # ra is None where the layer input is the data: its terms are exact
         # zeros and are skipped
         entry = layer["entry"]
-        rw = out[entry["w"]].reshape(entry["fan_in"], entry["fan_out"])
-        np.matmul(layer["a_in"].T, rdelta, out=rw)
+        rw = _matrix(out, entry)
+        np.matmul(_t(layer["a_in"]), rdelta, out=rw)
         if ra is not None:
-            rw += ra.T @ layer["delta"]
-        out[entry["b"]] = rdelta.sum(axis=0)
+            rw += _t(ra) @ layer["delta"]
+        out[..., entry["b"]] = rdelta.sum(axis=-2)
 
     def r_linear(layer, ra):
         entry = layer["entry"]
         rz = layer["a_in"] @ _matrix(v, entry)
         if ra is not None:
             rz += ra @ layer["w"]
-        rz += v[entry["b"]]
+        rz += _row(v, entry["b"])
         return rz
 
     # directional (R-) derivatives of each layer's input and pre-activation
@@ -583,15 +633,15 @@ def hvp_pearlmutter(
     p = lin.last["probs"]
     if p is not None:
         prz = p * rlogits
-        rdelta = (prz - p * prz.sum(axis=1, keepdims=True)) / n
+        rdelta = (prz - p * prz.sum(axis=-1, keepdims=True)) / n
     else:
         rdelta = 2.0 * rlogits / n
 
     weight_rgrad(lin.last, ra, rdelta)
     upper = lin.last
     for layer, ra, rz in zip(reversed(lin.layers), reversed(ras), reversed(rzs)):
-        rdelta = rdelta @ upper["w"].T
-        rdelta += upper["delta"] @ _matrix(v, upper["entry"]).T
+        rdelta = rdelta @ _t(upper["w"])
+        rdelta += upper["delta"] @ _t(_matrix(v, upper["entry"]))
         rdelta *= layer["d1"]
         if layer["back_d2"] is not None:
             rdelta += layer["back_d2"] * rz
@@ -611,17 +661,23 @@ def hvp_fd(
 ) -> np.ndarray:
     """Hessian-vector product by central differences of the gradient along
     the normalized direction, with step ``FD_EPS``; invariant to the scale
-    of ``v``. θ is checked by the two ``grad`` calls, at θ ± the step."""
+    of ``v``. θ + step and θ − step form one two-row stack, so both
+    gradients come from one ``grad`` call, which also checks θ. A stacked θ
+    takes a stack ``v`` of the same shape, one direction per row."""
     theta = np.asarray(theta, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.shape:
         raise DimensionMismatchError("direction and parameters differ in length")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    norm = row_norms(v)[..., None]
+    if np.any(norm == 0.0):
         raise ZeroDirectionError("direction has zero norm")
-    step = v * (FD_EPS / norm)
-    hv = grad(spec, theta + step, batch, bn_mode)
-    hv -= grad(spec, theta - step, batch, bn_mode)
+    # pair[1] holds the step until θ - step overwrites it in place
+    pair = np.empty((2,) + theta.shape)
+    step = np.multiply(v, FD_EPS / norm, out=pair[1])
+    np.add(theta, step, out=pair[0])
+    np.subtract(theta, step, out=step)
+    hv, minus = grad(spec, pair, batch, bn_mode)
+    hv -= minus
     hv *= norm / (2.0 * FD_EPS)
     return hv
 
@@ -641,6 +697,8 @@ def hessian_operator(
     checked once here. The exact product is linearized once (``linearize``),
     so each matvec runs only its R-passes; every matvec still calls the
     module-level ``hvp_pearlmutter`` or ``hvp_fd``, looked up at call time.
+    For a stacked θ the operator maps a stack of directions, one per row of
+    θ, to their products in one call.
     """
     if method == "auto":
         method = "fd" if spec.has_bn else "pearlmutter"
@@ -649,7 +707,7 @@ def hessian_operator(
         return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v, lin))
     if method == "fd":
         theta = check_params(spec, theta)
-        return LinearOperator(dim=theta.size, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
+        return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
     raise InvalidParamsError(f"unknown HVP method {method!r}")
 
 

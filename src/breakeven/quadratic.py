@@ -1,8 +1,8 @@
 """Exact SGD stability analysis on a one-dimensional quadratic model.
 
-The model is a per-example quadratic loss along a single direction:
-``L(psi) = (1/(2N)) * sum_i H_i * (psi - psi_star)^2``, so the per-example
-gradient is ``H_i * (psi - psi_star)``, the full-batch curvature is
+The model is a per-example quadratic loss along a single direction, with
+psi measured from the minimum: ``L(psi) = (1/(2N)) * sum_i H_i * psi^2``, so
+the per-example gradient is ``H_i * psi``, the full-batch curvature is
 ``mean(H_i)`` and the curvature spread is the population variance of H_i.
 Minibatches are drawn without replacement, which makes the one-step
 second-moment multiplier of the recursion exactly
@@ -44,10 +44,9 @@ GROWTH_MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class QuadraticModel:
-    """Per-example curvatures with an optional minimum offset."""
+    """Per-example curvatures of the quadratic, whose minimum sits at psi = 0."""
 
     curvatures: np.ndarray
-    psi_star: float = 0.0
 
     def __post_init__(self):
         h = np.asarray(self.curvatures, dtype=np.float64)
@@ -127,7 +126,7 @@ def simulate_sgd(
     divergence_threshold: float = 1e12,
 ) -> SimulationResult:
     """Run the projected SGD recursion, sampling each batch without
-    replacement. The run truncates as diverged once |psi - psi_star|
+    replacement. The run truncates as diverged once |psi|
     exceeds the threshold."""
     if steps < 1:
         raise InvalidParamsError("steps must be >= 1")
@@ -146,9 +145,9 @@ def simulate_sgd(
         else:
             idx = rng.choice(n, size=s, replace=False)
             hbar = float(np.mean(h[idx]))
-        psi = psi - setting.eta * hbar * (psi - model.psi_star)
+        psi = psi - setting.eta * hbar * psi
         out[t] = psi
-        if abs(psi - model.psi_star) > divergence_threshold:
+        if abs(psi) > divergence_threshold:
             return SimulationResult(trajectory=out[: t + 1].copy(), diverged=True)
     return SimulationResult(trajectory=out, diverged=False)
 
@@ -161,7 +160,7 @@ def ensemble_second_moments(
     n_traj: int,
     seed: int,
 ) -> np.ndarray:
-    """Mean of (psi - psi_star)^2 over an ensemble at every step.
+    """Mean of psi^2 over an ensemble at every step.
 
     Each trajectory draws its batch without replacement at every step: one
     uniform key per example, and the batch is the ``batch_size`` examples
@@ -182,7 +181,7 @@ def ensemble_second_moments(
         raise InvalidParamsError(f"batch size {s} exceeds example count {n}")
     rng = make_rng(seed)
     h = model.curvatures
-    dev = np.full(n_traj, float(psi0) - model.psi_star)
+    dev = np.full(n_traj, float(psi0))
     out = np.empty(steps + 1)
     out[0] = float(np.mean(dev * dev))
     block = max(1, ENSEMBLE_BLOCK_BYTES // (8 * n_traj * n))

@@ -14,7 +14,7 @@ on the summary so other readings can be recovered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -213,20 +213,25 @@ def hessian_spectrum(
     k: int = 5,
     method: str = "auto",
     max_iters: int = 40,
-    seed: int = 0,
+    seed: Union[int, Sequence[int]] = 0,
     bn_mode: BnMode = BATCH_STATS,
 ) -> np.ndarray:
     """Top Hessian eigenvalues, descending, via Lanczos over a
     Hessian-vector-product operator evaluated on a subset of the data;
     ``method`` is passed to ``hessian_operator``, which resolves "auto".
 
-    Returns min(k, dim, max_iters) values.
+    Returns min(k, dim, max_iters) values. A (C, D) stack θ takes one seed
+    per row; its rows run one Lanczos in lockstep, one stacked product per
+    matvec, and the result has one row of values per row of θ.
     """
     if eval_subset.size < 1:
         raise InsufficientDataError("evaluation subset is empty")
     op = hessian_operator(spec, theta, eval_subset, method=method, bn_mode=bn_mode)
     k_eff = min(k, op.dim, max_iters)
-    return lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed).eigenvalues
+    pairs = lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed)
+    if np.ndim(seed) == 0:
+        return pairs.eigenvalues
+    return np.stack([p.eigenvalues for p in pairs])
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:

@@ -11,6 +11,17 @@ so that its Lanczos basis and the L x D block of minibatch gradients are
 never held at the same time; each spectral reading draws from its own
 derived seed, so the order changes no logged value.
 
+There is one training loop, over a stack of cells in lockstep: a single
+run is the one-cell stack, and ``sweep`` stacks the cells that share a step
+schedule (η, momentum and seeds may differ). The stack's parameters are one
+(C, D) array; per step it makes one gradient call and one ``sgd_step``, and
+per checkpoint one Lanczos run over stacked Hessian-vector products.
+Full-set losses and the sampled minibatch gradients stay per cell, as
+stacking them measured no faster at desk size. Each cell keeps its own
+init, shuffles, learning rate, momentum, BN statistics, evaluation subset
+and log, and every stacked kernel computes row c bitwise as it would alone,
+so a cell's log is field-identical to its run on its own.
+
 BN runs train with batch statistics and keep an exponential moving average
 (decay 0.99) that freezes statistics for every spectral evaluation, so
 per-example and per-minibatch gradients stay well defined.
@@ -26,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,6 +86,9 @@ class LrSchedule:
     kind: str = "constant"
     decay_epoch: int = 0
     decay_factor: float = 10.0
+
+    # the keys only some kinds read (cli._build rejects the others)
+    KIND_KEYS = ("kind", {"constant": (), "step_decay": ("decay_epoch", "decay_factor")})
 
     def __post_init__(self):
         if self.kind not in ("constant", "step_decay"):
@@ -191,10 +205,11 @@ class RunSummary:
 
 
 def sgd_step(
-    theta: np.ndarray, g: np.ndarray, velocity: np.ndarray, eta: float, beta: float
+    theta: np.ndarray, g: np.ndarray, velocity: np.ndarray, eta, beta
 ) -> tuple[np.ndarray, np.ndarray]:
     """Heavy-ball update: velocity' = beta * velocity + g, theta' = theta -
-    eta * velocity'."""
+    eta * velocity'. On a (C, D) stack, ``eta`` and ``beta`` may be (C, 1)
+    columns, one value per row."""
     velocity = beta * velocity + g
     return theta - eta * velocity, velocity
 
@@ -224,14 +239,19 @@ def _as_model_batch(spec: MlpSpec, batch: Batch) -> Batch:
     return batch
 
 
-def _init_bn_running(spec: MlpSpec) -> Optional[BnStats]:
+def _init_bn_running(spec: MlpSpec, cells: int) -> Optional[BnStats]:
     if not spec.has_bn:
         return None
     widths = [spec.layer_sizes[i + 1] for i in spec.bn_layers]
     return BnStats(
-        means=tuple(np.zeros(w) for w in widths),
-        variances=tuple(np.ones(w) for w in widths),
+        means=tuple(np.zeros((cells, w)) for w in widths),
+        variances=tuple(np.ones((cells, w)) for w in widths),
     )
+
+
+def _bn_rows(stats: BnStats, rows) -> BnStats:
+    """The statistics of the given stack rows (one row: that cell's own)."""
+    return BnStats(means=tuple(m[rows] for m in stats.means), variances=tuple(v[rows] for v in stats.variances))
 
 
 def _update_bn_running(running: BnStats, batch_stats: BnStats) -> BnStats:
@@ -245,67 +265,198 @@ def _update_bn_running(running: BnStats, batch_stats: BnStats) -> BnStats:
     return BnStats(means=means, variances=variances)
 
 
+@dataclass
+class _Cell:
+    """One cell of a training stack: its config, shuffle stream, evaluation
+    subset and log, and how it ended."""
+
+    config: RunConfig
+    shuffle: np.random.Generator
+    eval_idx: np.ndarray
+    records: list = field(default_factory=list)
+    perm: Optional[np.ndarray] = None  # this epoch's shuffle
+    diverged: bool = False
+    error: Optional[BreakevenError] = None
+
+
+@dataclass
+class _Stack:
+    """The cells still training and their state: row c of every array
+    belongs to ``cells[c]``."""
+
+    cells: list
+    theta: np.ndarray
+    velocity: np.ndarray
+    running: Optional[BnStats]  # BN running statistics, (C, width) per layer
+
+    def take(self, rows: list) -> "_Stack":
+        if rows == list(range(len(self.cells))):
+            return self
+        return _Stack(
+            cells=[self.cells[i] for i in rows],
+            theta=self.theta[rows],
+            velocity=self.velocity[rows],
+            running=None if self.running is None else _bn_rows(self.running, rows),
+        )
+
+
+def _join(stacks: list) -> _Stack:
+    running = None
+    if stacks[0].running is not None:
+        running = BnStats(
+            means=tuple(np.concatenate(m) for m in zip(*(s.running.means for s in stacks))),
+            variances=tuple(np.concatenate(v) for v in zip(*(s.running.variances for s in stacks))),
+        )
+    return _Stack(
+        cells=[c for s in stacks for c in s.cells],
+        theta=np.concatenate([s.theta for s in stacks]),
+        velocity=np.concatenate([s.velocity for s in stacks]),
+        running=running,
+    )
+
+
+def _stack_key(config: RunConfig) -> tuple:
+    """What the cells of one training stack share: the array shapes and the
+    step schedule. η, momentum, seeds and init may differ per cell."""
+    m = config.model
+    return (
+        m.layer_sizes, m.activation, m.batch_norm, m.loss, config.batch_size, config.epochs,
+        config.eval_every, config.schedule.kind, config.spectra, config.eval_subset_fraction,
+    )
+
+
 def _checkpoint_record(
-    config: RunConfig,
-    theta: np.ndarray,
+    stack: _Stack,
     step: int,
     epoch: int,
-    lr: float,
+    lrs: list,
     train_set: Batch,
     val_set: Batch,
-    eval_subset: Batch,
     step_batch: Batch,
     frozen: Optional[BnStats],
-) -> tuple[MetricRecord, Optional[np.ndarray]]:
-    """The checkpoint's metric record, and the gradient on ``step_batch`` at
-    the evaluation statistics when ``g_ratio`` needed it (else None)."""
-    spec = config.model
-    eval_mode = frozen if frozen is not None else BATCH_STATS
-    record = MetricRecord(step=step, epoch=epoch, lr_current=lr)
+) -> tuple[list, Optional[np.ndarray]]:
+    """Every cell's metric record at this checkpoint, and, when the spec has
+    no BN, the stack's gradient on ``step_batch``: without BN the
+    evaluation statistics are the batch's own, so that is also the step's
+    gradient (else None)."""
+    cells = stack.cells
+    spec, sp = cells[0].config.model, cells[0].config.spectra
+    modes = [BATCH_STATS if frozen is None else _bn_rows(frozen, i) for i in range(len(cells))]
+    records = []
+    for theta, mode, lr in zip(stack.theta, modes, lrs):
+        record = MetricRecord(step=step, epoch=epoch, lr_current=lr)
+        train_res = forward_loss(spec, theta, train_set, mode)
+        record.train_loss = train_res.mean_loss
+        record.train_acc = train_res.accuracy
+        record.val_acc = forward_loss(spec, theta, val_set, mode).accuracy
+        records.append(record)
 
-    train_res = forward_loss(spec, theta, train_set, eval_mode)
-    record.train_loss = train_res.mean_loss
-    record.train_acc = train_res.accuracy
-    record.val_acc = forward_loss(spec, theta, val_set, eval_mode).accuracy
-
-    sp = config.spectra
-    # the Lanczos basis is released before the L x D gradient block exists
+    # one Lanczos run for the stack, released before any L x D gradient block exists
     lambda_h = hessian_spectrum(
-        spec, theta, eval_subset,
+        spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
         k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
-        seed=derive_seed(config.seed, 4, step), bn_mode=eval_mode,
+        seed=[derive_seed(c.config.seed, 4, step) for c in cells],
+        bn_mode=BATCH_STATS if frozen is None else frozen,
     )
-    record.lambda_h_top = [float(v) for v in lambda_h]
-
     m = sp.resolve_batch_size(train_set.size)
-    grads, gbar = sample_minibatch_gradients(
-        spec, theta, train_set, sp.n_gradient_samples, m,
-        seed=derive_seed(config.seed, 3, step), bn_mode=eval_mode,
-    )
-    ks = k_spectrum(gram_from_gradients(grads, gbar))
-    record.lambda_k1 = ks.lambda_k1
-    record.lambda_k_star = ks.lambda_k_star
-    record.cond_ratio = ks.cond_ratio
-    record.trace_k = ks.trace_k
+    tops = []
+    for theta, mode, cell, record, values in zip(stack.theta, modes, cells, records, lambda_h):
+        record.lambda_h_top = [float(v) for v in values]
+        grads, gbar = sample_minibatch_gradients(
+            spec, theta, train_set, sp.n_gradient_samples, m,
+            seed=derive_seed(cell.config.seed, 3, step), bn_mode=mode,
+        )
+        ks = k_spectrum(gram_from_gradients(grads, gbar))
+        record.lambda_k1 = ks.lambda_k1
+        record.lambda_k_star = ks.lambda_k_star
+        record.cond_ratio = ks.cond_ratio
+        record.trace_k = ks.trace_k
+        try:
+            tops.append(k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1)))
+        except RankDeficientError:
+            tops.append(None)  # g_ratio stays null
+        del grads, gbar  # one L x D block at a time
 
-    g_now = None
-    try:
-        top_vecs = k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1))
-        g_now = grad(spec, theta, step_batch, eval_mode)
-        record.g_ratio = grad_subspace_ratio(g_now, top_vecs)
-    except (RankDeficientError, DegenerateProjectionError):
-        record.g_ratio = None
+    g_step = None if spec.has_bn else grad(spec, stack.theta, step_batch, BATCH_STATS)
+    if any(top is not None for top in tops):
+        g_now = g_step if g_step is not None else grad(spec, stack.theta, step_batch, frozen)
+        for record, top, g in zip(records, tops, g_now):
+            if top is not None:
+                try:
+                    record.g_ratio = grad_subspace_ratio(g, top)
+                except DegenerateProjectionError:
+                    pass
 
     if spec.has_bn:
-        record.bn_gamma_norms = [bn_gamma_norm(spec, theta, i) for i in spec.bn_layers]
-    return record, g_now
+        for theta, record in zip(stack.theta, records):
+            record.bn_gamma_norms = [bn_gamma_norm(spec, theta, i) for i in spec.bn_layers]
+    return records, g_step
+
+
+def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink) -> _Stack:
+    """One SGD step of every cell in the stack, as one stacked pass; returns
+    the stack of the cells that go on. Raises the first package error of
+    any cell, before any cell's log or state changes."""
+    cells = stack.cells
+    first = cells[0].config
+    spec = first.model
+    batch = train_set.subset(np.stack([c.perm[start : start + first.batch_size] for c in cells]))
+    running = stack.running
+    if running is not None:
+        running = _update_bn_running(running, bn_batch_statistics(spec, stack.theta, batch))
+    lrs = [c.config.schedule.lr_at(c.config.eta, epoch) for c in cells]
+    records, g = None, None
+    if step > 0 and step % first.eval_every == 0:
+        records, g = _checkpoint_record(stack, step, epoch, lrs, train_set, val_set, batch, running)
+        if param_sink is not None:
+            param_sink(step, stack.theta[0].copy())
+    if g is None:
+        g = grad(spec, stack.theta, batch, BATCH_STATS)
+    theta, velocity = sgd_step(
+        stack.theta, g, stack.velocity,
+        np.array(lrs)[:, None], np.array([c.config.momentum for c in cells])[:, None],
+    )
+    # NaN propagates through min and max and an inf sits at one end: no C x D mask
+    ended = set(np.flatnonzero(~(np.isfinite(theta.min(axis=-1)) & np.isfinite(theta.max(axis=-1)))))
+    for i, record in enumerate(records or ()):
+        try:
+            mode = BATCH_STATS if running is None else _bn_rows(running, i)
+            record.delta_loss = delta_loss(spec, record.train_loss, theta[i], train_set, mode)
+        except NonFiniteError:
+            record.delta_loss = None
+            ended.add(i)
+    for cell, record in zip(cells, records or ()):
+        cell.records.append(record)
+    for i in ended:
+        cells[i].diverged = True
+    return _Stack(cells, theta, velocity, running).take([i for i in range(len(cells)) if i not in ended])
+
+
+def _advance(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink) -> _Stack:
+    """``_step``; when a package error stops the stacked pass, every cell
+    replays the step from the pre-step state as a one-cell stack, so the
+    failing cell ends exactly as it would alone (NonFiniteError: diverged,
+    keeping its log; any other: that error) and the others go on."""
+    try:
+        return _step(stack, step, epoch, start, train_set, val_set, param_sink)
+    except BreakevenError as exc:
+        if len(stack.cells) > 1:
+            return _join([
+                _advance(stack.take([i]), step, epoch, start, train_set, val_set, param_sink)
+                for i in range(len(stack.cells))
+            ])
+        if isinstance(exc, NonFiniteError):
+            stack.cells[0].diverged = True
+        else:
+            stack.cells[0].error = exc
+        return stack.take([])
 
 
 def run_training(
-    config: RunConfig,
+    config: Union[RunConfig, Sequence[RunConfig]],
     dataset: Dataset,
     param_sink=None,
-) -> tuple[list[MetricRecord], RunSummary]:
+):
     """Train per the config, instrumenting every eval_every steps.
 
     Deterministic: identical (config, dataset) pairs give field-identical
@@ -317,73 +468,64 @@ def run_training(
     parameter point carries no information about the hyperparameters under
     study (it is identical across runs that share an init seed), so maxima
     over the logged trajectory reflect where SGD actually steered.
+
+    ``config`` may instead be a sequence of configs that share a step
+    schedule (``_stack_key``). They then train as one stack, in lockstep,
+    and each cell's records and summary are field-identical to its run on
+    its own. The result is a list with, per cell, its (records, summary) or
+    the package error that stopped it. ``param_sink`` takes one config only.
     """
-    spec = config.model
+    stacked = not isinstance(config, RunConfig)
+    configs = list(config) if stacked else [config]
+    if stacked and param_sink is not None:
+        raise InvalidConfigError("param_sink takes one config, not a stack")
+    first = configs[0]
+    if any(_stack_key(c) != _stack_key(first) for c in configs):
+        raise InvalidConfigError(
+            "the cells of a stack must share model shape, batch size, epochs, eval_every, "
+            "schedule kind and spectra settings"
+        )
+    spec = first.model
     train_set = _as_model_batch(spec, dataset.train())
     val_set = _as_model_batch(spec, dataset.val())
     n_train = train_set.size
-    if config.batch_size > n_train:
+    if first.batch_size > n_train:
         raise InvalidConfigError("batch_size exceeds training set size")
     if spec.layer_sizes[0] != dataset.n_features:
         raise InvalidConfigError("model input width does not match dataset features")
 
-    theta = init_params(spec)
-    velocity = np.zeros_like(theta)
-    running = _init_bn_running(spec)
-
-    n_eval = max(1, int(round(config.eval_subset_fraction * n_train)))
-    eval_idx = make_rng(config.seed, 2).choice(n_train, size=n_eval, replace=False)
-    eval_subset = train_set.subset(np.sort(eval_idx))
-
-    shuffle_rng = make_rng(config.seed, 1)
-    records: list[MetricRecord] = []
-    diverged = False
+    n_eval = max(1, int(round(first.eval_subset_fraction * n_train)))
+    cells = [
+        _Cell(
+            config=c,
+            shuffle=make_rng(c.seed, 1),
+            eval_idx=np.sort(make_rng(c.seed, 2).choice(n_train, size=n_eval, replace=False)),
+        )
+        for c in configs
+    ]
+    theta = np.stack([init_params(c.model) for c in configs])
+    stack = _Stack(cells, theta, np.zeros_like(theta), _init_bn_running(spec, len(cells)))
     step = 0
-    for epoch in range(config.epochs):
-        lr = config.schedule.lr_at(config.eta, epoch)
-        perm = shuffle_rng.permutation(n_train)
-        for start in range(0, n_train, config.batch_size):
-            batch = train_set.subset(perm[start : start + config.batch_size])
-            try:
-                if running is not None:
-                    running = _update_bn_running(running, bn_batch_statistics(spec, theta, batch))
-                record, g = None, None
-                if step > 0 and step % config.eval_every == 0:
-                    record, g_now = _checkpoint_record(
-                        config, theta, step, epoch, lr,
-                        train_set, val_set, eval_subset, batch, running,
-                    )
-                    if not spec.has_bn:
-                        # without BN the checkpoint's g_now is this step's
-                        # gradient: the same call on the same batch
-                        g = g_now
-                    if param_sink is not None:
-                        param_sink(step, theta.copy())
-                if g is None:
-                    g = grad(spec, theta, batch, BATCH_STATS)
-                theta_next, velocity = sgd_step(theta, g, velocity, lr, config.momentum)
-                if record is not None:
-                    eval_mode = running if running is not None else BATCH_STATS
-                    try:
-                        record.delta_loss = delta_loss(
-                            spec, record.train_loss, theta_next, train_set, eval_mode
-                        )
-                    except NonFiniteError:
-                        record.delta_loss = None
-                        records.append(record)
-                        diverged = True
-                        break
-                    records.append(record)
-                theta = theta_next
-                if not np.all(np.isfinite(theta)):
-                    raise NonFiniteError("parameters diverged")
-            except NonFiniteError:
-                diverged = True
-                break
+    for epoch in range(first.epochs):
+        for cell in stack.cells:
+            cell.perm = cell.shuffle.permutation(n_train)
+        for start in range(0, n_train, first.batch_size):
+            stack = _advance(stack, step, epoch, start, train_set, val_set, param_sink)
             step += 1
-        if diverged:
+            if not stack.cells:
+                break
+        if not stack.cells:
             break
-    return records, summarize_run(records, diverged, config.accuracy_threshold)
+    results = [
+        c.error if c.error is not None
+        else (c.records, summarize_run(c.records, c.diverged, c.config.accuracy_threshold))
+        for c in cells
+    ]
+    if stacked:
+        return results
+    if isinstance(results[0], BreakevenError):
+        raise results[0]
+    return results[0]
 
 
 def summarize_run(
@@ -514,10 +656,13 @@ def sweep(
     lambda_k1 (and lambda_h1, trace_k) strictly shrink toward larger learning
     rate / momentum or smaller batch size; the pre-conditioning reading when
     max cond_ratio strictly grows in the same direction. A value the run
-    config rejects raises before any cell trains. Diverged cells and cells
-    that fail with a package error (``BreakevenError``) while training, such
-    as a batch larger than the training split, are isolated and excluded
-    from the means; any other exception is a bug and propagates.
+    config rejects raises before any cell trains. Cells that share a step
+    schedule train as one stack (``run_training`` on a sequence): on the
+    η and momentum axes that is every cell, on the batch-size axis the
+    seeds of one batch size. Diverged cells and cells that fail with a
+    package error (``BreakevenError``) while training, such as a batch
+    larger than the training split, are isolated and excluded from the
+    means; any other exception is a bug and propagates.
     """
     if axis_name not in SWEEP_AXES:
         raise InvalidConfigError(f"unknown sweep axis {axis_name!r}")
@@ -540,27 +685,39 @@ def sweep(
         for value in axis_values
         for seed in seeds
     ]
-    cells = []
-    for value, seed, cfg in plan:
+    stacks = {}
+    for i, (_, _, cfg) in enumerate(plan):
+        stacks.setdefault(_stack_key(cfg), []).append(i)
+    outcomes = [None] * len(plan)
+    for members in stacks.values():
         try:
-            records, summary = run_training(cfg, dataset)
-            cells.append(
-                SweepCell(
-                    axis_value=value,
-                    seed=seed,
-                    summary=summary,
-                    diverged=summary.diverged,
-                    records=records if keep_records else None,
-                    config=cfg,
-                )
-            )
-        except BreakevenError as exc:  # isolate per-cell failures; bugs propagate
+            results = run_training([plan[i][2] for i in members], dataset)
+        except BreakevenError as exc:  # the stack cannot start: each of its cells fails alike
+            results = [exc] * len(members)
+        for i, result in zip(members, results):
+            outcomes[i] = result
+
+    cells = []
+    for (value, seed, cfg), outcome in zip(plan, outcomes):
+        if isinstance(outcome, BreakevenError):  # isolate per-cell failures; bugs propagate
             cells.append(
                 SweepCell(
                     axis_value=value, seed=seed, summary=None, diverged=True,
-                    error=str(exc), error_type=type(exc).__name__, config=cfg,
+                    error=str(outcome), error_type=type(outcome).__name__, config=cfg,
                 )
             )
+            continue
+        records, summary = outcome
+        cells.append(
+            SweepCell(
+                axis_value=value,
+                seed=seed,
+                summary=summary,
+                diverged=summary.diverged,
+                records=records if keep_records else None,
+                config=cfg,
+            )
+        )
 
     metrics = ("max_lambda_k1", "max_cond_ratio", "max_lambda_h1", "max_trace_k")
     seed_means = {}

@@ -370,6 +370,24 @@ class TestReportCli:
         assert "sweep_report: " in err and "config: " not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "verdicts", [[1, 2], "holds", {"variance_reduction_lambda_k1": 1}, {"a": None}]
+    )
+    def test_verdicts_not_an_object_of_strings_exit_2_writes_nothing(
+        self, verdicts, tmp_path, log_dir, capsys
+    ):
+        bad = tmp_path / "sweep_report.json"
+        bad.write_text(json.dumps({"axis_name": "eta", "verdicts": verdicts}))
+        cfg = write_json(
+            tmp_path / "rep10.json",
+            {"logs": [str(log_dir / "metrics.jsonl")], "panels": [{"y": "train_loss"}],
+             "sweep_report": str(bad)},
+        )
+        out = tmp_path / "r10"
+        assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "sweep_report.verdicts" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_summary_table_lists_all_logs(self, tmp_path, log_dir):
         cfg = write_json(
             tmp_path / "rep5.json",
@@ -431,6 +449,16 @@ class TestConfigBoundary:
             ("sweep", "dataset.val_fraction", "0.2", "dataset.val_fraction"),
             # a rejected axis value stops the sweep before its first cell
             ("sweep", "axis", {"name": "eta", "values": [0.02, -0.1]}, "axis"),
+            # a key the section's kind does not read
+            ("simulate", "curvatures.value", 5.0, "curvatures.value"),
+            ("simulate", "curvatures", {"kind": "constant", "count": 20, "low": 0.5}, "curvatures.low"),
+            ("simulate", "curvatures", {"kind": "constant", "count": 20, "high": 1.5}, "curvatures.high"),
+            ("simulate", "curvatures", {"kind": "constant", "count": 20, "seed": 1}, "curvatures.seed"),
+            ("train", "schedule", {"kind": "constant", "decay_epoch": 3}, "schedule.decay_epoch"),
+            ("sweep", "schedule", {"decay_factor": 2.0}, "schedule.decay_factor"),
+            ("train", "model.init_constant", 0.1, "model.init_constant"),
+            ("sweep", "model", {"layer_sizes": [2, 8, 8, 2], "init": "constant", "init_gain": 1.0},
+             "model.init_gain"),
         ],
     )
     def test_rejected_value_exits_2_names_key_writes_nothing(
@@ -483,6 +511,14 @@ class TestConfigBoundary:
                 path = write_json(tmp_path / "w.json", workload.build_config(variant))
                 with pytest.raises(Resolved):
                     main([workload.subcommand, "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
+
+    def test_kind_specific_keys_accepted_under_their_kind(self):
+        args = build_parser().parse_args(["train", "--config", "c.json", "--out", "o"])
+        raw = {"model": {"layer_sizes": [2, 3, 2], "init": "constant", "init_constant": 0.1},
+               "schedule": {"kind": "step_decay", "decay_epoch": 2, "decay_factor": 5.0},
+               "eta": 0.1, "batch_size": 4, "epochs": 3}
+        config = resolve_run_config(raw, args)
+        assert config.model.init_constant == 0.1 and config.schedule.decay_factor == 5.0
 
     def test_train_columns_name_every_metric_field(self):
         for name in METRIC_FIELDS:

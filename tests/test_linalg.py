@@ -214,6 +214,76 @@ class TestSinglePassReorthogonalization:
         assert np.max(np.abs(ritz - top5)) <= 1e-8
 
 
+class TestStackedLanczos:
+    """Cells run in lockstep over a stacked operator: one matvec call per
+    step, everything else per cell."""
+
+    @staticmethod
+    def stacked(matrices, calls=None):
+        def apply(vs):
+            if calls is not None:
+                calls.append(vs.shape)
+            return np.stack([a @ v for a, v in zip(matrices, vs)])
+
+        return LinearOperator(dim=matrices[0].shape[0], apply=apply)
+
+    def test_each_cell_matches_its_own_run(self):
+        matrices = [random_symmetric(40, 300 + c) for c in range(3)]
+        seeds = [7, 8, 7]
+        calls = []
+        pairs = lanczos_topk(self.stacked(matrices, calls), k=4, max_iters=25, seed=seeds)
+        assert calls == [(3, 40)] * 25
+        for a, seed, ep in zip(matrices, seeds, pairs):
+            alone = lanczos_topk(LinearOperator.from_dense(DenseSymmetric.from_array(a)), k=4, max_iters=25, seed=seed)
+            assert np.max(np.abs(ep.eigenvalues - alone.eigenvalues)) <= 1e-12
+            assert np.max(np.abs(ep.eigenvectors - alone.eigenvectors)) <= 1e-12
+
+    def test_only_one_cell_breaks_down_and_restarts(self):
+        # the rank-2 projector exhausts its Krylov space and restarts; the
+        # random matrices beside it never break down
+        basis, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((12, 2)))
+        matrices = [random_symmetric(12, 40), basis @ basis.T, random_symmetric(12, 41)]
+        seeds = [3, 1, 5]
+        Q, alphas, betas = linalg._lanczos_basis(self.stacked(matrices), 12, seeds)
+        assert Q.shape == (3, 12, 12) and alphas.shape == (3, 12) and betas.shape == (3, 11)
+        assert np.count_nonzero(betas[1] == 0.0) >= 5
+        assert np.all(betas[[0, 2]] > linalg.LANCZOS_BREAKDOWN_TOL)
+        pairs = lanczos_topk(self.stacked(matrices), k=4, max_iters=12, seed=seeds)
+        for c, (a, seed) in enumerate(zip(matrices, seeds)):
+            op = LinearOperator.from_dense(DenseSymmetric.from_array(a))
+            q, al, be = linalg._lanczos_basis(op, 12, seed)
+            assert np.max(np.abs(Q[c] - q)) <= 1e-12 and np.max(np.abs(betas[c] - be)) <= 1e-12
+            alone = lanczos_topk(op, k=4, max_iters=12, seed=seed)
+            assert np.max(np.abs(pairs[c].eigenvalues - alone.eigenvalues)) <= 1e-12
+            assert orthonormality_error(Q[c]) <= 1e-10
+        assert np.allclose(pairs[1].eigenvalues, [1.0, 1.0, 0.0, 0.0], atol=1e-10)
+
+    def test_dgks_pass_of_one_cell_leaves_the_others_bitwise_alone(self):
+        # the non-symmetric rank-one term makes the DGKS test fire in cell 0
+        # (as in test_dgks_second_pass_restores_orthogonality); cell 1 never
+        # needs a second pass, and its basis is bitwise that of its own run
+        rng = np.random.default_rng(7)
+        s, e, f = random_symmetric(60, 8), rng.standard_normal(60), rng.standard_normal(60)
+        b = random_symmetric(60, 9)
+        ops = [lambda v: s @ v + 1e3 * e * (f @ v), lambda v: b @ v]
+        stacked = LinearOperator(dim=60, apply=lambda vs: np.stack([op(v) for op, v in zip(ops, vs)]))
+        Q, alphas, betas = linalg._lanczos_basis(stacked, 20, [0, 0])
+        for c, op in enumerate(ops):
+            q, al, be = linalg._lanczos_basis(LinearOperator(dim=60, apply=op), 20, 0)
+            assert np.array_equal(Q[c], q) and np.array_equal(alphas[c], al) and np.array_equal(betas[c], be)
+
+    def test_wrong_stack_shape_rejected(self):
+        op = LinearOperator(dim=5, apply=lambda vs: vs[:1])
+        with pytest.raises(DimensionMismatchError):
+            lanczos_topk(op, k=1, max_iters=3, seed=[0, 1])
+
+    def test_row_norms_are_bitwise_vector_norms(self):
+        rows = np.random.default_rng(2).standard_normal((4, 1000))
+        norms = linalg.row_norms(rows)
+        assert all(norms[i] == np.linalg.norm(rows[i]) for i in range(4))
+        assert linalg.row_norms(rows[0]) == np.linalg.norm(rows[0])
+
+
 class TestProjection:
     def test_in_span(self):
         b = np.array([[1.0], [0.0], [0.0]])

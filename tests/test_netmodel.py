@@ -477,6 +477,108 @@ class TestLinearizedHvp:
         assert np.array_equal(op.apply(v), a)
 
 
+class TestStackedTheta:
+    """A (C, D) stack θ: row c of every stacked result is bitwise the call
+    on row c alone, with one batch per cell or a batch shared by all."""
+
+    CELLS = 3
+
+    @staticmethod
+    def stacked_case(loss, activation, bn):
+        spec = MlpSpec(layer_sizes=(4, 9, 7, 3), activation=activation, batch_norm=bn != "none",
+                       loss=loss, seed=6)
+        rng = np.random.default_rng(17)
+        thetas = init_params(spec) + 0.3 * rng.standard_normal((TestStackedTheta.CELLS, spec.param_dim))
+        x = rng.standard_normal((TestStackedTheta.CELLS, 10, 4))
+        if loss == "softmax_cross_entropy":
+            y = rng.integers(0, 3, size=(TestStackedTheta.CELLS, 10))
+        else:
+            y = rng.standard_normal((TestStackedTheta.CELLS, 10, 3))
+        batches = [Batch(inputs=x[c], labels=y[c]) for c in range(TestStackedTheta.CELLS)]
+        modes = [BATCH_STATS] * TestStackedTheta.CELLS
+        stacked_mode = BATCH_STATS
+        if bn == "frozen":
+            modes = [bn_batch_statistics(spec, t, b) for t, b in zip(thetas, batches)]
+            stacked_mode = BnStats(
+                means=tuple(np.stack(m) for m in zip(*(s.means for s in modes))),
+                variances=tuple(np.stack(v) for v in zip(*(s.variances for s in modes))),
+            )
+        return spec, thetas, Batch(inputs=x, labels=y), batches, modes, stacked_mode
+
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("bn", ["none", "batch_stats", "frozen"])
+    def test_grad_and_forward_rows_equal_single_calls(self, loss, activation, bn):
+        spec, thetas, stacked, batches, modes, stacked_mode = self.stacked_case(loss, activation, bn)
+        g = grad(spec, thetas, stacked, stacked_mode)
+        res = forward_loss(spec, thetas, stacked, stacked_mode)
+        shared = grad(spec, thetas, batches[0], modes[0]) if bn != "frozen" else None
+        assert g.shape == thetas.shape
+        for c, (theta, batch, mode) in enumerate(zip(thetas, batches, modes)):
+            assert np.array_equal(g[c], grad(spec, theta, batch, mode))
+            one = forward_loss(spec, theta, batch, mode)
+            assert res.mean_loss[c] == one.mean_loss and res.accuracy[c] == one.accuracy
+            assert np.array_equal(res.per_example[c], one.per_example)
+            if shared is not None:
+                assert np.array_equal(shared[c], grad(spec, theta, batches[0], mode))
+
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("bn", ["none", "batch_stats", "frozen"])
+    def test_grouped_rows_pair_with_theta_rows(self, loss, activation, bn):
+        spec, thetas, _, batches, modes, stacked_mode = self.stacked_case(loss, activation, bn)
+        data = batches[0]
+        groups = np.stack([np.random.default_rng(c).choice(10, size=4, replace=False) for c in range(self.CELLS)])
+        rows = grouped_grads(spec, thetas, data, groups, stacked_mode)
+        for c, (theta, mode) in enumerate(zip(thetas, modes)):
+            assert np.array_equal(rows[c], grad(spec, theta, data.subset(groups[c]), mode))
+
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_linearized_product_rows_equal_single_calls(self, loss, activation):
+        spec, thetas, stacked, batches, _, _ = self.stacked_case(loss, activation, "none")
+        v = np.random.default_rng(3).standard_normal(thetas.shape)
+        products = hvp_pearlmutter(spec, thetas, stacked, v, netmodel.linearize(spec, thetas, stacked))
+        op = hessian_operator(spec, thetas, stacked)
+        assert np.array_equal(op.apply(v), products)
+        for c, (theta, batch) in enumerate(zip(thetas, batches)):
+            assert np.array_equal(products[c], hvp_pearlmutter(spec, theta, batch, v[c]))
+
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("bn", ["none", "batch_stats", "frozen"])
+    def test_fd_product_is_the_difference_of_two_gradients(self, loss, activation, bn):
+        # theta +- step run as one two-row stack; the product is bitwise the
+        # difference of two separate gradient calls, for one theta and a stack
+        spec, thetas, stacked, batches, modes, stacked_mode = self.stacked_case(loss, activation, bn)
+        v = np.random.default_rng(5).standard_normal(thetas.shape)
+        products = hvp_fd(spec, thetas, stacked, v, stacked_mode)
+        for c, (theta, batch, mode) in enumerate(zip(thetas, batches, modes)):
+            norm = float(np.linalg.norm(v[c]))
+            step = v[c] * (netmodel.FD_EPS / norm)
+            want = grad(spec, theta + step, batch, mode)
+            want -= grad(spec, theta - step, batch, mode)
+            want *= norm / (2.0 * netmodel.FD_EPS)
+            assert np.array_equal(hvp_fd(spec, theta, batch, v[c], mode), want)
+            assert np.array_equal(products[c], want)
+
+    def test_fd_product_is_one_gradient_call(self, monkeypatch):
+        spec, batch = spec_matrix()[1]
+        theta = init_params(spec)
+        calls = []
+        real = netmodel.grad
+        monkeypatch.setattr(netmodel, "grad", lambda *a: calls.append(np.shape(a[1])) or real(*a))
+        hvp_fd(spec, theta, batch, np.ones_like(theta), bn_batch_statistics(spec, theta, batch))
+        assert calls == [(2, spec.param_dim)]
+
+    def test_zero_direction_in_any_row_rejected(self):
+        spec, thetas, stacked, _, _, _ = self.stacked_case("mse", "tanh", "none")
+        v = np.ones_like(thetas)
+        v[1] = 0.0
+        with pytest.raises(ZeroDirectionError):
+            hvp_fd(spec, thetas, stacked, v)
+
+
 class TestBnGammaNorm:
     def test_init_norm_is_sqrt_width(self):
         spec = MlpSpec(layer_sizes=(4, 16, 2), batch_norm=True, seed=0)

@@ -81,11 +81,13 @@ class TestSimulateSgd:
         assert np.max(rel) < 1e-12
 
     def test_full_batch_geometric_with_offset_minimum(self):
-        model = QuadraticModel(curvatures=np.array([1.0, 2.0, 3.0]), psi_star=0.5)
+        # psi is measured from the minimum: a minimum at 0.5 and a start at
+        # 2.0 is the deviation 1.5, and the iterates are 0.5 + psi_t
+        model = QuadraticModel(curvatures=np.array([1.0, 2.0, 3.0]))
         setting = SgdSetting(eta=0.2, batch_size=3)
-        res = simulate_sgd(model, setting, psi0=2.0, steps=15, seed=1)
+        res = simulate_sgd(model, setting, psi0=2.0 - 0.5, steps=15, seed=1)
         expected = 0.5 + 1.5 * (1.0 - 0.2 * 2.0) ** np.arange(16)
-        rel = np.abs(res.trajectory - expected) / np.abs(expected - 0.5)
+        rel = np.abs(0.5 + res.trajectory - expected) / np.abs(expected - 0.5)
         assert np.max(rel) < 1e-12
 
     def test_divergence_truncates(self):
@@ -109,7 +111,7 @@ class TestSimulateSgd:
 def ensemble_reference(model, setting, psi0, steps, n_traj, rng):
     # one step at a time, each batch the argpartition of that step's keys
     n, s, h = model.n, setting.batch_size, model.curvatures
-    dev = np.full(n_traj, float(psi0) - model.psi_star)
+    dev = np.full(n_traj, float(psi0))
     out = [float(np.mean(dev * dev))]
     for _ in range(steps):
         if s == n:

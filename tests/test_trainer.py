@@ -394,6 +394,95 @@ class TestSweep:
             sweep(smoke_config(), ds, "width", [1, 2], seeds=[0])
 
 
+def records_of(records):
+    return [r.to_json_dict() for r in records]
+
+
+class TestStackedTraining:
+    """Cells that share a step schedule train as one stack; each cell's log
+    is field-identical to its one-cell run."""
+
+    def test_sweep_stacks_cells_that_share_a_schedule(self, monkeypatch):
+        stacks = []
+        real = trainer.run_training
+
+        def spy(configs, dataset, *rest):
+            stacks.append([(c.eta, c.batch_size) for c in configs])
+            return real(configs, dataset, *rest)
+
+        monkeypatch.setattr(trainer, "run_training", spy)
+        cfg = smoke_config(epochs=1, spectra=SpectraParams(n_gradient_samples=6, lanczos_iters=8, top_k=2))
+        sweep(cfg, smoke_dataset(n=128), "eta", [0.05, 0.1], seeds=[0, 1])
+        assert stacks == [[(0.05, 32), (0.05, 32), (0.1, 32), (0.1, 32)]]
+        stacks.clear()
+        sweep(cfg, smoke_dataset(n=128), "batch_size", [16, 32], seeds=[0, 1])
+        assert stacks == [[(0.05, 16), (0.05, 16)], [(0.05, 32), (0.05, 32)]]
+
+    def test_seeds_axis_cells_draw_different_batches(self, monkeypatch):
+        ds = smoke_dataset(n=128)
+        cfg = smoke_config(epochs=2, eval_every=2,
+                           spectra=SpectraParams(n_gradient_samples=6, lanczos_iters=8, top_k=2))
+        step_batches = []
+        real_grad = trainer.grad
+
+        def spy(spec, theta, batch, mode):
+            if isinstance(mode, str):
+                step_batches.append(batch.inputs.copy())
+            return real_grad(spec, theta, batch, mode)
+
+        monkeypatch.setattr(trainer, "grad", spy)
+        report = sweep(cfg, ds, "eta", [0.05, 0.1], seeds=[0, 1, 2], keep_records=True)
+        monkeypatch.setattr(trainer, "grad", real_grad)
+        first = step_batches[0]
+        assert first.shape == (6, cfg.batch_size, 2)
+        # cells of one seed share their shuffles; different seeds do not
+        assert np.array_equal(first[0], first[3])
+        assert not np.array_equal(first[0], first[1]) and not np.array_equal(first[1], first[2])
+        for cell in report.cells:
+            records, summary = run_training(cell.config, ds)
+            assert records_of(cell.records) == records_of(records)
+            assert cell.summary.to_json_dict() == summary.to_json_dict()
+
+    def test_failing_cells_leave_the_stack_and_the_rest_match_one_cell_runs(self, monkeypatch):
+        # four cells in one stack: eta = 2 diverges (as in
+        # test_diverging_cell_isolated), and the eta = 0.02 cell meets a
+        # package error at step 3; the stacked step replays cell by cell
+        ds = smoke_dataset(n=128)
+        cfg = smoke_config(
+            epochs=10, eval_every=1, batch_size=16,
+            model=MlpSpec(layer_sizes=(2, 8, 8, 2), activation="identity", loss="mse", seed=3),
+        )
+        plan = {c.axis_value: c.config for c in sweep(cfg, ds, "eta", [0.01, 0.02], seeds=[0]).cells}
+        poison = {}
+        run_training(plan[0.02], ds, param_sink=lambda step, theta: poison.setdefault(step, theta))
+        real_forward = trainer.forward_loss
+
+        def forward(spec, theta, batch, mode):
+            if np.array_equal(theta, poison[3]):
+                raise InvalidConfigError("poisoned checkpoint")
+            return real_forward(spec, theta, batch, mode)
+
+        monkeypatch.setattr(trainer, "forward_loss", forward)
+        report = sweep(cfg, ds, "eta", [0.01, 0.02, 2.0, 0.03], seeds=[0], keep_records=True)
+        cells = {c.axis_value: c for c in report.cells}
+        assert cells[0.02].error_type == "InvalidConfigError" and cells[0.02].records is None
+        with pytest.raises(InvalidConfigError, match="poisoned"):
+            run_training(cells[0.02].config, ds)
+        assert cells[2.0].diverged and cells[2.0].error is None and cells[2.0].records
+        for value in (0.01, 2.0, 0.03):
+            records, summary = run_training(cells[value].config, ds)
+            assert records_of(cells[value].records) == records_of(records)
+            assert cells[value].summary.to_json_dict() == summary.to_json_dict()
+        assert not cells[0.01].diverged and not cells[0.03].diverged
+
+    def test_stack_rejects_cells_with_different_schedules(self):
+        ds = smoke_dataset(n=128)
+        with pytest.raises(InvalidConfigError, match="share"):
+            run_training([smoke_config(), smoke_config(batch_size=16)], ds)
+        with pytest.raises(InvalidConfigError, match="param_sink"):
+            run_training([smoke_config()], ds, param_sink=lambda step, theta: None)
+
+
 class TestSerialization:
     def test_jsonl_roundtrip_and_schema(self):
         ds = smoke_dataset(n=128)
