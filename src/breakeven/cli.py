@@ -3,9 +3,10 @@
 Configs are JSON files; flags override file values. Each config section is
 built from a frozen dataclass whose defaults are the only ones, and every key
 it accepts changes an output. An unknown key, a key its section's kind does
-not read, a value of the wrong type (``errors.config_value``) or a sweep axis
-value the run config rejects exits 2, naming the key, before any output is
-written or any cell trains.
+not read, a value of the wrong type (``errors.config_value``), a sweep axis
+value the run config rejects or a model or batch the dataset cannot train
+(``_check_fits``) exits 2, naming the key, before any output is written or
+any cell trains.
 ``--seed`` sets the run seed of train/sweep and ``monte_carlo.seed`` of
 simulate; report draws nothing and takes none. Every output file starts with
 a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash of
@@ -267,6 +268,18 @@ def _dataset_from_config(raw: dict) -> Dataset:
         return make_dataset(cfg, _coerce(int, cfg.get("seed", 0), "dataset.seed"))
 
 
+def _check_fits(config: RunConfig, dataset: Dataset, axis: str | None = None) -> None:
+    """Reject a run config that no cell could train on ``dataset``: a model
+    input width other than its feature count, or a batch larger than its
+    training split. On the batch-size axis each value is its own cell, and
+    one larger than the split fails alone, so the base value is not read."""
+    width = config.model.layer_sizes[0]
+    if width != dataset.n_features:
+        raise SchemaError("model.layer_sizes", f"input width {width} != {dataset.n_features} dataset features")
+    if axis != "batch_size" and config.batch_size > dataset.n_train:
+        raise SchemaError("batch_size", f"{config.batch_size} exceeds the {dataset.n_train} training examples")
+
+
 @dataclasses.dataclass(frozen=True)
 class _Axis:
     name: str
@@ -449,6 +462,7 @@ def cmd_train(args) -> int:
     raw = _load_json(args.config)
     config = resolve_run_config(raw, args)
     dataset = _dataset_from_config(raw)
+    _check_fits(config, dataset)
     for key in _SWEEP_ONLY:
         if key in raw:
             raise SchemaError(key, "only sweep reads this key")
@@ -474,17 +488,16 @@ def cmd_sweep(args) -> int:
     seeds = list(_coerce(tuple[int, ...], raw.get("seeds", [0]), "seeds"))
     base = resolve_run_config(raw, args)
     dataset = _dataset_from_config(raw)
+    _check_fits(base, dataset, axis.name)
     out = Path(args.out)
     try:
-        report = sweep(base, dataset, axis.name, values, seeds, keep_records=True)
+        report = sweep(base, dataset, axis.name, values, seeds)
     except ValidationError as exc:
         raise SchemaError("axis", str(exc)) from None
 
     cells_payload = []
-    for cell in report.cells:
-        vi = values.index(cell.axis_value)
-        si = seeds.index(cell.seed)
-        log_name = f"logs/cell_{vi:02d}_{si:02d}.jsonl"
+    for k, cell in enumerate(report.cells):
+        log_name = "logs/cell_{:02d}_{:02d}.jsonl".format(*divmod(k, len(seeds)))
         if cell.records is not None:
             _atomic_write(out / log_name, "\n".join(metric_log_lines(cell.config, cell.records)) + "\n")
         cells_payload.append(

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegenerateProjectionError,
-    DimensionMismatchError,
     InsufficientCheckpointsError,
     InsufficientDataError,
     InvalidParamsError,
@@ -34,7 +33,6 @@ from .rng import derive_seed, make_rng
 
 RANK_TOL = 1e-12
 COND_RATIO_TOL = 1e-12
-CENTER_BLOCK_COLS = 8192  # 2.6 MB of centered samples at L = 40
 
 
 @dataclass(frozen=True)
@@ -67,13 +65,15 @@ def sample_minibatch_gradients(
     bn_mode: BnMode = BATCH_STATS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n_batches`` independent minibatches (without replacement within
-    each batch) and return their gradients as rows plus the sample mean.
+    each batch) and return their gradients, centered, as rows plus the sample
+    mean they were centered by.
 
-    Row i equals ``grad`` on the i-th drawn minibatch; all rows come from one
-    ``grouped_grads`` pass over the (n_batches, batch_size) index sets. The
-    mean of the sampled gradients stands in for the full-batch gradient when
-    forming the Gram matrix; use ``grad`` on the whole dataset when the exact
-    full gradient is needed (oracle tests do).
+    Row i equals ``grad`` on the i-th drawn minibatch minus the mean of all
+    rows; all rows come from one ``grouped_grads`` pass over the
+    (n_batches, batch_size) index sets, and the block it returns is centered
+    in place, so no second L x D block exists. The sample mean stands in for
+    the full-batch gradient; use ``grad`` on the whole dataset when the
+    exact full gradient is needed (oracle tests do).
     """
     if n_batches < 2:
         raise InvalidParamsError("need at least 2 gradient samples")
@@ -84,42 +84,27 @@ def sample_minibatch_gradients(
     rng = make_rng(seed)
     groups = np.stack([rng.choice(dataset.size, size=batch_size, replace=False) for _ in range(n_batches)])
     grads = grouped_grads(spec, theta, dataset, groups, bn_mode)
-    return grads, grads.mean(axis=0)
-
-
-def _centered_column_blocks(grads: np.ndarray, gbar: np.ndarray):
-    """Yield ``grads[:, cols] - gbar[cols]`` over consecutive blocks of at
-    most ``CENTER_BLOCK_COLS`` columns, so the centered samples never exist
-    as one full L x D copy. Every block is written into one reused buffer:
-    use it before asking for the next."""
-    n_cols = grads.shape[1]
-    buf = np.empty((grads.shape[0], min(n_cols, CENTER_BLOCK_COLS)))
-    for start in range(0, n_cols, CENTER_BLOCK_COLS):
-        stop = min(start + CENTER_BLOCK_COLS, n_cols)
-        yield np.subtract(grads[:, start:stop], gbar[start:stop], out=buf[:, : stop - start])
-
-
-def gram_from_gradients(grads: np.ndarray, gbar: np.ndarray) -> GramMatrix:
-    """Gram matrix with entries (1/L) <g_i - gbar, g_j - gbar>.
-
-    The inner products are accumulated over column blocks of the centered
-    samples, each centered before it is multiplied (never as G G^T minus a
-    correction, whose cancellation would swamp the small eigenvalues), so
-    no full centered copy of ``grads`` is made.
-    """
-    grads = np.asarray(grads, dtype=np.float64)
-    gbar = np.asarray(gbar, dtype=np.float64)
-    if grads.ndim != 2 or grads.shape[0] < 2:
-        raise InvalidParamsError("need a (L >= 2, D) gradient matrix")
-    if gbar.shape != (grads.shape[1],):
-        raise DimensionMismatchError("mean gradient length does not match samples")
-    n = grads.shape[0]
-    products = np.zeros((n, n))
     # overflow here surfaces as NonFiniteError downstream (divergence policy)
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in _centered_column_blocks(grads, gbar):
-            products += c @ c.T
-        upper = np.triu(products) / n
+        gbar = grads.mean(axis=0)
+        grads -= gbar
+    return grads, gbar
+
+
+def gram_from_gradients(centered: np.ndarray) -> GramMatrix:
+    """Gram matrix with entries (1/L) <c_i, c_j> of the centered samples
+    c_i = g_i - gbar (``sample_minibatch_gradients`` returns them).
+
+    The samples are centered before they are multiplied, never as G G^T
+    minus a correction, whose cancellation would swamp the small
+    eigenvalues.
+    """
+    c = np.asarray(centered, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] < 2:
+        raise InvalidParamsError("need a (L >= 2, D) gradient matrix")
+    # overflow here surfaces as NonFiniteError downstream (divergence policy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = np.triu(c @ c.T) / c.shape[0]
     entries = upper + np.triu(upper, 1).T
     return GramMatrix(entries=entries)
 
@@ -169,17 +154,14 @@ def k_spectrum(gram: GramMatrix) -> SpectralSummary:
     )
 
 
-def k_top_eigvecs(
-    grads: np.ndarray, gbar: np.ndarray, ks: SpectralSummary, k: int = 5
-) -> np.ndarray:
+def k_top_eigvecs(centered: np.ndarray, ks: SpectralSummary, k: int = 5) -> np.ndarray:
     """Top-k ambient-space eigenvectors of the covariance, as columns.
 
     A Gram eigenvector u with eigenvalue lambda > 0 maps to the ambient
-    eigenvector normalize(sum_i u_i (g_i - gbar)). The Gram eigenpairs come
-    from ``ks = k_spectrum(gram_from_gradients(grads, gbar))``, so the Gram
-    matrix is diagonalized once per set of samples. The samples are
-    centered one column block at a time, so no full centered copy of
-    ``grads`` is made.
+    eigenvector normalize(sum_i u_i c_i) of the centered samples c_i. The
+    Gram eigenpairs come from ``ks = k_spectrum(gram_from_gradients(centered))``,
+    so the Gram matrix is diagonalized once per set of samples, and the
+    samples are read in one ``centered.T @ U`` product.
     """
     n_samples = ks.gram_eigenvectors.shape[0]
     if k > n_samples - 1:
@@ -187,9 +169,7 @@ def k_top_eigvecs(
     n_positive = int(np.sum(ks.gram_eigenvalues >= RANK_TOL))
     if n_positive < k:
         raise RankDeficientError(f"only {n_positive} positive eigenvalues, need {k}")
-    top = ks.gram_eigenvectors[:, :k]
-    blocks = _centered_column_blocks(np.asarray(grads, dtype=np.float64), np.asarray(gbar, dtype=np.float64))
-    ambient = np.concatenate([c.T @ top for c in blocks])
+    ambient = np.asarray(centered, dtype=np.float64).T @ ks.gram_eigenvectors[:, :k]
     ambient /= np.linalg.norm(ambient, axis=0, keepdims=True)
     return _canonical_signs(ambient)
 
@@ -284,9 +264,9 @@ def m_sensitivity_report(
                 raise InsufficientDataError(
                     f"budget {budget} with batch size {m} is not drawable"
                 )
-            grads, gbar = sample_minibatch_gradients(
+            centered, _ = sample_minibatch_gradients(
                 spec, theta, dataset, n_batches, m, seed=derive_seed(seed, t, m)
             )
-            series[m][t] = k_spectrum(gram_from_gradients(grads, gbar)).lambda_k1
+            series[m][t] = k_spectrum(gram_from_gradients(centered)).lambda_k1
     r = pearson(series[m_values[0]], series[m_values[1]])
     return MSensitivityReport(m_values=m_values, series=series, pearson_r=r)

@@ -118,10 +118,14 @@ class SpectraParams:
     def __post_init__(self):
         if self.n_gradient_samples < 2:
             raise InvalidConfigError("need at least 2 gradient samples", "n_gradient_samples")
+        if self.gram_batch_size is not None and self.gram_batch_size < 1:
+            raise InvalidConfigError("gram_batch_size must be >= 1", "gram_batch_size")
         if self.top_k < 1:
             raise InvalidConfigError("top_k must be >= 1", "top_k")
         if self.hvp_method not in ("auto", "fd"):
             raise InvalidConfigError(f"unknown hvp method {self.hvp_method!r}", "hvp_method")
+        if self.lanczos_iters < 1:
+            raise InvalidConfigError("lanczos_iters must be >= 1", "lanczos_iters")
 
     def resolve_batch_size(self, n_train: int) -> int:
         if self.gram_batch_size is not None:
@@ -362,20 +366,20 @@ def _checkpoint_record(
     tops = []
     for theta, mode, cell, record, values in zip(stack.theta, modes, cells, records, lambda_h):
         record.lambda_h_top = [float(v) for v in values]
-        grads, gbar = sample_minibatch_gradients(
+        centered, _ = sample_minibatch_gradients(
             spec, theta, train_set, sp.n_gradient_samples, m,
             seed=derive_seed(cell.config.seed, 3, step), bn_mode=mode,
         )
-        ks = k_spectrum(gram_from_gradients(grads, gbar))
+        ks = k_spectrum(gram_from_gradients(centered))
         record.lambda_k1 = ks.lambda_k1
         record.lambda_k_star = ks.lambda_k_star
         record.cond_ratio = ks.cond_ratio
         record.trace_k = ks.trace_k
         try:
-            tops.append(k_top_eigvecs(grads, gbar, ks, k=min(5, sp.n_gradient_samples - 1)))
+            tops.append(k_top_eigvecs(centered, ks, k=min(5, sp.n_gradient_samples - 1)))
         except RankDeficientError:
             tops.append(None)  # g_ratio stays null
-        del grads, gbar  # one L x D block at a time
+        del centered  # one L x D block at a time
 
     g_step = None if spec.has_bn else grad(spec, stack.theta, step_batch, BATCH_STATS)
     if any(top is not None for top in tops):
@@ -648,7 +652,6 @@ def sweep(
     axis_name: str,
     axis_values: Sequence,
     seeds: Sequence[int],
-    keep_records: bool = False,
 ) -> SweepReport:
     """Run all (axis value, seed) cells and issue ordinal verdicts.
 
@@ -662,7 +665,9 @@ def sweep(
     seeds of one batch size. Diverged cells and cells that fail with a
     package error (``BreakevenError``) while training, such as a batch
     larger than the training split, are isolated and excluded from the
-    means; any other exception is a bug and propagates.
+    means; any other exception is a bug and propagates. Every cell keeps
+    its records. Cells come value-major: cell k is
+    (axis_values[k // len(seeds)], seeds[k % len(seeds)]).
     """
     if axis_name not in SWEEP_AXES:
         raise InvalidConfigError(f"unknown sweep axis {axis_name!r}")
@@ -714,7 +719,7 @@ def sweep(
                 seed=seed,
                 summary=summary,
                 diverged=summary.diverged,
-                records=records if keep_records else None,
+                records=records,
                 config=cfg,
             )
         )

@@ -106,8 +106,7 @@ def blob_dataset():
 @pytest.fixture(scope="session")
 def eta_sweep(blob_dataset):
     t0 = time.time()
-    report = sweep(desk_config(), blob_dataset, "eta", ETA_GRID, seeds=list(range(N_SEEDS)),
-                   keep_records=True)
+    report = sweep(desk_config(), blob_dataset, "eta", ETA_GRID, seeds=list(range(N_SEEDS)))
     report.elapsed = time.time() - t0
     return report
 
@@ -211,7 +210,7 @@ def test_criterion_04_gram_dense_equivalence():
         D = int(rng.integers(4, 65))
         grads = rng.standard_normal((L, D))
         gbar = grads.mean(axis=0)
-        gram = gram_from_gradients(grads, gbar)
+        gram = gram_from_gradients(grads - gbar)
         summary = k_spectrum(gram)
         centered = grads - gbar
         cov = centered.T @ centered / L
@@ -386,7 +385,7 @@ def bn_sweep(blob_dataset):
         spectra=SpectraParams(n_gradient_samples=25, gram_batch_size=8,
                               lanczos_iters=20, hvp_method="fd"),
     )
-    report = sweep(config, blob_dataset, "eta", [0.01, 0.2], seeds=[0, 1, 2], keep_records=True)
+    report = sweep(config, blob_dataset, "eta", [0.01, 0.2], seeds=[0, 1, 2])
     report.elapsed = time.time() - t0
     return report
 

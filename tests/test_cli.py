@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from breakeven import cli
+from breakeven import cli, trainer
 from breakeven.cli import TRAIN_COLUMNS, build_parser, main, resolve_run_config
 from breakeven.netmodel import MlpSpec
 from breakeven.trainer import METRIC_FIELDS, RunConfig, validate_metric_log
@@ -252,6 +252,21 @@ class TestSweepCli:
         assert ok["error_type"] is None and not ok["diverged"]
         assert bad["error_type"] == "InvalidConfigError" and bad["diverged"]
 
+    def test_repeated_values_and_seeds_write_one_log_per_cell(self, tmp_path, train_config):
+        cfg = json.loads(Path(train_config).read_text())
+        cfg["epochs"] = 1
+        cfg["axis"] = {"name": "eta", "values": [0.05, 0.05]}
+        cfg["seeds"] = [4, 4]
+        path = write_json(tmp_path / "sweep_rep.json", cfg)
+        out = tmp_path / "sweep_rep"
+        assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        names = [cell["log"] for cell in report["cells"]]
+        assert names == [f"logs/cell_{v:02d}_{s:02d}.jsonl" for v in range(2) for s in range(2)]
+        assert sorted(f"logs/{p.name}" for p in (out / "logs").iterdir()) == names
+        # the cells repeat one (value, seed) pair, so their logs agree
+        assert len({(out / name).read_bytes() for name in names}) == 1
+
     def test_single_axis_value_exit_2(self, tmp_path, train_config):
         cfg = json.loads(Path(train_config).read_text())
         cfg["axis"] = {"name": "eta", "values": [0.05]}
@@ -410,6 +425,20 @@ class TestConfigBoundary:
     }
     REPORT = {"logs": ["metrics.jsonl"], "panels": [{"y": "lambda_k1"}]}
 
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        """The configs ``run_training`` is called with, by train or sweep."""
+        calls = []
+        real_run_training = trainer.run_training
+
+        def spy(config, *args, **kwargs):
+            calls.append(config)
+            return real_run_training(config, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "run_training", spy)
+        monkeypatch.setattr(cli, "run_training", spy)
+        return calls
+
     @staticmethod
     def with_value(cfg, dotted, value):
         cfg = copy.deepcopy(cfg)
@@ -459,10 +488,19 @@ class TestConfigBoundary:
             ("train", "model.init_constant", 0.1, "model.init_constant"),
             ("sweep", "model", {"layer_sizes": [2, 8, 8, 2], "init": "constant", "init_gain": 1.0},
              "model.init_gain"),
+            # values every cell would fail on stop the run before its first cell
+            ("sweep", "spectra.gram_batch_size", 0, "spectra.gram_batch_size"),
+            ("sweep", "spectra.gram_batch_size", -3, "spectra.gram_batch_size"),
+            ("sweep", "spectra.lanczos_iters", 0, "spectra.lanczos_iters"),
+            ("train", "spectra.lanczos_iters", 0, "spectra.lanczos_iters"),
+            ("sweep", "model.layer_sizes", [3, 8, 8, 2], "model.layer_sizes"),
+            ("train", "model.layer_sizes", [3, 8, 8, 2], "model.layer_sizes"),
+            ("sweep", "batch_size", 10_000, "batch_size"),
+            ("train", "batch_size", 10_000, "batch_size"),
         ],
     )
     def test_rejected_value_exits_2_names_key_writes_nothing(
-        self, subcommand, dotted, value, named, train_config, tmp_path, capsys
+        self, subcommand, dotted, value, named, train_config, tmp_path, capsys, trained
     ):
         if subcommand == "simulate":
             base = self.SIMULATE
@@ -476,6 +514,7 @@ class TestConfigBoundary:
         assert main([subcommand, "--config", path, "--out", str(out), "--quiet"]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+        assert trained == []
 
     def test_minimal_run_config_takes_dataclass_defaults(self):
         args = build_parser().parse_args(["train", "--config", "c.json", "--out", "o"])

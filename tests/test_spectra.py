@@ -8,8 +8,7 @@ from breakeven.errors import (
     RankDeficientError,
 )
 from breakeven.linalg import DenseSymmetric, jacobi_eigh
-from breakeven.netmodel import Batch, MlpSpec, bn_batch_statistics, grad, init_params
-from breakeven import spectra
+from breakeven.netmodel import Batch, MlpSpec, bn_batch_statistics, grad, grouped_grads, init_params
 from breakeven.rng import make_rng
 from breakeven.spectra import (
     GramMatrix,
@@ -39,13 +38,13 @@ def random_grads(L, D, seed):
 class TestGram:
     def test_identical_gradients_zero_matrix(self):
         g = np.tile(np.arange(4.0), (3, 1))
-        gram = gram_from_gradients(g, g.mean(axis=0))
+        gram = gram_from_gradients(g - g.mean(axis=0))
         assert np.array_equal(gram.entries, np.zeros((3, 3)))
 
     def test_antipodal_pair_hand_computation(self):
         v = np.array([1.0, 2.0, -1.0])
         g = np.vstack([v, -v])
-        gram = gram_from_gradients(g, np.zeros(3))
+        gram = gram_from_gradients(g)
         nsq = float(v @ v)
         expected = np.array([[nsq / 2, -nsq / 2], [-nsq / 2, nsq / 2]])
         assert np.allclose(gram.entries, expected, atol=1e-14)
@@ -54,7 +53,7 @@ class TestGram:
 
     def test_exact_symmetry(self):
         g, gbar = random_grads(6, 40, 0)
-        gram = gram_from_gradients(g, gbar)
+        gram = gram_from_gradients(g - gbar)
         assert np.array_equal(gram.entries, gram.entries.T)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -62,29 +61,21 @@ class TestGram:
         rng = np.random.default_rng(seed)
         L, D = rng.integers(3, 8), rng.integers(10, 41)
         g, gbar = random_grads(int(L), int(D), 100 + seed)
-        gram = gram_from_gradients(g, gbar)
+        gram = gram_from_gradients(g - gbar)
         gram_eigs = jacobi_eigh(DenseSymmetric.from_array(gram.entries)).eigenvalues
         dense_eigs = dense_covariance_eigs(g, gbar)
         k = min(len(gram_eigs), len(dense_eigs))
         assert np.max(np.abs(gram_eigs[:k][gram_eigs[:k] > 1e-12] - dense_eigs[: np.sum(gram_eigs[:k] > 1e-12)])) < 1e-10
 
-    def test_column_blocks_match_full_centering(self, monkeypatch):
-        g, gbar = random_grads(7, 40, 5)
-        centered = g - gbar
-        expected = centered @ centered.T / 7
-        monkeypatch.setattr(spectra, "CENTER_BLOCK_COLS", 6)  # six full blocks and one of 4
-        entries = gram_from_gradients(g, gbar).entries
-        assert np.array_equal(entries, entries.T)
-        assert np.max(np.abs(entries - expected)) < 1e-12 * np.max(np.abs(expected))
-
     def test_peak_memory_below_one_gradient_block(self, traced_peak):
         g, gbar = random_grads(40, 65536, 6)  # 21 MB
-        _, peak = traced_peak(lambda: gram_from_gradients(g, gbar))
+        centered = g - gbar
+        _, peak = traced_peak(lambda: gram_from_gradients(centered))
         assert peak < 0.25 * g.nbytes
 
     def test_row_sums_vanish_with_sample_mean(self):
         g, gbar = random_grads(8, 30, 3)
-        gram = gram_from_gradients(g, gbar)
+        gram = gram_from_gradients(g - gbar)
         fro = np.linalg.norm(gram.entries)
         assert np.max(np.abs(gram.entries.sum(axis=1))) < 1e-10 * max(fro, 1.0)
 
@@ -109,7 +100,7 @@ class TestKSpectrum:
 
     def test_trace_identity(self):
         g, gbar = random_grads(7, 25, 9)
-        gram = gram_from_gradients(g, gbar)
+        gram = gram_from_gradients(g - gbar)
         summary = k_spectrum(gram)
         assert summary.trace_k == pytest.approx(np.sum(summary.gram_eigenvalues), rel=1e-9)
         # (1/L) sum ||g_i - gbar||^2 equals the trace by construction
@@ -118,7 +109,7 @@ class TestKSpectrum:
 
     def test_ordering_invariants(self):
         g, gbar = random_grads(9, 30, 5)
-        summary = k_spectrum(gram_from_gradients(g, gbar))
+        summary = k_spectrum(gram_from_gradients(g - gbar))
         nonzero = summary.gram_eigenvalues[summary.gram_eigenvalues > 1e-12]
         assert summary.lambda_k_star <= np.mean(nonzero) <= summary.lambda_k1
         assert 0 < summary.cond_ratio <= 1
@@ -126,8 +117,8 @@ class TestKSpectrum:
     def test_permutation_invariance_bitwise(self):
         g, gbar = random_grads(6, 20, 7)
         perm = np.random.default_rng(0).permutation(6)
-        a = k_spectrum(gram_from_gradients(g, gbar))
-        b = k_spectrum(gram_from_gradients(g[perm], gbar))
+        a = k_spectrum(gram_from_gradients(g - gbar))
+        b = k_spectrum(gram_from_gradients(g[perm] - gbar))
         assert np.array_equal(a.gram_eigenvalues, b.gram_eigenvalues)
         assert a.lambda_k1 == b.lambda_k1
         assert a.trace_k == b.trace_k
@@ -137,14 +128,14 @@ class TestTopEigvecs:
     def test_antipodal_single_direction(self):
         v = np.array([3.0, 4.0, 0.0])
         g = np.vstack([v, -v])
-        gram = gram_from_gradients(g, np.zeros(3))
-        vecs = k_top_eigvecs(g, np.zeros(3), k_spectrum(gram), k=1)
+        gram = gram_from_gradients(g)
+        vecs = k_top_eigvecs(g, k_spectrum(gram), k=1)
         assert np.allclose(np.abs(vecs[:, 0]), np.abs(v) / 5.0, atol=1e-12)
 
     def test_ambient_eigen_residual_vs_dense(self):
         g, gbar = random_grads(8, 50, 11)
-        gram = gram_from_gradients(g, gbar)
-        vecs = k_top_eigvecs(g, gbar, k_spectrum(gram), k=5)
+        gram = gram_from_gradients(g - gbar)
+        vecs = k_top_eigvecs(g - gbar, k_spectrum(gram), k=5)
         centered = g - gbar
         cov = centered.T @ centered / g.shape[0]
         eigs = k_spectrum(gram).gram_eigenvalues[:5]
@@ -157,7 +148,7 @@ class TestTopEigvecs:
         g, _ = random_grads(5, 30, 13)
         g = np.vstack([g, g[0]])  # duplicate one sample
         gbar = g.mean(axis=0)
-        gram = gram_from_gradients(g, gbar)
+        gram = gram_from_gradients(g - gbar)
         gram_eigs = k_spectrum(gram).gram_eigenvalues
         dense = dense_covariance_eigs(g, gbar)
         nz = gram_eigs[gram_eigs > 1e-12]
@@ -166,42 +157,33 @@ class TestTopEigvecs:
     def test_shuffled_sample_order_gives_same_vectors(self):
         g, gbar = random_grads(10, 40, 17)
         perm = np.random.default_rng(3).permutation(10)
-        a = k_top_eigvecs(g, gbar, k_spectrum(gram_from_gradients(g, gbar)), k=4)
-        b = k_top_eigvecs(g[perm], gbar, k_spectrum(gram_from_gradients(g[perm], gbar)), k=4)
+        a = k_top_eigvecs(g - gbar, k_spectrum(gram_from_gradients(g - gbar)), k=4)
+        b = k_top_eigvecs(g[perm] - gbar, k_spectrum(gram_from_gradients(g[perm] - gbar)), k=4)
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_gram_eigenvectors_reconstruct_gram(self):
         g, gbar = random_grads(9, 30, 19)
-        gram = gram_from_gradients(g, gbar)
+        gram = gram_from_gradients(g - gbar)
         summary = k_spectrum(gram)
         vecs = summary.gram_eigenvectors
         recon = vecs @ np.diag(summary.gram_eigenvalues) @ vecs.T
         assert np.max(np.abs(recon - gram.entries)) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
 
-    def test_column_blocks_match_full_centering(self, monkeypatch):
-        g, gbar = random_grads(8, 45, 23)
-        ks = k_spectrum(gram_from_gradients(g, gbar))
-        centered = g - gbar
-        expected = centered.T @ ks.gram_eigenvectors[:, :4]
-        expected /= np.linalg.norm(expected, axis=0)
-        monkeypatch.setattr(spectra, "CENTER_BLOCK_COLS", 8)  # five full blocks and one of 5
-        vecs = k_top_eigvecs(g, gbar, ks, k=4)
-        assert np.allclose(np.abs(vecs), np.abs(expected), rtol=0.0, atol=1e-12)
-
     def test_peak_memory_below_one_gradient_block(self, traced_peak):
         g, gbar = random_grads(40, 65536, 24)  # 21 MB
-        ks = k_spectrum(gram_from_gradients(g, gbar))
-        _, peak = traced_peak(lambda: k_top_eigvecs(g, gbar, ks, k=5))
-        # the D x 5 output and two temporaries of its size, one centered block
+        centered = g - gbar
+        ks = k_spectrum(gram_from_gradients(centered))
+        _, peak = traced_peak(lambda: k_top_eigvecs(centered, ks, k=5))
+        # the D x 5 output and two temporaries of its size
         assert peak < 0.5 * g.nbytes
 
     def test_rank_deficient(self):
         v = np.array([1.0, 0.0])
         g = np.vstack([v, -v, v, -v])
-        gram = gram_from_gradients(g, np.zeros(2))
+        gram = gram_from_gradients(g)
         with pytest.raises(RankDeficientError):
-            k_top_eigvecs(g, np.zeros(2), k_spectrum(gram), k=2)
+            k_top_eigvecs(g, k_spectrum(gram), k=2)
 
 
 class TestSubspaceRatio:
@@ -245,7 +227,7 @@ class TestSampleMinibatchGradients:
         data = Batch(inputs=rng.standard_normal((12, 3)), labels=rng.integers(0, 2, size=12))
         grads, gbar = sample_minibatch_gradients(spec, theta, data, n_batches=4, batch_size=12, seed=0)
         assert np.allclose(grads, grads[0], atol=1e-15)
-        gram = gram_from_gradients(grads, gbar)
+        gram = gram_from_gradients(grads)
         assert np.max(np.abs(gram.entries)) < 1e-20
 
     @pytest.mark.parametrize("batch_norm", [False, True])
@@ -262,8 +244,26 @@ class TestSampleMinibatchGradients:
             expected = np.stack(
                 [grad(spec, theta, data.subset(draw.choice(30, size=5, replace=False)), bn_mode) for _ in range(7)]
             )
-            assert np.array_equal(grads, expected)
+            assert np.array_equal(grads, expected - expected.mean(axis=0))
             assert np.array_equal(gbar, expected.mean(axis=0))
+
+    def test_centers_in_place_without_a_second_block(self, traced_peak):
+        # the peak of the draw's own grouped_grads call, plus the mean and
+        # one more D-vector: a centered copy of the 40 x D block would not fit
+        spec = MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=True, seed=1)
+        theta = init_params(spec)
+        rng = np.random.default_rng(5)
+        data = Batch(inputs=rng.standard_normal((64, 10)), labels=rng.integers(0, 10, size=64))
+
+        def draw_only():
+            draw = make_rng(3)
+            groups = np.stack([draw.choice(64, size=8, replace=False) for _ in range(40)])
+            return grouped_grads(spec, theta, data, groups)
+
+        raw, grads_peak = traced_peak(draw_only)
+        (centered, gbar), peak = traced_peak(lambda: sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3))
+        assert np.array_equal(centered, raw - raw.mean(axis=0))
+        assert peak <= grads_peak + 2 * gbar.nbytes
 
     def test_oversized_batch_rejected(self):
         spec = MlpSpec(layer_sizes=(2, 4, 2), seed=0)

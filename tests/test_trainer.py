@@ -431,7 +431,7 @@ class TestStackedTraining:
             return real_grad(spec, theta, batch, mode)
 
         monkeypatch.setattr(trainer, "grad", spy)
-        report = sweep(cfg, ds, "eta", [0.05, 0.1], seeds=[0, 1, 2], keep_records=True)
+        report = sweep(cfg, ds, "eta", [0.05, 0.1], seeds=[0, 1, 2])
         monkeypatch.setattr(trainer, "grad", real_grad)
         first = step_batches[0]
         assert first.shape == (6, cfg.batch_size, 2)
@@ -463,7 +463,7 @@ class TestStackedTraining:
             return real_forward(spec, theta, batch, mode)
 
         monkeypatch.setattr(trainer, "forward_loss", forward)
-        report = sweep(cfg, ds, "eta", [0.01, 0.02, 2.0, 0.03], seeds=[0], keep_records=True)
+        report = sweep(cfg, ds, "eta", [0.01, 0.02, 2.0, 0.03], seeds=[0])
         cells = {c.axis_value: c for c in report.cells}
         assert cells[0.02].error_type == "InvalidConfigError" and cells[0.02].records is None
         with pytest.raises(InvalidConfigError, match="poisoned"):
