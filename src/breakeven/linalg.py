@@ -15,7 +15,7 @@ of them, so the cells of a sweep share each Hessian-vector product pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class EigenPairs:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # shape (dim, k), column i pairs with eigenvalues[i]
+    # shape (dim, k), column i pairs with eigenvalues[i]; None from
+    # lanczos_topk(..., vectors=False)
+    eigenvectors: Optional[np.ndarray]
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -135,18 +137,18 @@ def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return v
 
 
-def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``v`` minus its projection onto the rows of ``basis`` (orthonormal),
-    in place, by classical Gram-Schmidt applied twice, which suffices in
-    float64."""
-    return _project_out(_project_out(v, basis), basis)
-
-
 def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """Random unit vector orthogonal to the rows of ``basis``."""
+    """Random unit vector orthogonal to the rows of ``basis``, orthogonalized
+    as a Lanczos step is: one classical Gram-Schmidt pass, and a second only
+    when the DGKS test finds that the first removed most of the draw. Against
+    an empty basis the pass subtracts zero, so the first start vector is the
+    normalized draw."""
     for _ in range(64):
-        v = _orthogonalize(rng.standard_normal(basis.shape[1]), basis)
-        norm = np.linalg.norm(v)
+        v = rng.standard_normal(basis.shape[1])
+        drawn = np.linalg.norm(v)
+        norm = np.linalg.norm(_project_out(v, basis))
+        if norm < drawn / np.sqrt(2.0):
+            norm = np.linalg.norm(_project_out(v, basis))
         if norm > 1e-10:
             return v / norm
     raise NoConvergenceError("could not draw a start vector outside the Krylov span")
@@ -199,17 +201,20 @@ def _lanczos_basis(
     return (Q[0], alphas[0], betas[0]) if single else (Q, alphas, betas)
 
 
-def _ritz_pairs(Q: np.ndarray, alphas: np.ndarray, betas: np.ndarray, k: int) -> EigenPairs:
-    """Top-k Ritz pairs of one Lanczos basis and its tridiagonal."""
+def _ritz_pairs(Q: np.ndarray, alphas: np.ndarray, betas: np.ndarray, k: int, vectors: bool) -> EigenPairs:
+    """Top-k Ritz pairs of one Lanczos basis and its tridiagonal; without
+    ``vectors`` only the Ritz values, and no D x k block is formed."""
     T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     ritz = jacobi_eigh(DenseSymmetric.from_array(T))
-    vectors = Q.T @ ritz.eigenvectors[:, :k]
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=_canonical_signs(vectors))
+    if not vectors:
+        return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=None)
+    ambient = Q.T @ ritz.eigenvectors[:, :k]
+    ambient /= np.linalg.norm(ambient, axis=0, keepdims=True)
+    return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=_canonical_signs(ambient))
 
 
 def lanczos_topk(
-    op: LinearOperator, k: int, max_iters: int, seed: Union[int, Sequence[int]]
+    op: LinearOperator, k: int, max_iters: int, seed: Union[int, Sequence[int]], vectors: bool = True
 ) -> Union[EigenPairs, list[EigenPairs]]:
     """Top-k algebraically largest eigenpairs via Lanczos with full
     reorthogonalization.
@@ -222,11 +227,13 @@ def lanczos_topk(
     Daniel-Gragg-Kaufman-Stewart test ‖r‖ < ‖r₃‖/√2), which keeps the basis
     orthonormal to rounding in float64. On breakdown (residual norm below
     ``LANCZOS_BREAKDOWN_TOL``) the iteration restarts with a fresh random
-    vector orthogonal to the converged subspace (two full passes,
-    ``_orthogonalize``), leaving a zero coupling in the tridiagonal; if the
+    vector orthogonal to the converged subspace, drawn under the same pass
+    and DGKS test, leaving a zero coupling in the tridiagonal; if the
     space is exhausted the spectrum found so far is exact. The tridiagonal
     is diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz vectors are
-    mapped back to the ambient space.
+    mapped back to the ambient space. With ``vectors=False`` that last
+    product is skipped and ``eigenvectors`` is None: the eigenvalues are
+    bitwise those of the default call.
 
     ``seed`` may instead be a sequence, one seed per cell of a stacked
     operator whose ``apply`` maps a (C, dim) stack of vectors to their C
@@ -241,8 +248,8 @@ def lanczos_topk(
         raise InvalidKError(f"k={k} must satisfy 1 <= k <= min(dim={n}, max_iters={max_iters})")
     Q, alphas, betas = _lanczos_basis(op, min(max_iters, n), seed)
     if np.ndim(seed) == 0:
-        return _ritz_pairs(Q, alphas, betas, k)
-    return [_ritz_pairs(*cell, k) for cell in zip(Q, alphas, betas)]
+        return _ritz_pairs(Q, alphas, betas, k, vectors)
+    return [_ritz_pairs(*cell, k, vectors) for cell in zip(Q, alphas, betas)]
 
 
 def project_onto_subspace(v: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

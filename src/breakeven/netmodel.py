@@ -49,6 +49,9 @@ from .rng import make_rng
 
 BN_EPS = 1e-5
 FD_EPS = 1e-4  # central-difference step of hvp_fd, along a unit direction
+# forward_loss evaluates independent rows in blocks whose widest activation
+# holds this many bytes per cell, small enough to stay in a core's L2 cache
+FORWARD_BLOCK_BYTES = 256 * 1024
 
 RELU = "relu"
 TANH = "tanh"
@@ -300,8 +303,10 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
-    """Run the network, returning logits plus per-layer caches for backward.
+def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode, keep_caches: bool = True):
+    """Run the network, returning logits plus per-layer caches for backward
+    (an empty list when ``keep_caches`` is False: the pass then holds about
+    two layers' activations at a time, not every layer's).
 
     ``x`` is (n, d), or (G, M, d) for G groups of M examples: every
     reduction runs over the example axis -2, so each group gets its own BN
@@ -341,7 +346,8 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode):
         h = _act(spec.activation[layer], y)
         cache["y"] = y
         cache["h"] = h
-        caches.append(cache)
+        if keep_caches:
+            caches.append(cache)
         a = h
     last = layout[-1]
     w = _matrix(theta, last)
@@ -391,21 +397,41 @@ def forward_loss(
 ) -> ForwardResult:
     """Mean loss, per-example losses and argmax accuracy on a batch.
 
+    θ and the labels are checked once. When the rows are independent (no
+    BN, or frozen ``BnStats``), the batch is evaluated in blocks of rows
+    sized so one activation of the widest layer fills ``FORWARD_BLOCK_BYTES``
+    per cell, and no layer caches are kept: each block's losses and
+    predictions are written into one (…, n) result, so the pass's memory
+    does not grow with n and each block reuses the memory the last one
+    freed, where one whole-batch pass maps fresh pages for every array. BN
+    batch statistics couple the rows, so that case stays one whole-batch
+    pass. The block size does not depend on the cell count, so row c of a
+    stacked call is still bitwise the call on row c alone; against one
+    whole-batch pass a row's loss may differ in the last bits, where the
+    BLAS kernel for a product depends on its row count.
+
     Accuracy ties resolve to the lowest class index. Raises NonFiniteError
     when activations overflow, which training loops treat as divergence.
     """
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
-    logits, _, _ = _forward(spec, theta, batch.inputs, bn_mode)
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_example = _per_example_loss(spec, logits, batch.labels)
+    mode = _resolve_bn(spec, bn_mode)
+    x, labels = batch.inputs, batch.labels
+    n = batch.size
+    rows = n if mode == BATCH_STATS else max(1, FORWARD_BLOCK_BYTES // (8 * max(spec.layer_sizes)))
+    lead = np.broadcast_shapes(theta.shape[:-1], x.shape[:-2])
+    per_example = np.empty(lead + (n,))
+    correct = np.empty(lead + (n,), dtype=bool)
+    classes = np.issubdtype(labels.dtype, np.integer)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        y = labels[..., block] if classes else labels[..., block, :]
+        logits, _, _ = _forward(spec, theta, x[..., block, :], mode, keep_caches=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_example[..., block] = _per_example_loss(spec, logits, y)
+        correct[..., block] = np.argmax(logits, axis=-1) == (y if classes else np.argmax(y, axis=-1))
     if not np.all(np.isfinite(per_example)):
         raise NonFiniteError("loss overflowed")
-    preds = np.argmax(logits, axis=-1)
-    if np.issubdtype(np.asarray(batch.labels).dtype, np.integer):
-        correct = preds == batch.labels
-    else:
-        correct = preds == np.argmax(batch.labels, axis=-1)
     return ForwardResult(
         mean_loss=_scalar(per_example.mean(axis=-1)),
         per_example=per_example,

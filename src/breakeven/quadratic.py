@@ -152,6 +152,18 @@ def simulate_sgd(
     return SimulationResult(trajectory=out, diverged=False)
 
 
+def _masked_sums(u: np.ndarray, s: int, weights: np.ndarray) -> np.ndarray:
+    """``(u <= kth) @ weights`` over the last axis, ``kth`` being each row's
+    s-th smallest key. The 0/1 mask is written as float64 into the copy
+    ``np.partition`` returns, once ``kth`` is taken out of it, so the
+    product needs no bool -> float64 block copy; the buffer is freed on
+    return, before the next block of keys is drawn."""
+    mask = np.partition(u, s - 1, axis=-1)
+    kth = mask[..., s - 1, None].copy()
+    np.less_equal(u, kth, out=mask, casting="unsafe")
+    return mask @ weights
+
+
 def ensemble_second_moments(
     model: QuadraticModel,
     setting: SgdSetting,
@@ -169,7 +181,9 @@ def ensemble_second_moments(
     draw per step would. The batch mean curvature is the masked sum
     ``(u <= kth) @ h / batch_size``, where ``kth`` is the ``batch_size``-th
     smallest key; a row whose mask counts more than ``batch_size`` keys
-    (tied keys) is resolved by ``argpartition`` instead.
+    (tied keys) is resolved by ``argpartition`` instead. The mask is
+    float64, written into ``np.partition``'s copy (``_masked_sums``), so a
+    block of steps holds two key-sized arrays: the keys and that copy.
     The deviations then advance as running products down the step axis.
     """
     for name, count in (("steps", steps), ("n_traj", n_traj)):
@@ -193,8 +207,7 @@ def ensemble_second_moments(
             hbar = np.full((b, n_traj), model.lambda_h)
         else:
             u = rng.random((b, n_traj, n))
-            mask = u <= np.partition(u, s - 1, axis=-1)[..., s - 1, None]
-            sums = mask @ h_and_count
+            sums = _masked_sums(u, s, h_and_count)
             hbar = sums[..., 0] / s
             tied = sums[..., 1] != s
             if tied.any():

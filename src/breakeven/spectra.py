@@ -117,10 +117,9 @@ def _canonical_sample_order(entries: np.ndarray) -> np.ndarray:
     gradient samples maps to the same canonical matrix and the spectra below
     come out bitwise identical.
     """
-    diag = np.diag(entries)
     rows = np.sort(entries, axis=1)
-    keys = [(diag[i], tuple(rows[i])) for i in range(entries.shape[0])]
-    return np.array(sorted(range(entries.shape[0]), key=lambda i: keys[i]), dtype=np.intp)
+    # np.lexsort is stable and reads its last key as the primary one
+    return np.lexsort(np.vstack([rows.T[::-1], np.diag(entries)]))
 
 
 def k_spectrum(gram: GramMatrix) -> SpectralSummary:
@@ -200,15 +199,17 @@ def hessian_spectrum(
     Hessian-vector-product operator evaluated on a subset of the data;
     ``method`` is passed to ``hessian_operator``, which resolves "auto".
 
-    Returns min(k, dim, max_iters) values. A (C, D) stack θ takes one seed
-    per row; its rows run one Lanczos in lockstep, one stacked product per
-    matvec, and the result has one row of values per row of θ.
+    Returns min(k, dim, max_iters) values, bitwise the ``eigenvalues`` of
+    ``lanczos_topk`` on the same operator; the Ritz vectors are not formed.
+    A (C, D) stack θ takes one seed per row; its rows run one Lanczos in
+    lockstep, one stacked product per matvec, and the result has one row of
+    values per row of θ.
     """
     if eval_subset.size < 1:
         raise InsufficientDataError("evaluation subset is empty")
     op = hessian_operator(spec, theta, eval_subset, method=method, bn_mode=bn_mode)
     k_eff = min(k, op.dim, max_iters)
-    pairs = lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed)
+    pairs = lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed, vectors=False)
     if np.ndim(seed) == 0:
         return pairs.eigenvalues
     return np.stack([p.eigenvalues for p in pairs])

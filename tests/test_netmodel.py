@@ -149,6 +149,77 @@ class TestForwardLoss:
             forward_loss(spec, theta, Batch(inputs=[[1e200]], labels=[[0.0]]))
 
 
+class TestForwardLossBlocks:
+    """Independent rows are evaluated in blocks of B rows; B is set by the
+    widest layer, 256 here."""
+
+    CELLS = 3
+
+    @staticmethod
+    def block_rows():
+        return netmodel.FORWARD_BLOCK_BYTES // (8 * 256)
+
+    @staticmethod
+    def case(loss, activation, bn, n):
+        spec = MlpSpec(layer_sizes=(4, 256, 9, 3), activation=activation, batch_norm=bn != "none",
+                       loss=loss, seed=3)
+        rng = np.random.default_rng(n)
+        cells = TestForwardLossBlocks.CELLS
+        thetas = init_params(spec) + 0.3 * rng.standard_normal((cells, spec.param_dim))
+        x = rng.standard_normal((cells, n, 4))
+        if loss == "softmax_cross_entropy":
+            y = rng.integers(0, 3, size=(cells, n))
+        else:
+            y = rng.standard_normal((cells, n, 3))
+        batch = Batch(inputs=x, labels=y)
+        mode = bn_batch_statistics(spec, thetas, batch) if bn == "frozen" else BATCH_STATS
+        return spec, thetas, batch, mode
+
+    @staticmethod
+    def whole_batch(spec, theta, batch, mode):
+        logits, _, _ = netmodel._forward(spec, theta, batch.inputs, mode)
+        per_example = netmodel._per_example_loss(spec, logits, batch.labels)
+        labels = batch.labels
+        if not np.issubdtype(labels.dtype, np.integer):
+            labels = np.argmax(labels, axis=-1)
+        return per_example, (np.argmax(logits, axis=-1) == labels).mean(axis=-1)
+
+    @pytest.mark.parametrize("offset", ["1", "B-1", "B", "B+1", "2B+3"])
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("bn", ["none", "frozen"])
+    def test_blocks_match_one_whole_batch_pass(self, offset, loss, activation, bn):
+        b = self.block_rows()
+        n = {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[offset]
+        spec, thetas, batch, mode = self.case(loss, activation, bn, n)
+        res = forward_loss(spec, thetas, batch, mode)
+        per_example, accuracy = self.whole_batch(spec, thetas, batch, mode)
+        assert res.per_example.shape == (self.CELLS, n)
+        assert np.max(np.abs(res.per_example - per_example) / np.abs(per_example)) <= 1e-13
+        assert np.array_equal(res.accuracy, accuracy)
+
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    def test_batch_statistics_stay_one_whole_batch_pass(self, loss):
+        spec, thetas, batch, _ = self.case(loss, "relu", "batch_stats", 2 * self.block_rows() + 3)
+        res = forward_loss(spec, thetas, batch)
+        per_example, accuracy = self.whole_batch(spec, thetas, batch, BATCH_STATS)
+        assert np.array_equal(res.per_example, per_example)
+        assert np.array_equal(res.accuracy, accuracy)
+
+    def test_peak_memory_does_not_grow_with_rows(self, traced_peak):
+        spec = MlpSpec(layer_sizes=(10, 256, 256, 10), loss="mse", seed=0)
+        theta = init_params(spec)
+        rng = np.random.default_rng(0)
+        n = 2 * self.block_rows()
+        small = Batch(inputs=rng.standard_normal((n, 10)), labels=rng.standard_normal((n, 10)))
+        large = Batch(inputs=rng.standard_normal((4 * n, 10)), labels=rng.standard_normal((4 * n, 10)))
+        _, small_peak = traced_peak(lambda: forward_loss(spec, theta, small))
+        _, large_peak = traced_peak(lambda: forward_loss(spec, theta, large))
+        # only the (n,) losses and the (n,) correct flags grow; one whole-batch
+        # pass would hold four times the activations
+        assert large_peak <= small_peak + 9 * 3 * n + 4096
+
+
 class TestGrad:
     def test_identity_net_closed_form(self):
         g = grad(tiny_identity_net(), np.array([1.0, 0.0]), Batch(inputs=[[1.0]], labels=[[2.0]]))

@@ -344,6 +344,25 @@ class TestHessianSpectrum:
         assert np.all(np.diff(lam) <= 0.0)
 
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_values_are_lanczos_eigenvalues_bitwise(self, stacked):
+        from breakeven.linalg import lanczos_topk
+        from breakeven.netmodel import hessian_operator
+
+        spec = MlpSpec(layer_sizes=(3, 8, 3), activation="tanh", seed=6)
+        rng = np.random.default_rng(4)
+        theta = init_params(spec) + 0.2 * rng.standard_normal((2, spec.param_dim) if stacked else spec.param_dim)
+        shape = (2, 12) if stacked else (12,)
+        data = Batch(inputs=rng.standard_normal(shape + (3,)), labels=rng.integers(0, 3, size=shape))
+        seed = [5, 9] if stacked else 5
+        lam = hessian_spectrum(spec, theta, data, k=4, max_iters=20, seed=seed)
+        pairs = lanczos_topk(hessian_operator(spec, theta, data), k=4, max_iters=20, seed=seed)
+        if stacked:
+            assert np.array_equal(lam, np.stack([p.eigenvalues for p in pairs]))
+        else:
+            assert np.array_equal(lam, pairs.eigenvalues)
+
+
 class TestPearsonAndMSensitivity:
     def test_pearson_formula(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
