@@ -84,11 +84,15 @@ class EigenPairs:
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    # np.argmax picks the first occurrence of the max, i.e. the lowest index on ties
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    """Negate, in place, each column whose entry of largest absolute value
+    (the lowest index on ties) is negative; returns ``vectors``. That entry
+    is the column's first max or first min, so no |vectors| copy is made
+    (and for columns contiguous in memory, no copy at all)."""
+    cols = np.arange(vectors.shape[1])
+    hi, lo = vectors.argmax(axis=0), vectors.argmin(axis=0)
+    top, neg_bottom = vectors[hi, cols], -vectors[lo, cols]
+    vectors *= np.where((neg_bottom > top) | ((neg_bottom == top) & (lo < hi)), -1.0, 1.0)
+    return vectors
 
 
 def _sorted_pairs(values: np.ndarray, vectors: np.ndarray) -> EigenPairs:

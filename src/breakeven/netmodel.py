@@ -11,7 +11,10 @@ There is one forward pass (``_forward``) and one reverse pass
 examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
 example axis within each group, so ``grouped_grads`` returns one minibatch
 gradient per group from a single pass; ``grad`` is its one-group case and
-``per_example_grads`` its groups-of-one case.
+``per_example_grads`` its groups-of-one case. The same reverse pass can
+leave chosen layers' weight gradients unsummed, as per-example factors
+(``grouped_grad_factors``), for readers that need only inner products of
+the group gradients.
 
 θ may carry leading axes too: a (C, D) stack holds one parameter vector per
 cell of a sweep. Weights are then read as (C, fan_in, fan_out) views and
@@ -305,8 +308,9 @@ def _t(a: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode, keep_caches: bool = True):
     """Run the network, returning logits plus per-layer caches for backward
-    (an empty list when ``keep_caches`` is False: the pass then holds about
-    two layers' activations at a time, not every layer's).
+    (an empty list when ``keep_caches`` is False: each layer's cache and
+    activations are then dropped before the next layer's product, so the
+    pass holds one layer's input and its products at a time).
 
     ``x`` is (n, d), or (G, M, d) for G groups of M examples: every
     reduction runs over the example axis -2, so each group gets its own BN
@@ -338,17 +342,17 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode, k
                 var = mode.variances[bn_index]
             bn_index += 1
             inv = 1.0 / np.sqrt(var[..., None, :] + BN_EPS)
-            xhat = (z - mu[..., None, :]) * inv
-            y = gamma * xhat + beta
-            cache.update(gamma=gamma, mu=mu, var=var, inv=inv, xhat=xhat, batch_stats=(mode == BATCH_STATS))
+            cache.update(gamma=gamma, mu=mu, var=var, inv=inv, batch_stats=(mode == BATCH_STATS))
+            cache["xhat"] = (z - mu[..., None, :]) * inv
+            y = gamma * cache["xhat"] + beta
         else:
             y = z
-        h = _act(spec.activation[layer], y)
+        a = cache["h"] = _act(spec.activation[layer], y)
         cache["y"] = y
-        cache["h"] = h
         if keep_caches:
             caches.append(cache)
-        a = h
+        # without caches only the next layer's input outlives this layer
+        del cache, z, y
     last = layout[-1]
     w = _matrix(theta, last)
     logits = a @ w + _row(theta, last["b"])
@@ -439,34 +443,62 @@ def forward_loss(
     )
 
 
-def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
+@dataclass(frozen=True)
+class LayerFactors:
+    """A dense layer's weight gradients over G groups of M examples, kept as
+    per-example factors: group g's gradient is ``inputs[g]ᵀ deltas[g]``, a
+    sum of M outer products of the layer input with the δ at the layer's
+    output. ``cols`` is where that (fan_in, fan_out) block sits, row-major,
+    in θ."""
+
+    cols: slice
+    inputs: np.ndarray  # (G, M, fan_in)
+    deltas: np.ndarray  # (G, M, fan_out)
+
+
+def _backward(
+    spec: MlpSpec, caches, last, dlogits, factored: Sequence[int] = ()
+) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
     """Accumulate parameter gradients given d(loss)/d(logits) rows.
 
     Sums run over the example axis -2; for grouped caches (or a stacked θ)
     the result has one gradient row per group (or per row of θ). Each weight
     gradient is written by ``np.matmul`` straight into its slice of the
-    result, so no (G, fan_in, fan_out) temporary is built.
+    result, so no (G, fan_in, fan_out) temporary is built. The weights of
+    the ``factored`` layers are not summed: their columns are left out of
+    the rows, and each such layer's input and δ are returned instead, as
+    ``LayerFactors`` in layer order.
     """
-    grad = np.zeros(dlogits.shape[:-2] + theta.shape[-1:])
+    skipped = [e["w"] for e in spec.layout() if e["layer"] in factored]
+    grad = np.zeros(dlogits.shape[:-2] + (spec.param_dim - sum(w.stop - w.start for w in skipped),))
     lead = grad.shape[:-1]
+    factors = []
+
+    def cols(part):
+        # where a θ slice sits in the rows: shifted past the skipped weights
+        if not skipped:
+            return part
+        shift = sum(w.stop - w.start for w in skipped if w.stop <= part.start)
+        return slice(part.start - shift, part.stop - shift)
 
     def weight_grad(entry, a_in, dz):
-        # splits only the contiguous last axis, so the reshape is a view
-        out = grad[..., entry["w"]].reshape(lead + (entry["fan_in"], entry["fan_out"]))
-        np.matmul(a_in.swapaxes(-1, -2), dz, out=out)
+        if entry["layer"] in factored:
+            factors.append(LayerFactors(cols=entry["w"], inputs=a_in, deltas=dz))
+        else:
+            # splits only the contiguous last axis, so the reshape is a view
+            out = grad[..., cols(entry["w"])].reshape(lead + (entry["fan_in"], entry["fan_out"]))
+            np.matmul(a_in.swapaxes(-1, -2), dz, out=out)
+        grad[..., cols(entry["b"])] = dz.sum(axis=-2)
 
-    delta = dlogits
-    entry = last["entry"]
-    weight_grad(entry, last["a_in"], delta)
-    grad[..., entry["b"]] = delta.sum(axis=-2)
-    d_a = delta @ _t(last["w"])
+    weight_grad(last["entry"], last["a_in"], dlogits)
+    # δ and weights of the layer above; the input layer's own δ goes nowhere
+    dz, upper = dlogits, last
     for cache in reversed(caches):
         entry = cache["entry"]
-        layer = entry["layer"]
-        dy = d_a * _act_d(spec.activation[layer], cache["y"], cache["h"])
+        dy = (dz @ _t(upper["w"])) * _act_d(spec.activation[entry["layer"]], cache["y"], cache["h"])
         if "gamma" in cache:
-            grad[..., entry["gamma"]] = (dy * cache["xhat"]).sum(axis=-2)
-            grad[..., entry["beta"]] = dy.sum(axis=-2)
+            grad[..., cols(entry["gamma"])] = (dy * cache["xhat"]).sum(axis=-2)
+            grad[..., cols(entry["beta"])] = dy.sum(axis=-2)
             dxhat = dy * cache["gamma"]
             if cache["batch_stats"]:
                 nb = dy.shape[-2]
@@ -478,9 +510,8 @@ def _backward(spec: MlpSpec, theta, caches, last, dlogits) -> np.ndarray:
         else:
             dz = dy
         weight_grad(entry, cache["a_in"], dz)
-        grad[..., entry["b"]] = dz.sum(axis=-2)
-        d_a = dz @ _t(cache["w"])
-    return grad
+        upper = cache
+    return grad, tuple(reversed(factors))
 
 
 def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnStats:
@@ -499,16 +530,40 @@ def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnSta
     return BnStats(means=tuple(means), variances=tuple(variances))
 
 
-def _mean_grads(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, labels, bn_mode: BnMode) -> np.ndarray:
+def _mean_grads(
+    spec: MlpSpec, theta: np.ndarray, x: np.ndarray, labels, bn_mode: BnMode, factored: Sequence[int] = ()
+) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
     """Gradient of the mean loss over the example axis -2 of ``x``: one
-    forward and one reverse pass, with θ and the labels already checked."""
+    forward and one reverse pass, with θ and the labels already checked.
+    The ``factored`` layers' weights come back as factors (``_backward``)."""
     logits, caches, last = _forward(spec, theta, x, bn_mode)
     dlogits = _loss_grad_logits(spec, logits, labels) / x.shape[-2]
-    g = _backward(spec, theta, caches, last, dlogits)
-    # NaN propagates through min and max and an inf sits at one end: no G x D mask
+    g, factors = _backward(spec, caches, last, dlogits, factored)
+    # NaN propagates through min and max and an inf sits at one end: no G x D
+    # mask; a non-finite δ also reaches its layer's bias columns
     if not (np.isfinite(g.min()) and np.isfinite(g.max())):
         raise NonFiniteError("gradient overflowed")
-    return g
+    return g, factors
+
+
+def grouped_grad_factors(
+    spec: MlpSpec, theta: np.ndarray, batch: Batch, groups, factored: Sequence[int], bn_mode: BnMode = BATCH_STATS
+) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
+    """``grouped_grads`` with the weight gradients of the ``factored`` layers
+    left as per-example factors, from the same single pass.
+
+    Returns the (G, P) rows of every other parameter, in θ order with the
+    factored weights' columns left out, and one ``LayerFactors`` per
+    factored layer, in layer order; with no layer factored the rows are
+    ``grouped_grads``'s. A factored layer's group gradient
+    ``inputs[g]ᵀ deltas[g]`` equals its block of ``grouped_grads`` row g.
+    """
+    theta = check_params(spec, theta)
+    _check_classification_labels(spec, batch)
+    groups = np.asarray(groups)
+    if groups.ndim != 2 or min(groups.shape) < 1:
+        raise InvalidParamsError("groups must be a (G >= 1, M >= 1) index array")
+    return _mean_grads(spec, theta, batch.inputs[groups], batch.labels[groups], bn_mode, factored)
 
 
 def grouped_grads(
@@ -522,12 +577,7 @@ def grouped_grads(
     groups share one forward and one reverse pass. With a (G, D) stack θ,
     group g is evaluated at row g.
     """
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
-    groups = np.asarray(groups)
-    if groups.ndim != 2 or min(groups.shape) < 1:
-        raise InvalidParamsError("groups must be a (G >= 1, M >= 1) index array")
-    return _mean_grads(spec, theta, batch.inputs[groups], batch.labels[groups], bn_mode)
+    return grouped_grad_factors(spec, theta, batch, groups, (), bn_mode)[0]
 
 
 def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS) -> np.ndarray:
@@ -536,7 +586,7 @@ def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH
     on the shared batch or, for a (C, n, d) batch, on block c."""
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
-    return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_mode)
+    return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_mode)[0]
 
 
 def per_example_grads(

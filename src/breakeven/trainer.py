@@ -7,9 +7,9 @@ eigenvalues on a fixed evaluation subset, the covariance spectrum from
 sampled minibatch gradients, the gradient-to-top-subspace ratio, BN gamma
 norms, and the training-set loss change across the step (delta_loss,
 positive when the step reduced the loss). The Hessian spectrum comes first
-so that its Lanczos basis and the L x D block of minibatch gradients are
-never held at the same time; each spectral reading draws from its own
-derived seed, so the order changes no logged value.
+so that its Lanczos basis and the sampled minibatch gradients are never
+held at the same time; each spectral reading draws from its own derived
+seed, so the order changes no logged value.
 
 There is one training loop, over a stack of cells in lockstep: a single
 run is the one-cell stack, and ``sweep`` stacks the cells that share a step
@@ -355,7 +355,7 @@ def _checkpoint_record(
         record.val_acc = forward_loss(spec, theta, val_set, mode).accuracy
         records.append(record)
 
-    # one Lanczos run for the stack, released before any L x D gradient block exists
+    # one Lanczos run for the stack, released before any gradient sample exists
     lambda_h = hessian_spectrum(
         spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
         k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
@@ -366,20 +366,20 @@ def _checkpoint_record(
     tops = []
     for theta, mode, cell, record, values in zip(stack.theta, modes, cells, records, lambda_h):
         record.lambda_h_top = [float(v) for v in values]
-        centered, _ = sample_minibatch_gradients(
+        sample, _ = sample_minibatch_gradients(
             spec, theta, train_set, sp.n_gradient_samples, m,
             seed=derive_seed(cell.config.seed, 3, step), bn_mode=mode,
         )
-        ks = k_spectrum(gram_from_gradients(centered))
+        ks = k_spectrum(gram_from_gradients(sample))
         record.lambda_k1 = ks.lambda_k1
         record.lambda_k_star = ks.lambda_k_star
         record.cond_ratio = ks.cond_ratio
         record.trace_k = ks.trace_k
         try:
-            tops.append(k_top_eigvecs(centered, ks, k=min(5, sp.n_gradient_samples - 1)))
+            tops.append(k_top_eigvecs(sample, ks, k=min(5, sp.n_gradient_samples - 1)))
         except RankDeficientError:
             tops.append(None)  # g_ratio stays null
-        del centered  # one L x D block at a time
+        del sample  # one gradient sample at a time
 
     g_step = None if spec.has_bn else grad(spec, stack.theta, step_batch, BATCH_STATS)
     if any(top is not None for top in tops):

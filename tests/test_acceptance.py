@@ -37,6 +37,7 @@ from breakeven.quadratic import (
     stability_lhs,
 )
 from breakeven.spectra import (
+    GradientSample,
     gram_from_gradients,
     k_spectrum,
     m_sensitivity_report,
@@ -51,6 +52,8 @@ from breakeven.trainer import (
     sweep,
     validate_metric_log,
 )
+
+pytestmark = pytest.mark.slow
 
 # ---------------------------------------------------------------------------
 # shared desk-scale experiment configuration (criteria 7-11)
@@ -210,7 +213,7 @@ def test_criterion_04_gram_dense_equivalence():
         D = int(rng.integers(4, 65))
         grads = rng.standard_normal((L, D))
         gbar = grads.mean(axis=0)
-        gram = gram_from_gradients(grads - gbar)
+        gram = gram_from_gradients(GradientSample(grads - gbar))
         summary = k_spectrum(gram)
         centered = grads - gbar
         cov = centered.T @ centered / L

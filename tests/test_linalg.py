@@ -55,6 +55,37 @@ class TestJacobi:
         for v in ep.eigenvectors.T:
             assert v[np.argmax(np.abs(v))] > 0
 
+    @staticmethod
+    def signed_copy(vectors):
+        # the convention as a copy: each column times the sign of its entry of
+        # largest absolute value, the first one on ties, and +1 for a zero column
+        idx = np.argmax(np.abs(vectors), axis=0)
+        signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+        signs[signs == 0] = 1.0
+        return vectors * signs
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sign_fix_is_bitwise_the_signed_copy(self, order):
+        rng = np.random.default_rng(8)
+        for case in range(300):
+            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 6)))
+            # small integers give +x/-x ties, zero columns and signed zeros
+            v = rng.integers(-2, 3, size=shape).astype(float) if case % 2 else rng.standard_normal(shape)
+            v[rng.integers(shape[0]), 0] = -0.0 if case % 3 == 0 else v[0, 0]
+            v = np.asarray(v, order=order)
+            expected = self.signed_copy(v)
+            assert linalg._canonical_signs(v) is v
+            assert np.array_equal(v, expected) and np.array_equal(np.signbit(v), np.signbit(expected))
+
+    def test_sign_fix_holds_no_copy(self, traced_peak):
+        # columns contiguous in memory, as the covariance eigenvectors of a
+        # factored gradient sample are laid out
+        v = np.random.default_rng(9).standard_normal((5, 50_000)).T
+        v[:, 1] = -v[:, 1]
+        _, peak = traced_peak(lambda: linalg._canonical_signs(v))
+        # |v| and a signed copy would each take v.nbytes (2 MB)
+        assert peak <= 4096
+
     def test_non_finite_rejected(self):
         bad = np.eye(3)
         bad[1, 2] = np.nan

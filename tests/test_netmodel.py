@@ -21,6 +21,7 @@ from breakeven.netmodel import (
     bn_gamma_norm,
     forward_loss,
     grad,
+    grouped_grad_factors,
     grouped_grads,
     hessian_operator,
     hvp_fd,
@@ -220,6 +221,19 @@ class TestForwardLossBlocks:
         assert large_peak <= small_peak + 9 * 3 * n + 4096
 
 
+    def test_cache_free_pass_drops_each_layer_before_the_next(self, traced_peak):
+        # the 80 rows of TestGroupedGrads' yardstick, one block: a pass that
+        # kept each layer's cache alive through the next layer's product
+        # peaked at 401,408 B, one 80 x 128 activation above this bound
+        spec = MlpSpec(layer_sizes=(4, 128, 128, 2), loss="mse", seed=0)
+        theta = init_params(spec)
+        rng = np.random.default_rng(0)
+        batch = Batch(inputs=rng.standard_normal((200, 4)), labels=rng.standard_normal((200, 2)))
+        groups = np.stack([rng.choice(200, size=2, replace=False) for _ in range(40)])
+        _, peak = traced_peak(lambda: forward_loss(spec, theta, batch.subset(groups.ravel())))
+        assert peak <= 401_408 - 80 * 128 * 8
+
+
 class TestGrad:
     def test_identity_net_closed_form(self):
         g = grad(tiny_identity_net(), np.array([1.0, 0.0]), Batch(inputs=[[1.0]], labels=[[2.0]]))
@@ -267,6 +281,26 @@ class TestGroupedGrads:
         for g in range(5):
             assert np.array_equal(rows[g], grad(spec, theta, batch.subset(groups[g]), mode))
 
+    @pytest.mark.parametrize("bn", ["none", "batch_stats", "frozen"])
+    @pytest.mark.parametrize("factored", [(0,), (1,), (0, 2)])
+    def test_factors_are_the_unsummed_weight_gradients(self, bn, factored):
+        spec = MlpSpec(layer_sizes=(4, 9, 7, 3), activation="tanh", batch_norm=bn != "none", loss="mse", seed=6)
+        theta = init_params(spec)
+        rng = np.random.default_rng(12)
+        batch = Batch(inputs=rng.standard_normal((40, 4)), labels=rng.standard_normal((40, 3)))
+        mode = bn_batch_statistics(spec, theta, batch) if bn == "frozen" else BATCH_STATS
+        groups = np.stack([rng.choice(40, size=6, replace=False) for _ in range(5)])
+        block = grouped_grads(spec, theta, batch, groups, mode)
+        rows, factors = grouped_grad_factors(spec, theta, batch, groups, factored, mode)
+        kept = np.ones(spec.param_dim, dtype=bool)
+        for layer, f in zip(factored, factors):
+            assert f.cols == spec.layout()[layer]["w"]
+            kept[f.cols] = False
+            products = (f.inputs.swapaxes(-1, -2) @ f.deltas).reshape(5, -1)
+            assert np.allclose(products, block[:, f.cols], rtol=1e-14, atol=1e-17)
+        assert len(factors) == len(factored)
+        assert np.array_equal(rows, block[:, kept])
+
     @pytest.mark.parametrize("bn", [False, True])
     def test_peak_memory_is_one_output_block(self, bn, traced_peak):
         # the 128 x 128 layer's weight gradients for 40 groups alone would be
@@ -291,9 +325,9 @@ class TestGroupedGrads:
         backward = netmodel._backward
 
         def poisoned(*args):
-            g = backward(*args)
+            g, factors = backward(*args)
             g[..., spec.param_dim // 2] = bad
-            return g
+            return g, factors
 
         monkeypatch.setattr(netmodel, "_backward", poisoned)
         with pytest.raises(NonFiniteError):
@@ -309,7 +343,7 @@ class TestGroupedGrads:
         batch = Batch(inputs=rng.standard_normal((200, 4)), labels=rng.standard_normal((200, 2)))
         groups = np.stack([rng.choice(200, size=2, replace=False) for _ in range(40)])
         block = np.ones((40, spec.param_dim))
-        monkeypatch.setattr(netmodel, "_backward", lambda *args: block)
+        monkeypatch.setattr(netmodel, "_backward", lambda *args: (block, ()))
         _, forward_peak = traced_peak(lambda: forward_loss(spec, theta, batch.subset(groups.ravel())))
         rows, peak = traced_peak(lambda: grouped_grads(spec, theta, batch, groups))
         assert rows is block

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from breakeven.linalg import project_onto_subspace
 from breakeven.netmodel import Batch, MlpSpec, grad, init_params, per_example_grads
 from breakeven.quadratic import QuadraticModel, SgdSetting, noise_factor, stability_lhs
-from breakeven.spectra import grad_subspace_ratio, gram_from_gradients, k_spectrum
+from breakeven.spectra import GradientSample, grad_subspace_ratio, gram_from_gradients, k_spectrum
 
 
 @settings(max_examples=30, deadline=None)
@@ -61,7 +61,7 @@ def test_gram_spectrum_bounds(seed):
     D = int(rng.integers(4, 40))
     grads = rng.standard_normal((L, D))
     gbar = grads.mean(axis=0)
-    summary = k_spectrum(gram_from_gradients(grads - gbar))
+    summary = k_spectrum(gram_from_gradients(GradientSample(grads - gbar)))
     assert summary.trace_k >= summary.lambda_k1 - 1e-12
     assert summary.lambda_k1 >= summary.lambda_k_star >= 0.0
     if summary.cond_ratio is not None:

@@ -8,14 +8,24 @@ from breakeven.errors import (
     RankDeficientError,
 )
 from breakeven.linalg import DenseSymmetric, jacobi_eigh
-from breakeven.netmodel import Batch, MlpSpec, bn_batch_statistics, grad, grouped_grads, init_params
+from breakeven.netmodel import (
+    Batch,
+    MlpSpec,
+    bn_batch_statistics,
+    grad,
+    grouped_grad_factors,
+    grouped_grads,
+    init_params,
+)
 from breakeven.rng import make_rng
 from breakeven.spectra import (
+    GradientSample,
     GramMatrix,
     grad_subspace_ratio,
     gram_from_gradients,
     hessian_spectrum,
     k_spectrum,
+    factor_form_layers,
     k_top_eigvecs,
     m_sensitivity_report,
     pearson,
@@ -38,13 +48,13 @@ def random_grads(L, D, seed):
 class TestGram:
     def test_identical_gradients_zero_matrix(self):
         g = np.tile(np.arange(4.0), (3, 1))
-        gram = gram_from_gradients(g - g.mean(axis=0))
+        gram = gram_from_gradients(GradientSample(g - g.mean(axis=0)))
         assert np.array_equal(gram.entries, np.zeros((3, 3)))
 
     def test_antipodal_pair_hand_computation(self):
         v = np.array([1.0, 2.0, -1.0])
         g = np.vstack([v, -v])
-        gram = gram_from_gradients(g)
+        gram = gram_from_gradients(GradientSample(g))
         nsq = float(v @ v)
         expected = np.array([[nsq / 2, -nsq / 2], [-nsq / 2, nsq / 2]])
         assert np.allclose(gram.entries, expected, atol=1e-14)
@@ -53,7 +63,7 @@ class TestGram:
 
     def test_exact_symmetry(self):
         g, gbar = random_grads(6, 40, 0)
-        gram = gram_from_gradients(g - gbar)
+        gram = gram_from_gradients(GradientSample(g - gbar))
         assert np.array_equal(gram.entries, gram.entries.T)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -61,7 +71,7 @@ class TestGram:
         rng = np.random.default_rng(seed)
         L, D = rng.integers(3, 8), rng.integers(10, 41)
         g, gbar = random_grads(int(L), int(D), 100 + seed)
-        gram = gram_from_gradients(g - gbar)
+        gram = gram_from_gradients(GradientSample(g - gbar))
         gram_eigs = jacobi_eigh(DenseSymmetric.from_array(gram.entries)).eigenvalues
         dense_eigs = dense_covariance_eigs(g, gbar)
         k = min(len(gram_eigs), len(dense_eigs))
@@ -70,12 +80,12 @@ class TestGram:
     def test_peak_memory_below_one_gradient_block(self, traced_peak):
         g, gbar = random_grads(40, 65536, 6)  # 21 MB
         centered = g - gbar
-        _, peak = traced_peak(lambda: gram_from_gradients(centered))
+        _, peak = traced_peak(lambda: gram_from_gradients(GradientSample(centered)))
         assert peak < 0.25 * g.nbytes
 
     def test_row_sums_vanish_with_sample_mean(self):
         g, gbar = random_grads(8, 30, 3)
-        gram = gram_from_gradients(g - gbar)
+        gram = gram_from_gradients(GradientSample(g - gbar))
         fro = np.linalg.norm(gram.entries)
         assert np.max(np.abs(gram.entries.sum(axis=1))) < 1e-10 * max(fro, 1.0)
 
@@ -100,7 +110,7 @@ class TestKSpectrum:
 
     def test_trace_identity(self):
         g, gbar = random_grads(7, 25, 9)
-        gram = gram_from_gradients(g - gbar)
+        gram = gram_from_gradients(GradientSample(g - gbar))
         summary = k_spectrum(gram)
         assert summary.trace_k == pytest.approx(np.sum(summary.gram_eigenvalues), rel=1e-9)
         # (1/L) sum ||g_i - gbar||^2 equals the trace by construction
@@ -109,7 +119,7 @@ class TestKSpectrum:
 
     def test_ordering_invariants(self):
         g, gbar = random_grads(9, 30, 5)
-        summary = k_spectrum(gram_from_gradients(g - gbar))
+        summary = k_spectrum(gram_from_gradients(GradientSample(g - gbar)))
         nonzero = summary.gram_eigenvalues[summary.gram_eigenvalues > 1e-12]
         assert summary.lambda_k_star <= np.mean(nonzero) <= summary.lambda_k1
         assert 0 < summary.cond_ratio <= 1
@@ -117,8 +127,8 @@ class TestKSpectrum:
     def test_permutation_invariance_bitwise(self):
         g, gbar = random_grads(6, 20, 7)
         perm = np.random.default_rng(0).permutation(6)
-        a = k_spectrum(gram_from_gradients(g - gbar))
-        b = k_spectrum(gram_from_gradients(g[perm] - gbar))
+        a = k_spectrum(gram_from_gradients(GradientSample(g - gbar)))
+        b = k_spectrum(gram_from_gradients(GradientSample(g[perm] - gbar)))
         assert np.array_equal(a.gram_eigenvalues, b.gram_eigenvalues)
         assert a.lambda_k1 == b.lambda_k1
         assert a.trace_k == b.trace_k
@@ -128,14 +138,14 @@ class TestTopEigvecs:
     def test_antipodal_single_direction(self):
         v = np.array([3.0, 4.0, 0.0])
         g = np.vstack([v, -v])
-        gram = gram_from_gradients(g)
-        vecs = k_top_eigvecs(g, k_spectrum(gram), k=1)
+        gram = gram_from_gradients(GradientSample(g))
+        vecs = k_top_eigvecs(GradientSample(g), k_spectrum(gram), k=1)
         assert np.allclose(np.abs(vecs[:, 0]), np.abs(v) / 5.0, atol=1e-12)
 
     def test_ambient_eigen_residual_vs_dense(self):
         g, gbar = random_grads(8, 50, 11)
-        gram = gram_from_gradients(g - gbar)
-        vecs = k_top_eigvecs(g - gbar, k_spectrum(gram), k=5)
+        gram = gram_from_gradients(GradientSample(g - gbar))
+        vecs = k_top_eigvecs(GradientSample(g - gbar), k_spectrum(gram), k=5)
         centered = g - gbar
         cov = centered.T @ centered / g.shape[0]
         eigs = k_spectrum(gram).gram_eigenvalues[:5]
@@ -148,7 +158,7 @@ class TestTopEigvecs:
         g, _ = random_grads(5, 30, 13)
         g = np.vstack([g, g[0]])  # duplicate one sample
         gbar = g.mean(axis=0)
-        gram = gram_from_gradients(g - gbar)
+        gram = gram_from_gradients(GradientSample(g - gbar))
         gram_eigs = k_spectrum(gram).gram_eigenvalues
         dense = dense_covariance_eigs(g, gbar)
         nz = gram_eigs[gram_eigs > 1e-12]
@@ -157,13 +167,13 @@ class TestTopEigvecs:
     def test_shuffled_sample_order_gives_same_vectors(self):
         g, gbar = random_grads(10, 40, 17)
         perm = np.random.default_rng(3).permutation(10)
-        a = k_top_eigvecs(g - gbar, k_spectrum(gram_from_gradients(g - gbar)), k=4)
-        b = k_top_eigvecs(g[perm] - gbar, k_spectrum(gram_from_gradients(g[perm] - gbar)), k=4)
+        a = k_top_eigvecs(GradientSample(g - gbar), k_spectrum(gram_from_gradients(GradientSample(g - gbar))), k=4)
+        b = k_top_eigvecs(GradientSample(g[perm] - gbar), k_spectrum(gram_from_gradients(GradientSample(g[perm] - gbar))), k=4)
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_gram_eigenvectors_reconstruct_gram(self):
         g, gbar = random_grads(9, 30, 19)
-        gram = gram_from_gradients(g - gbar)
+        gram = gram_from_gradients(GradientSample(g - gbar))
         summary = k_spectrum(gram)
         vecs = summary.gram_eigenvectors
         recon = vecs @ np.diag(summary.gram_eigenvalues) @ vecs.T
@@ -173,17 +183,17 @@ class TestTopEigvecs:
     def test_peak_memory_below_one_gradient_block(self, traced_peak):
         g, gbar = random_grads(40, 65536, 24)  # 21 MB
         centered = g - gbar
-        ks = k_spectrum(gram_from_gradients(centered))
-        _, peak = traced_peak(lambda: k_top_eigvecs(centered, ks, k=5))
+        ks = k_spectrum(gram_from_gradients(GradientSample(centered)))
+        _, peak = traced_peak(lambda: k_top_eigvecs(GradientSample(centered), ks, k=5))
         # the D x 5 output and two temporaries of its size
         assert peak < 0.5 * g.nbytes
 
     def test_rank_deficient(self):
         v = np.array([1.0, 0.0])
         g = np.vstack([v, -v, v, -v])
-        gram = gram_from_gradients(g)
+        gram = gram_from_gradients(GradientSample(g))
         with pytest.raises(RankDeficientError):
-            k_top_eigvecs(g, k_spectrum(gram), k=2)
+            k_top_eigvecs(GradientSample(g), k_spectrum(gram), k=2)
 
 
 class TestSubspaceRatio:
@@ -225,9 +235,9 @@ class TestSampleMinibatchGradients:
         theta = init_params(spec)
         rng = np.random.default_rng(3)
         data = Batch(inputs=rng.standard_normal((12, 3)), labels=rng.integers(0, 2, size=12))
-        grads, gbar = sample_minibatch_gradients(spec, theta, data, n_batches=4, batch_size=12, seed=0)
-        assert np.allclose(grads, grads[0], atol=1e-15)
-        gram = gram_from_gradients(grads)
+        sample, gbar = sample_minibatch_gradients(spec, theta, data, n_batches=4, batch_size=12, seed=0)
+        assert np.allclose(sample.explicit, sample.explicit[0], atol=1e-15)
+        gram = gram_from_gradients(sample)
         assert np.max(np.abs(gram.entries)) < 1e-20
 
     @pytest.mark.parametrize("batch_norm", [False, True])
@@ -239,17 +249,18 @@ class TestSampleMinibatchGradients:
         rng = np.random.default_rng(4)
         data = Batch(inputs=rng.standard_normal((30, 3)), labels=rng.integers(0, 2, size=30))
         for bn_mode in ("batch", bn_batch_statistics(spec, theta, data)):
-            grads, gbar = sample_minibatch_gradients(spec, theta, data, 7, 5, seed=9, bn_mode=bn_mode)
+            sample, gbar = sample_minibatch_gradients(spec, theta, data, 7, 5, seed=9, bn_mode=bn_mode)
             draw = make_rng(9)
             expected = np.stack(
                 [grad(spec, theta, data.subset(draw.choice(30, size=5, replace=False)), bn_mode) for _ in range(7)]
             )
-            assert np.array_equal(grads, expected - expected.mean(axis=0))
+            assert sample.factors == ()
+            assert np.array_equal(sample.explicit, expected - expected.mean(axis=0))
             assert np.array_equal(gbar, expected.mean(axis=0))
 
     def test_centers_in_place_without_a_second_block(self, traced_peak):
-        # the peak of the draw's own grouped_grads call, plus the mean and
-        # one more D-vector: a centered copy of the 40 x D block would not fit
+        # the peak of the draw's own grouped_grad_factors call, plus the mean
+        # and one more row: a centered copy of the explicit block would not fit
         spec = MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=True, seed=1)
         theta = init_params(spec)
         rng = np.random.default_rng(5)
@@ -258,11 +269,11 @@ class TestSampleMinibatchGradients:
         def draw_only():
             draw = make_rng(3)
             groups = np.stack([draw.choice(64, size=8, replace=False) for _ in range(40)])
-            return grouped_grads(spec, theta, data, groups)
+            return grouped_grad_factors(spec, theta, data, groups, factor_form_layers(spec, 40, 8))
 
-        raw, grads_peak = traced_peak(draw_only)
-        (centered, gbar), peak = traced_peak(lambda: sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3))
-        assert np.array_equal(centered, raw - raw.mean(axis=0))
+        (raw, _), grads_peak = traced_peak(draw_only)
+        (sample, gbar), peak = traced_peak(lambda: sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3))
+        assert np.array_equal(sample.explicit, raw - raw.mean(axis=0))
         assert peak <= grads_peak + 2 * gbar.nbytes
 
     def test_oversized_batch_rejected(self):
@@ -290,6 +301,90 @@ class TestSampleMinibatchGradients:
         )
         tol = 4.0 * (spread / np.sqrt(n_seeds) + 1e-12)
         assert np.all(np.abs(means - exact) <= tol)
+
+
+class TestFactorForm:
+    """The factored covariance stage against the explicit per-group block
+    from ``grouped_grads`` on the same draw, read by the explicit path."""
+
+    L, M = 6, 3
+
+    @staticmethod
+    def rel(a, b):
+        return np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b))
+
+    def case(self, layer_sizes, activation, loss, bn):
+        spec = MlpSpec(layer_sizes=layer_sizes, activation=activation, batch_norm=bn != "none",
+                       loss=loss, seed=3)
+        rng = np.random.default_rng(7)
+        theta = init_params(spec) + 0.3 * rng.standard_normal(spec.param_dim)
+        n, classes = 40, layer_sizes[-1]
+        y = rng.integers(0, classes, size=n) if loss == "softmax_cross_entropy" else rng.standard_normal((n, classes))
+        data = Batch(inputs=rng.standard_normal((n, layer_sizes[0])), labels=y)
+        mode = bn_batch_statistics(spec, theta, data) if bn == "frozen" else "batch"
+        return spec, theta, data, mode
+
+    def oracle(self, spec, theta, data, mode, seed):
+        draw = make_rng(seed)
+        groups = np.stack([draw.choice(data.size, size=self.M, replace=False) for _ in range(self.L)])
+        block = grouped_grads(spec, theta, data, groups, mode)
+        return GradientSample(block - block.mean(axis=0))
+
+    def test_layer_choice_reads_shapes_only(self):
+        # desk: every layer explicit; the wide BN net: its 256 x 256 layer only
+        assert factor_form_layers(MlpSpec(layer_sizes=(2, 32, 32, 2)), 40, 8) == ()
+        assert factor_form_layers(MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=True), 40, 8) == (1,)
+        # the test shapes below: L = 6, M = 3 factors a layer of more than 108 weights
+        assert factor_form_layers(MlpSpec(layer_sizes=(3, 16, 12, 2)), self.L, self.M) == (1,)
+        assert factor_form_layers(MlpSpec(layer_sizes=(12, 10, 4, 30)), self.L, self.M) == (0, 2)
+
+    @pytest.mark.parametrize("layer_sizes", [(3, 16, 12, 2), (12, 10, 4, 30)])
+    @pytest.mark.parametrize("bn", ["none", "frozen", "batch_stats"])
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_readings_equal_the_explicit_block(self, activation, loss, bn, layer_sizes):
+        spec, theta, data, mode = self.case(layer_sizes, activation, loss, bn)
+        sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=11, bn_mode=mode)
+        assert len(sample.factors) == len(factor_form_layers(spec, self.L, self.M)) > 0
+        explicit = self.oracle(spec, theta, data, mode, seed=11)
+        gram, gram_ref = gram_from_gradients(sample), gram_from_gradients(explicit)
+        assert self.rel(gram.entries, gram_ref.entries) <= 1e-10
+        ks, ks_ref = k_spectrum(gram), k_spectrum(gram_ref)
+        for field in ("lambda_k1", "lambda_k_star", "trace_k", "cond_ratio"):
+            assert abs(getattr(ks, field) - getattr(ks_ref, field)) <= 1e-10 * abs(getattr(ks_ref, field))
+        top, top_ref = k_top_eigvecs(sample, ks, k=3), k_top_eigvecs(explicit, ks_ref, k=3)
+        assert top.shape == (spec.param_dim, 3)
+        # up to each column's sign: two-class cross-entropy gives output
+        # entries +x and -x, and rounding picks which counts as larger
+        aligned = top * np.sign(np.sum(top * top_ref, axis=0))
+        assert self.rel(aligned, top_ref) <= 1e-10
+        g = grad(spec, theta, data.subset(np.arange(8)), mode)
+        ratio, ratio_ref = grad_subspace_ratio(g, top), grad_subspace_ratio(g, top_ref)
+        assert abs(ratio - ratio_ref) <= 1e-10 * ratio_ref
+
+    def test_rank_deficient_sample_still_raises(self):
+        spec, theta, _, _ = self.case((3, 16, 12, 2), "tanh", "mse", "none")
+        one = Batch(inputs=np.ones((4, 3)), labels=np.zeros((4, 2)))
+        sample, _ = sample_minibatch_gradients(spec, theta, one, self.L, self.M, seed=0)
+        assert sample.factors
+        with pytest.raises(RankDeficientError):
+            k_top_eigvecs(sample, k_spectrum(gram_from_gradients(sample)), k=2)
+
+    def test_covariance_stage_peaks_below_one_gradient_block(self, traced_peak):
+        spec = MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=True, loss="mse", seed=1)
+        theta = init_params(spec)
+        rng = np.random.default_rng(5)
+        data = Batch(inputs=rng.standard_normal((64, 10)), labels=rng.standard_normal((64, 10)))
+        frozen = bn_batch_statistics(spec, theta, data)
+
+        def stage():
+            sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_mode=frozen)
+            ks = k_spectrum(gram_from_gradients(sample))
+            return k_top_eigvecs(sample, ks, k=5)
+
+        top, peak = traced_peak(stage)
+        assert top.shape == (spec.param_dim, 5)
+        assert peak < 40 * spec.param_dim * 8
 
 
 class TestHessianSpectrum:
