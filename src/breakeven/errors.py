@@ -45,10 +45,6 @@ class BnUnsupportedError(ValidationError):
     """Operation does not support batch-normalization layers."""
 
 
-class BnBatchStatsUnsupportedError(ValidationError):
-    """Per-example gradients need frozen statistics when BN is present."""
-
-
 class NoBnLayerError(ValidationError):
     pass
 

@@ -62,11 +62,6 @@ class LinearOperator:
     dim: int
     apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    @classmethod
-    def from_dense(cls, a: DenseSymmetric) -> "LinearOperator":
-        entries = a.entries
-        return cls(dim=a.dim, apply=lambda v: entries @ v)
-
 
 @dataclass(frozen=True)
 class EigenPairs:
@@ -255,21 +250,3 @@ def lanczos_topk(
         return _ritz_pairs(Q, alphas, betas, k, vectors)
     return [_ritz_pairs(*cell, k, vectors) for cell in zip(Q, alphas, betas)]
 
-
-def project_onto_subspace(v: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projection of ``v`` onto the span of the basis columns.
-
-    Returns ``(projection, residual)`` with ``projection + residual == v``.
-    The basis columns must be mutually orthonormal (within 1e-8); this is a
-    caller contract, not re-checked here.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim == 1:
-        basis = basis[:, None]
-    if basis.ndim != 2 or v.ndim != 1 or basis.shape[0] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"vector of dim {v.shape} does not match basis of shape {basis.shape}"
-        )
-    projection = basis @ (basis.T @ v)
-    return projection, v - projection

@@ -10,11 +10,10 @@ There is one forward pass (``_forward``) and one reverse pass
 (``_backward``); every derivative is built on them. Both take a batch of
 examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
 example axis within each group, so ``grouped_grads`` returns one minibatch
-gradient per group from a single pass; ``grad`` is its one-group case and
-``per_example_grads`` its groups-of-one case. The same reverse pass can
-leave chosen layers' weight gradients unsummed, as per-example factors
-(``grouped_grad_factors``), for readers that need only inner products of
-the group gradients.
+gradient per group from a single pass; ``grad`` is its one-group case.
+The same reverse pass can leave chosen layers' weight gradients unsummed,
+as per-example factors (``grouped_grad_factors``), for readers that need
+only inner products of the group gradients.
 
 θ may carry leading axes too: a (C, D) stack holds one parameter vector per
 cell of a sweep. Weights are then read as (C, fan_in, fan_out) views and
@@ -39,7 +38,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    BnBatchStatsUnsupportedError,
     BnUnsupportedError,
     DimensionMismatchError,
     InvalidParamsError,
@@ -530,6 +528,7 @@ def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnSta
     return BnStats(means=tuple(means), variances=tuple(variances))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_grads(
     spec: MlpSpec, theta: np.ndarray, x: np.ndarray, labels, bn_mode: BnMode, factored: Sequence[int] = ()
 ) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
@@ -587,21 +586,6 @@ def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
     return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_mode)[0]
-
-
-def per_example_grads(
-    spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS
-) -> np.ndarray:
-    """Per-example loss gradients, one row per example.
-
-    The mean over rows equals ``grad`` on the same batch. With BN layers the
-    statistics must be frozen, otherwise per-example gradients are undefined.
-    """
-    if spec.has_bn and not isinstance(bn_mode, BnStats):
-        raise BnBatchStatsUnsupportedError(
-            "per-example gradients need frozen BN statistics"
-        )
-    return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_mode)
 
 
 @dataclass(frozen=True)

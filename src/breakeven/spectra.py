@@ -13,19 +13,23 @@ on the summary so other readings can be recovered.
 C itself is never formed for a wide layer. A dense layer's minibatch
 gradient is a sum of outer products a_i δ_iᵀ of its inputs and output
 deltas, so its share of the Gram matrix is a sum over blocks of
-(A Aᵀ)∘(Δ Δᵀ) on the L·M drawn examples, and its share of a covariance
-eigenvector is Aᵀ diag(ũ) Δ. ``factor_form_layers`` picks the layers read
-that way from the layer shapes and (L, M) alone; every other parameter
-(narrow layers' weights, all biases, BN γ and β) keeps an explicit L x P
-block. Centering happens where each form allows. The explicit block is
-centered in place where it is drawn, before any product. A factored
-layer's L x L block of raw inner products S is centered after the product,
-as J S J with J = I - 11ᵀ/L, which loses accuracy only when the mean
-gradient dominates the spread. On the 10-256-256-10 BN benchmark network
+(A Aᵀ)∘(Δ Δᵀ) on the L·M drawn examples. ``factor_form_layers`` picks the
+layers read that way from the layer shapes and (L, M) alone; every other
+parameter (narrow layers' weights, all biases, BN γ and β) keeps an
+explicit L x P block. Centering happens where each form allows. The
+explicit block is centered in place where it is drawn, before any
+product. A factored layer's L x L block of raw inner products S is
+centered after the product, as J S J with J = I - 11ᵀ/L, which loses
+accuracy only when the mean gradient dominates the spread. On the 10-256-256-10 BN benchmark network
 (L = 40, M = 8, seeds 0 and 47, every checkpoint) tr(S)/tr(J S J) stayed
 at or below 1.5, and λ_K¹, λ_K*, trace K, the conditioning ratio and the
 gradient-to-subspace ratio agreed with the all-explicit computation to
 within 9e-15 relative.
+
+No D-long covariance eigenvector is formed either: the gradient-to-subspace
+ratio reads g's projection onto the top-k eigenvectors from the L inner
+products C g and the Gram eigenpairs (``k_top_eigvecs``,
+``grad_subspace_ratio``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     InvalidParamsError,
     RankDeficientError,
 )
-from .linalg import DenseSymmetric, _canonical_signs, jacobi_eigh, lanczos_topk, project_onto_subspace, row_norms
+from .linalg import DenseSymmetric, jacobi_eigh, lanczos_topk
 # ``grad`` is unused here but stays bound: perfbench/tracepoints.py patches
 # ``breakeven.spectra.grad`` (ROADMAP item 5a)
 from .netmodel import BATCH_STATS, Batch, BnMode, LayerFactors, MlpSpec, grad, grouped_grad_factors, hessian_operator
@@ -216,16 +220,16 @@ def k_spectrum(gram: GramMatrix) -> SpectralSummary:
     )
 
 
-def k_top_eigvecs(sample: GradientSample, ks: SpectralSummary, k: int = 5) -> np.ndarray:
-    """Top-k ambient-space eigenvectors of the covariance, as columns.
+def k_top_eigvecs(ks: SpectralSummary, k: int = 5) -> np.ndarray:
+    """Top-k covariance eigenvectors in sample coordinates, as the columns
+    of an (L, k) matrix W.
 
-    A Gram eigenvector u with eigenvalue lambda > 0 maps to the ambient
-    eigenvector normalize(sum_i u_i c_i) of the centered samples c_i. The
+    A Gram eigenvector u with eigenvalue λ > 0 maps to the unit ambient
+    eigenvector Cᵀu/√(L·λ) of the centered samples C (L x D), so
+    W = U_k/√(L·λ_k) stands for those k vectors, and ``grad_subspace_ratio``
+    reads g's projection onto them as Wᵀ(C g) without forming them. The
     Gram eigenpairs come from ``ks = k_spectrum(gram_from_gradients(sample))``,
-    so the Gram matrix is diagonalized once per set of samples. The explicit
-    columns are read in one ``explicit.T @ U`` product; a factored layer's
-    columns are Aᵀ diag(ũ) Δ for each u, with ũ = u minus its mean (so the
-    uncentered group gradients act as centered ones), all k in one product.
+    so the Gram matrix is diagonalized once per set of samples.
     """
     n_samples = ks.gram_eigenvectors.shape[0]
     if k > n_samples - 1:
@@ -233,35 +237,33 @@ def k_top_eigvecs(sample: GradientSample, ks: SpectralSummary, k: int = 5) -> np
     n_positive = int(np.sum(ks.gram_eigenvalues >= RANK_TOL))
     if n_positive < k:
         raise RankDeficientError(f"only {n_positive} positive eigenvalues, need {k}")
-    u = ks.gram_eigenvectors[:, :k]
-    c = np.asarray(sample.explicit, dtype=np.float64)
-    if not sample.factors:
-        ambient = c.T @ u
-        ambient /= np.linalg.norm(ambient, axis=0, keepdims=True)
-        return _canonical_signs(ambient)
-    # built as k rows, so each product, norm and sign pass reads contiguous memory
-    dim = c.shape[1] + sum(f.cols.stop - f.cols.start for f in sample.factors)
-    rows = np.empty((k, dim))
-    explicit_cols = np.ones(dim, dtype=bool)
-    for f in sample.factors:
-        explicit_cols[f.cols] = False
-    rows[:, explicit_cols] = u.T @ c
-    # one weight per example and vector: its group's entry of ũ
-    weights = np.repeat(u - u.mean(axis=0), sample.factors[0].inputs.shape[1], axis=0).T
-    for f in sample.factors:
-        block = rows[:, f.cols].reshape(k, f.inputs.shape[-1], f.deltas.shape[-1])
-        np.matmul(_flat(f.inputs).T, weights[:, :, None] * _flat(f.deltas), out=block)
-    rows /= row_norms(rows)[:, None]
-    return _canonical_signs(rows.T)
+    return ks.gram_eigenvectors[:, :k] / np.sqrt(n_samples * ks.gram_eigenvalues[:k])
 
 
-def grad_subspace_ratio(g: np.ndarray, top_vecs: np.ndarray) -> float:
+def _sample_dots(g: np.ndarray, sample: GradientSample) -> np.ndarray:
+    """C g: the inner product of each centered sample with g. The explicit
+    rows meet g's explicit columns in one product; a factored layer's group
+    gradient Aᵀ Δ meets its block W_g of g as Σ_m (a_m W_g)·δ_m, centered
+    over the groups afterwards, since the factors are not."""
+    explicit = np.ones(g.shape[0], dtype=bool)
+    dots = np.zeros(sample.explicit.shape[0])
+    for f in sample.factors:
+        explicit[f.cols] = False
+        block = g[f.cols].reshape(f.inputs.shape[-1], f.deltas.shape[-1])
+        products = (_flat(f.inputs) @ block).reshape(f.deltas.shape)
+        per_group = np.einsum("lmj,lmj->l", products, f.deltas)
+        dots += per_group - per_group.mean()
+    dots += sample.explicit @ g[explicit]
+    return dots
+
+
+def grad_subspace_ratio(g: np.ndarray, sample: GradientSample, w: np.ndarray) -> float:
     """Ratio of the gradient norm to the norm of its projection onto the
-    given orthonormal columns; always >= 1 when defined."""
+    covariance eigenvectors that ``w = k_top_eigvecs(...)`` stands for in
+    ``sample``'s coordinates; always >= 1 when defined."""
     g = np.asarray(g, dtype=np.float64)
-    projection, _ = project_onto_subspace(g, top_vecs)
     g_norm = float(np.linalg.norm(g))
-    p_norm = float(np.linalg.norm(projection))
+    p_norm = float(np.linalg.norm(w.T @ _sample_dots(g, sample)))
     if g_norm == 0.0 or p_norm < 1e-12 * g_norm:
         raise DegenerateProjectionError("projection norm is negligible")
     return g_norm / p_norm

@@ -362,9 +362,10 @@ def _checkpoint_record(
         seed=[derive_seed(c.config.seed, 4, step) for c in cells],
         bn_mode=BATCH_STATS if frozen is None else frozen,
     )
+    g_step = None if spec.has_bn else grad(spec, stack.theta, step_batch, BATCH_STATS)
+    g_now = g_step if g_step is not None else grad(spec, stack.theta, step_batch, frozen)
     m = sp.resolve_batch_size(train_set.size)
-    tops = []
-    for theta, mode, cell, record, values in zip(stack.theta, modes, cells, records, lambda_h):
+    for theta, mode, cell, record, values, g in zip(stack.theta, modes, cells, records, lambda_h, g_now):
         record.lambda_h_top = [float(v) for v in values]
         sample, _ = sample_minibatch_gradients(
             spec, theta, train_set, sp.n_gradient_samples, m,
@@ -376,20 +377,11 @@ def _checkpoint_record(
         record.cond_ratio = ks.cond_ratio
         record.trace_k = ks.trace_k
         try:
-            tops.append(k_top_eigvecs(sample, ks, k=min(5, sp.n_gradient_samples - 1)))
-        except RankDeficientError:
-            tops.append(None)  # g_ratio stays null
+            w = k_top_eigvecs(ks, k=min(5, sp.n_gradient_samples - 1))
+            record.g_ratio = grad_subspace_ratio(g, sample, w)
+        except (RankDeficientError, DegenerateProjectionError):
+            pass  # g_ratio stays null
         del sample  # one gradient sample at a time
-
-    g_step = None if spec.has_bn else grad(spec, stack.theta, step_batch, BATCH_STATS)
-    if any(top is not None for top in tops):
-        g_now = g_step if g_step is not None else grad(spec, stack.theta, step_batch, frozen)
-        for record, top, g in zip(records, tops, g_now):
-            if top is not None:
-                try:
-                    record.g_ratio = grad_subspace_ratio(g, top)
-                except DegenerateProjectionError:
-                    pass
 
     if spec.has_bn:
         for theta, record in zip(stack.theta, records):

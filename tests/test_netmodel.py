@@ -3,7 +3,6 @@ import pytest
 
 from breakeven import netmodel
 from breakeven.errors import (
-    BnBatchStatsUnsupportedError,
     BnUnsupportedError,
     InvalidParamsError,
     NoBnLayerError,
@@ -27,7 +26,6 @@ from breakeven.netmodel import (
     hvp_fd,
     hvp_pearlmutter,
     init_params,
-    per_example_grads,
 )
 
 
@@ -358,19 +356,24 @@ class TestGroupedGrads:
             grouped_grads(spec, init_params(spec), batch, np.arange(4))
 
 
+def per_example(spec, theta, batch, bn_mode=BATCH_STATS):
+    """One gradient row per example: ``grouped_grads`` with groups of one."""
+    return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_mode)
+
+
 class TestPerExampleGrads:
     def test_single_example_equals_grad(self):
         spec = MlpSpec(layer_sizes=(3, 5, 2), activation="tanh", seed=1)
         theta = init_params(spec)
         batch = Batch(inputs=[[0.3, -0.2, 1.0]], labels=np.array([1]))
-        peg = per_example_grads(spec, theta, batch)
+        peg = per_example(spec, theta, batch)
         assert np.allclose(peg[0], grad(spec, theta, batch), atol=1e-15)
 
     def test_duplicated_example_identical_rows(self):
         spec = MlpSpec(layer_sizes=(2, 4, 2), seed=2)
         theta = init_params(spec)
         batch = Batch(inputs=[[1.0, 2.0], [1.0, 2.0]], labels=np.array([0, 0]))
-        peg = per_example_grads(spec, theta, batch)
+        peg = per_example(spec, theta, batch)
         assert np.array_equal(peg[0], peg[1])
 
     def test_mean_consistency(self):
@@ -378,17 +381,15 @@ class TestPerExampleGrads:
         theta = init_params(spec)
         rng = np.random.default_rng(8)
         batch = Batch(inputs=rng.standard_normal((8, 4)), labels=rng.integers(0, 3, size=8))
-        peg = per_example_grads(spec, theta, batch)
+        peg = per_example(spec, theta, batch)
         assert np.max(np.abs(peg.mean(axis=0) - grad(spec, theta, batch))) < 1e-12
 
-    def test_bn_requires_frozen_stats(self):
+    def test_frozen_bn_mean_consistency(self):
         spec = MlpSpec(layer_sizes=(2, 4, 2), batch_norm=True, seed=0)
         theta = init_params(spec)
         batch = Batch(inputs=[[1.0, 0.0], [0.0, 1.0]], labels=np.array([0, 1]))
-        with pytest.raises(BnBatchStatsUnsupportedError):
-            per_example_grads(spec, theta, batch)
         stats = bn_batch_statistics(spec, theta, batch)
-        peg = per_example_grads(spec, theta, batch, stats)
+        peg = per_example(spec, theta, batch, stats)
         assert np.max(np.abs(peg.mean(axis=0) - grad(spec, theta, batch, stats))) < 1e-12
 
 

@@ -4,10 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breakeven.linalg import project_onto_subspace
-from breakeven.netmodel import Batch, MlpSpec, grad, init_params, per_example_grads
+from breakeven.netmodel import Batch, MlpSpec, grad, grouped_grads, init_params
 from breakeven.quadratic import QuadraticModel, SgdSetting, noise_factor, stability_lhs
-from breakeven.spectra import GradientSample, grad_subspace_ratio, gram_from_gradients, k_spectrum
+from breakeven.spectra import GradientSample, grad_subspace_ratio, gram_from_gradients, k_spectrum, k_top_eigvecs
 
 
 @settings(max_examples=30, deadline=None)
@@ -28,28 +27,18 @@ def test_stability_lhs_matches_direct_formula(n, seed, eta):
     assert lhs == direct
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
-def test_projection_pythagoras(k, seed):
-    rng = np.random.default_rng(seed)
-    dim = k + int(rng.integers(1, 20))
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, k)))
-    v = rng.standard_normal(dim)
-    proj, res = project_onto_subspace(v, basis)
-    assert np.allclose(proj + res, v, atol=1e-12)
-    assert abs(proj @ proj + res @ res - v @ v) < 1e-10 * max(1.0, v @ v)
-    assert np.max(np.abs(basis.T @ res)) < 1e-10
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_subspace_ratio_at_least_one(seed):
     rng = np.random.default_rng(seed)
-    dim = int(rng.integers(6, 30))
-    k = int(rng.integers(1, 5))
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+    L = int(rng.integers(3, 9))
+    dim = int(rng.integers(L, 30))
+    k = int(rng.integers(1, L - 1))
+    grads = rng.standard_normal((L, dim))
+    sample = GradientSample(grads - grads.mean(axis=0))
+    w = k_top_eigvecs(k_spectrum(gram_from_gradients(sample)), k=k)
     g = rng.standard_normal(dim)
-    ratio = grad_subspace_ratio(g, basis)
+    ratio = grad_subspace_ratio(g, sample, w)
     assert ratio >= 1.0
 
 
@@ -88,5 +77,5 @@ def test_per_example_mean_consistency_random_nets(seed):
         inputs=rng.standard_normal((n, spec.layer_sizes[0])),
         labels=rng.integers(0, spec.layer_sizes[-1], size=n),
     )
-    peg = per_example_grads(spec, theta, batch)
+    peg = grouped_grads(spec, theta, batch, np.arange(n)[:, None])
     assert np.max(np.abs(peg.mean(axis=0) - grad(spec, theta, batch))) < 1e-12

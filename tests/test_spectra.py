@@ -134,25 +134,39 @@ class TestKSpectrum:
         assert a.trace_k == b.trace_k
 
 
+def top_subspace(centered, k):
+    """The ambient top-k covariance eigenvectors Cᵀw that ``k_top_eigvecs``
+    stands for, formed here as a D x k block, with the sample and its w."""
+    sample = GradientSample(centered)
+    w = k_top_eigvecs(k_spectrum(gram_from_gradients(sample)), k=k)
+    return centered.T @ w, sample, w
+
+
+def dense_ratio(centered, g, k):
+    """‖g‖ over the norm of its projection onto the top-k eigenvectors of
+    the dense D x D covariance, from ``np.linalg.eigh``."""
+    _, vectors = np.linalg.eigh(centered.T @ centered / centered.shape[0])
+    top = vectors[:, ::-1][:, :k]
+    return np.linalg.norm(g) / np.linalg.norm(top.T @ g)
+
+
 class TestTopEigvecs:
     def test_antipodal_single_direction(self):
         v = np.array([3.0, 4.0, 0.0])
-        g = np.vstack([v, -v])
-        gram = gram_from_gradients(GradientSample(g))
-        vecs = k_top_eigvecs(GradientSample(g), k_spectrum(gram), k=1)
+        vecs, _, w = top_subspace(np.vstack([v, -v]), k=1)
+        assert w.shape == (2, 1)
         assert np.allclose(np.abs(vecs[:, 0]), np.abs(v) / 5.0, atol=1e-12)
 
     def test_ambient_eigen_residual_vs_dense(self):
         g, gbar = random_grads(8, 50, 11)
-        gram = gram_from_gradients(GradientSample(g - gbar))
-        vecs = k_top_eigvecs(GradientSample(g - gbar), k_spectrum(gram), k=5)
         centered = g - gbar
+        vecs, sample, w = top_subspace(centered, k=5)
+        assert w.shape == (8, 5)
         cov = centered.T @ centered / g.shape[0]
-        eigs = k_spectrum(gram).gram_eigenvalues[:5]
+        eigs = k_spectrum(gram_from_gradients(sample)).gram_eigenvalues[:5]
         for lam, v in zip(eigs, vecs.T):
             assert np.linalg.norm(cov @ v - lam * v) < 1e-8
-        ortho = vecs.T @ vecs
-        assert np.max(np.abs(ortho - np.eye(5))) < 1e-8
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(5))) < 1e-12
 
     def test_duplicated_sample_spectrum_consistent(self):
         g, _ = random_grads(5, 30, 13)
@@ -167,9 +181,12 @@ class TestTopEigvecs:
     def test_shuffled_sample_order_gives_same_vectors(self):
         g, gbar = random_grads(10, 40, 17)
         perm = np.random.default_rng(3).permutation(10)
-        a = k_top_eigvecs(GradientSample(g - gbar), k_spectrum(gram_from_gradients(GradientSample(g - gbar))), k=4)
-        b = k_top_eigvecs(GradientSample(g[perm] - gbar), k_spectrum(gram_from_gradients(GradientSample(g[perm] - gbar))), k=4)
+        a, sample_a, w_a = top_subspace(g - gbar, k=4)
+        b, sample_b, w_b = top_subspace(g[perm] - gbar, k=4)
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+        grad_now = np.random.default_rng(4).standard_normal(40)
+        ratio_a = grad_subspace_ratio(grad_now, sample_a, w_a)
+        assert grad_subspace_ratio(grad_now, sample_b, w_b) == pytest.approx(ratio_a, rel=1e-13)
 
     def test_gram_eigenvectors_reconstruct_gram(self):
         g, gbar = random_grads(9, 30, 19)
@@ -180,53 +197,57 @@ class TestTopEigvecs:
         assert np.max(np.abs(recon - gram.entries)) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
 
-    def test_peak_memory_below_one_gradient_block(self, traced_peak):
+    def test_g_ratio_stage_peaks_below_one_eigenvector_block(self, traced_peak):
         g, gbar = random_grads(40, 65536, 24)  # 21 MB
-        centered = g - gbar
-        ks = k_spectrum(gram_from_gradients(GradientSample(centered)))
-        _, peak = traced_peak(lambda: k_top_eigvecs(GradientSample(centered), ks, k=5))
-        # the D x 5 output and two temporaries of its size
-        assert peak < 0.5 * g.nbytes
+        sample = GradientSample(g - gbar)
+        ks = k_spectrum(gram_from_gradients(sample))
+        grad_now = g[0].copy()
+        _, peak = traced_peak(lambda: grad_subspace_ratio(grad_now, sample, k_top_eigvecs(ks, k=5)))
+        # the D x 5 block of ambient eigenvectors is never formed
+        assert peak < 65536 * 5 * 8
 
     def test_rank_deficient(self):
         v = np.array([1.0, 0.0])
         g = np.vstack([v, -v, v, -v])
         gram = gram_from_gradients(GradientSample(g))
         with pytest.raises(RankDeficientError):
-            k_top_eigvecs(GradientSample(g), k_spectrum(gram), k=2)
+            k_top_eigvecs(k_spectrum(gram), k=2)
 
 
 class TestSubspaceRatio:
+    @staticmethod
+    def ratio(centered, g, k):
+        _, sample, w = top_subspace(centered, k)
+        return grad_subspace_ratio(g, sample, w)
+
     def test_in_span_gives_one(self):
-        basis, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((10, 3)))
-        g = basis @ np.array([1.0, -2.0, 0.5])
-        assert grad_subspace_ratio(g, basis) == pytest.approx(1.0, abs=1e-12)
+        g, gbar = random_grads(4, 10, 2)
+        centered = g - gbar
+        in_span = centered.T @ np.array([1.0, -2.0, 0.5, 0.0])
+        assert self.ratio(centered, in_span, k=3) == pytest.approx(1.0, abs=1e-12)
 
     def test_45_degrees_gives_sqrt2(self):
-        basis = np.array([[1.0], [0.0]])
-        g = np.array([1.0, 1.0])
-        assert grad_subspace_ratio(g, basis) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+        v = np.array([1.0, 0.0])
+        assert self.ratio(np.vstack([v, -v]), np.array([1.0, 1.0]), k=1) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
-    def test_matches_gram_schmidt_projection(self):
-        rng = np.random.default_rng(4)
-        basis, _ = np.linalg.qr(rng.standard_normal((20, 4)))
-        g = rng.standard_normal(20)
-        manual = np.zeros(20)
-        for b in basis.T:
-            manual += np.dot(g, b) * b
-        expected = np.linalg.norm(g) / np.linalg.norm(manual)
-        assert grad_subspace_ratio(g, basis) == pytest.approx(expected, abs=1e-10)
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_dense_covariance_eigh(self, k):
+        g, gbar = random_grads(7, 20, 4)
+        grad_now = np.random.default_rng(5).standard_normal(20)
+        expected = dense_ratio(g - gbar, grad_now, k)
+        assert self.ratio(g - gbar, grad_now, k) == pytest.approx(expected, rel=1e-10)
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(6)
-        basis, _ = np.linalg.qr(rng.standard_normal((15, 5)))
+        g, gbar = random_grads(6, 15, 6)
+        _, sample, w = top_subspace(g - gbar, k=4)
         for _ in range(20):
-            assert grad_subspace_ratio(rng.standard_normal(15), basis) >= 1.0
+            assert grad_subspace_ratio(rng.standard_normal(15), sample, w) >= 1.0
 
     def test_orthogonal_gradient_degenerate(self):
-        basis = np.array([[1.0], [0.0]])
+        v = np.array([1.0, 0.0])
         with pytest.raises(DegenerateProjectionError):
-            grad_subspace_ratio(np.array([0.0, 1.0]), basis)
+            self.ratio(np.vstack([v, -v]), np.array([0.0, 1.0]), k=1)
 
 
 class TestSampleMinibatchGradients:
@@ -352,15 +373,24 @@ class TestFactorForm:
         ks, ks_ref = k_spectrum(gram), k_spectrum(gram_ref)
         for field in ("lambda_k1", "lambda_k_star", "trace_k", "cond_ratio"):
             assert abs(getattr(ks, field) - getattr(ks_ref, field)) <= 1e-10 * abs(getattr(ks_ref, field))
-        top, top_ref = k_top_eigvecs(sample, ks, k=3), k_top_eigvecs(explicit, ks_ref, k=3)
-        assert top.shape == (spec.param_dim, 3)
-        # up to each column's sign: two-class cross-entropy gives output
-        # entries +x and -x, and rounding picks which counts as larger
-        aligned = top * np.sign(np.sum(top * top_ref, axis=0))
-        assert self.rel(aligned, top_ref) <= 1e-10
         g = grad(spec, theta, data.subset(np.arange(8)), mode)
-        ratio, ratio_ref = grad_subspace_ratio(g, top), grad_subspace_ratio(g, top_ref)
+        ratio = grad_subspace_ratio(g, sample, k_top_eigvecs(ks, k=3))
+        ratio_ref = grad_subspace_ratio(g, explicit, k_top_eigvecs(ks_ref, k=3))
         assert abs(ratio - ratio_ref) <= 1e-10 * ratio_ref
+
+    @pytest.mark.parametrize("layer_sizes, n_factored", [((3, 16, 12, 2), 1), ((3, 5, 4, 2), 0)])
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_g_ratio_equals_dense_covariance_eigh(self, activation, loss, layer_sizes, n_factored):
+        # the oracle: eigh of the dense D x D covariance of the drawn groups'
+        # grouped_grads rows
+        spec, theta, data, mode = self.case(layer_sizes, activation, loss, "none")
+        sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=5, bn_mode=mode)
+        assert len(sample.factors) == n_factored
+        g = grad(spec, theta, data.subset(np.arange(8)), mode)
+        ratio = grad_subspace_ratio(g, sample, k_top_eigvecs(k_spectrum(gram_from_gradients(sample)), k=3))
+        expected = dense_ratio(self.oracle(spec, theta, data, mode, seed=5).explicit, g, k=3)
+        assert abs(ratio - expected) <= 1e-10 * expected
 
     def test_rank_deficient_sample_still_raises(self):
         spec, theta, _, _ = self.case((3, 16, 12, 2), "tanh", "mse", "none")
@@ -368,7 +398,7 @@ class TestFactorForm:
         sample, _ = sample_minibatch_gradients(spec, theta, one, self.L, self.M, seed=0)
         assert sample.factors
         with pytest.raises(RankDeficientError):
-            k_top_eigvecs(sample, k_spectrum(gram_from_gradients(sample)), k=2)
+            k_top_eigvecs(k_spectrum(gram_from_gradients(sample)), k=2)
 
     def test_covariance_stage_peaks_below_one_gradient_block(self, traced_peak):
         spec = MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=True, loss="mse", seed=1)
@@ -377,14 +407,31 @@ class TestFactorForm:
         data = Batch(inputs=rng.standard_normal((64, 10)), labels=rng.standard_normal((64, 10)))
         frozen = bn_batch_statistics(spec, theta, data)
 
+        g = grad(spec, theta, data.subset(np.arange(8)), frozen)
+
         def stage():
             sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_mode=frozen)
             ks = k_spectrum(gram_from_gradients(sample))
-            return k_top_eigvecs(sample, ks, k=5)
+            return grad_subspace_ratio(g, sample, k_top_eigvecs(ks, k=5))
 
-        top, peak = traced_peak(stage)
-        assert top.shape == (spec.param_dim, 5)
+        ratio, peak = traced_peak(stage)
+        assert ratio >= 1.0
         assert peak < 40 * spec.param_dim * 8
+
+    def test_g_ratio_stage_peaks_below_one_eigenvector_block(self, traced_peak):
+        spec = MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=True, loss="mse", seed=1)
+        theta = init_params(spec)
+        rng = np.random.default_rng(5)
+        data = Batch(inputs=rng.standard_normal((64, 10)), labels=rng.standard_normal((64, 10)))
+        frozen = bn_batch_statistics(spec, theta, data)
+        g = grad(spec, theta, data.subset(np.arange(8)), frozen)
+        sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_mode=frozen)
+        assert sample.factors
+        ks = k_spectrum(gram_from_gradients(sample))
+        ratio, peak = traced_peak(lambda: grad_subspace_ratio(g, sample, k_top_eigvecs(ks, k=5)))
+        assert ratio >= 1.0
+        # one D x 5 float64 block of ambient eigenvectors would not fit
+        assert peak < spec.param_dim * 5 * 8
 
 
 class TestHessianSpectrum:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,23 @@ class TestRunTraining:
         records, summary = run_training(cfg, ds)
         assert summary.diverged
         assert len(records) >= 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_ends_the_run_diverged_under_the_warnings_filter(self):
+        # the desk model at eta = 1.5 overflows in the reverse pass within a
+        # few steps; that must end the cell as diverged, alone and stacked,
+        # not escape as a RuntimeWarning
+        ds = make_dataset({"kind": "gaussian_blobs", "n": 2000, "classes": 2, "radius": 1.0,
+                           "sigma": 0.8, "val_fraction": 0.2}, seed=1)
+        cfg = RunConfig(
+            model=MlpSpec(layer_sizes=(2, 32, 32, 2), activation="relu", loss="mse", init_gain=0.6, seed=0),
+            eta=1.5, batch_size=32, epochs=2, eval_every=25,
+            spectra=SpectraParams(n_gradient_samples=40, gram_batch_size=8, lanczos_iters=30), seed=1,
+        )
+        _, summary = run_training(cfg, ds)
+        assert summary.diverged
+        (_, high), _ = run_training([cfg, replace(cfg, eta=1.0)], ds)
+        assert high.diverged
 
     def test_g_ratio_null_when_gradients_span_too_few_directions(self):
         # zero weights behind relu units: only the output bias has a gradient,
