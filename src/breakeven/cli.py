@@ -11,7 +11,10 @@ any cell trains.
 simulate; report draws nothing and takes none. Every output file starts with
 a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash of
 the fully-resolved config, and rerunning a subcommand with the same resolved
-config reproduces all outputs byte for byte.
+config reproduces all outputs byte for byte. simulate runs its growth cells
+and Monte-Carlo cases on one thread per CPU the process may use (``taskset``
+limits them); each case draws from its own generator, so no output depends
+on the CPU count.
 
 Exit codes: 0 success; 1 non-fatal computational condition (diverged run, no
 schedule flip); 2 config/schema problem; 3 I/O problem.
@@ -331,6 +334,10 @@ class _MonteCarlo:
     n_traj: int = 10_000
     seed: int = 0  # --seed replaces it
 
+    def __post_init__(self):
+        if self.cases < 1:
+            raise InvalidConfigError("need at least 1 case", "cases")
+
 
 @dataclasses.dataclass(frozen=True)
 class _SimulateConfig:
@@ -346,6 +353,23 @@ class _SimulateConfig:
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def _map_on_cpus(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on one thread per CPU the process may
+    use (``os.sched_getaffinity``, which ``taskset`` limits). numpy releases
+    the GIL in the array work, so items overlap; results keep item order. The
+    lowest-numbered failing item's error is raised, as a serial loop raises
+    it, after the items then running have finished; items not yet started
+    are cancelled."""
+    from concurrent.futures import ThreadPoolExecutor  # imported here, not on every CLI start
+
+    # an empty grid maps no items, but a pool needs at least one worker
+    pool = ThreadPoolExecutor(max(1, min(len(items), len(os.sched_getaffinity(0)))))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_simulate(args) -> int:
@@ -388,40 +412,49 @@ def cmd_simulate(args) -> int:
     growth = cfg.growth
     if growth is not None:
         lines = [header, "eta,batch_size,flipped,step_of_breakeven,lambda_at_flip,lambda_max,psi_at_stop\n"]
-        for eta in etas:
-            for s in batch_sizes:
-                with _section("growth"):
-                    res = run_growth_dynamics(SgdSetting(eta=eta, batch_size=s), growth, alpha, n, growth.max_steps)
-                if not res.flipped:
-                    exit_code = EXIT_COMPUTATIONAL
-                lines.append(
-                    f"{eta!r},{s},{int(res.flipped)},"
-                    f"{'' if res.step_of_breakeven is None else res.step_of_breakeven},"
-                    f"{'' if res.lambda_at_flip is None else repr(res.lambda_at_flip)},"
-                    f"{res.lambda_max!r},{res.psi_at_stop!r}\n"
-                )
+        with _section("growth"):
+            cells = [SgdSetting(eta=eta, batch_size=s) for eta in etas for s in batch_sizes]
+            results = _map_on_cpus(
+                lambda setting: run_growth_dynamics(setting, growth, alpha, n, growth.max_steps), cells
+            )
+        for setting, res in zip(cells, results):
+            if not res.flipped:
+                exit_code = EXIT_COMPUTATIONAL
+            lines.append(
+                f"{setting.eta!r},{setting.batch_size},{int(res.flipped)},"
+                f"{'' if res.step_of_breakeven is None else res.step_of_breakeven},"
+                f"{'' if res.lambda_at_flip is None else repr(res.lambda_at_flip)},"
+                f"{res.lambda_max!r},{res.psi_at_stop!r}\n"
+            )
         outputs["growth_dynamics.csv"] = lines
 
     mc = cfg.monte_carlo
     if mc is not None:
+        # every case is drawn before any ensemble runs, so the draws keep one order
         rng = make_rng(mc.seed, 100)
-        lines = [header, "case,eta,batch_size,n,lambda_h,s_squared,lhs,log_lhs,fitted_rate,abs_diff\n"]
+        cases = []
         for case in range(mc.cases):
             case_n = int(rng.integers(30, 101))
             h = rng.uniform(0.5, 1.5, size=case_n)
-            case_model = QuadraticModel(curvatures=h)
             eta = float(rng.uniform(0.01, 0.15))
             s = int(rng.integers(1, case_n + 1))
-            setting = SgdSetting(eta=eta, batch_size=s)
+            cases.append((case, QuadraticModel(curvatures=h), SgdSetting(eta=eta, batch_size=s)))
+
+        def fitted_rate(case_item):
+            case, case_model, setting = case_item
+            # psi0 scales every second moment alike, so the fitted rate does not read it
+            sm = ensemble_second_moments(case_model, setting, 1.0, mc.steps, mc.n_traj, seed=mc.seed + case)
+            return fit_growth_rate(sm)
+
+        with _section("monte_carlo"):
+            rates = _map_on_cpus(fitted_rate, cases)
+        lines = [header, "case,eta,batch_size,n,lambda_h,s_squared,lhs,log_lhs,fitted_rate,abs_diff\n"]
+        for (case, case_model, setting), rate in zip(cases, rates):
             lhs = stability_lhs(case_model, setting)
-            with _section("monte_carlo"):
-                # psi0 scales every second moment alike, so the fitted rate does not read it
-                sm = ensemble_second_moments(case_model, setting, 1.0, mc.steps, mc.n_traj, seed=mc.seed + case)
-                rate = fit_growth_rate(sm)
             log_lhs = float(np.log(lhs))
             lines.append(
-                f"{case},{eta!r},{s},{case_n},{case_model.lambda_h!r},{case_model.s_squared!r},"
-                f"{lhs!r},{log_lhs!r},{rate!r},{abs(rate - log_lhs)!r}\n"
+                f"{case},{setting.eta!r},{setting.batch_size},{case_model.n},{case_model.lambda_h!r},"
+                f"{case_model.s_squared!r},{lhs!r},{log_lhs!r},{rate!r},{abs(rate - log_lhs)!r}\n"
             )
         outputs["mc_validation.csv"] = lines
 

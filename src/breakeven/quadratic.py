@@ -111,47 +111,6 @@ def stability_lhs(model: QuadraticModel, setting: SgdSetting) -> float:
     return stability_lhs_scalar(model.lambda_h, model.s_squared, setting.eta, setting.batch_size, model.n)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    trajectory: np.ndarray  # psi values, trajectory[0] == psi0
-    diverged: bool
-
-
-def simulate_sgd(
-    model: QuadraticModel,
-    setting: SgdSetting,
-    psi0: float,
-    steps: int,
-    seed: int,
-    divergence_threshold: float = 1e12,
-) -> SimulationResult:
-    """Run the projected SGD recursion, sampling each batch without
-    replacement. The run truncates as diverged once |psi|
-    exceeds the threshold."""
-    if steps < 1:
-        raise InvalidParamsError("steps must be >= 1")
-    n = model.n
-    s = setting.batch_size
-    if s > n:
-        raise InvalidParamsError(f"batch size {s} exceeds example count {n}")
-    rng = make_rng(seed)
-    h = model.curvatures
-    psi = float(psi0)
-    out = np.empty(steps + 1)
-    out[0] = psi
-    for t in range(1, steps + 1):
-        if s == n:
-            hbar = model.lambda_h
-        else:
-            idx = rng.choice(n, size=s, replace=False)
-            hbar = float(np.mean(h[idx]))
-        psi = psi - setting.eta * hbar * psi
-        out[t] = psi
-        if abs(psi) > divergence_threshold:
-            return SimulationResult(trajectory=out[: t + 1].copy(), diverged=True)
-    return SimulationResult(trajectory=out, diverged=False)
-
-
 def _masked_sums(u: np.ndarray, s: int, weights: np.ndarray) -> np.ndarray:
     """``(u <= kth) @ weights`` over the last axis, ``kth`` being each row's
     s-th smallest key. The 0/1 mask is written as float64 into the copy
@@ -337,8 +296,17 @@ def run_growth_dynamics(
         with np.errstate(all="ignore"):
             psi_sq = psis * psis
             s2 = alpha * lams / psi_sq
-            # float_power calls the C library's pow, as Python's float ** does
-            lhs = np.float_power(1.0 - eta * lams, 2.0) + s2 * eta * eta * nf
+            x = 1.0 - eta * lams
+            sq = x * x
+            noise = s2 * eta * eta * nf
+            lhs = sq + noise
+            # the scalar predicate squares with Python's float **, the C
+            # library's pow (float_power), which may differ from x * x by one
+            # ulp of x^2. 1e-15 * max(x^2, 1) exceeds four such ulps, so only
+            # where lhs lies that close to 1, or is not finite, could the
+            # predicate differ, and only there is lhs taken from pow
+            near = ~(np.abs(lhs - 1.0) > 1e-15 * np.maximum(sq, 1.0))
+            lhs[near] = np.float_power(x[near], 2.0) + noise[near]
         flips = np.flatnonzero((lhs <= 1.0) != start_stable)
         end = int(flips[0]) + 1 if flips.size else m
         if not np.all(psi_sq[:end]):

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import re
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from breakeven import cli, trainer
 from breakeven.cli import TRAIN_COLUMNS, build_parser, main, resolve_run_config
+from breakeven.errors import InvalidParamsError
 from breakeven.netmodel import MlpSpec
 from breakeven.trainer import METRIC_FIELDS, RunConfig, validate_metric_log
 
@@ -171,6 +174,65 @@ class TestSimulate:
         assert mc_bytes(2, "c").splitlines()[2:] != first.splitlines()[2:]
 
 
+class TestSimulateOnCpus:
+    """The growth cells and Monte-Carlo cases run on one thread per CPU the
+    process may use; ``os.sched_getaffinity`` is patched to set that count."""
+
+    CONFIG = {
+        "etas": [0.5, 0.1, 0.02],
+        "batch_sizes": [1, 10, 40],
+        "alpha": 0.5,
+        "curvatures": {"kind": "uniform", "low": 0.5, "high": 1.5, "count": 40, "seed": 2},
+        "growth": {"direction": "increasing_from_stable", "lambda0": 0.05, "rho": 1.001, "psi0": 1.0},
+        "monte_carlo": {"cases": 8, "steps": 30, "n_traj": 40, "seed": 5},
+    }
+
+    @staticmethod
+    def simulate(tmp_path, monkeypatch, cpus, name):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write_json(tmp_path / "sim.json", TestSimulateOnCpus.CONFIG)
+        out = tmp_path / name
+        threads = threading.active_count()
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        assert threading.active_count() == threads  # no thread outlives main
+        return code, out
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        outputs = []
+        for cpus in (1, 4):
+            code, out = self.simulate(tmp_path, monkeypatch, cpus, f"cpus{cpus}")
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["breakeven_table.csv", "growth_dynamics.csv", "mc_validation.csv",
+                                      "phase_diagram.csv"]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_lowest_numbered_failing_case_is_reported(self, cpus, tmp_path, monkeypatch, capsys):
+        # on 4 threads case 3 fails only after case 5 has failed on another
+        # thread, so the error that reaches the CLI is the lower-numbered
+        # one, not the first
+        real = cli.ensemble_second_moments
+        first_seed = self.CONFIG["monte_carlo"]["seed"]
+        case_5_failed = threading.Event()
+
+        def failing(model, setting, psi0, steps, n_traj, seed):
+            case = seed - first_seed
+            if case == 3 and cpus > 1:
+                assert case_5_failed.wait(timeout=30)
+            if case in (3, 5):
+                if case == 5:
+                    case_5_failed.set()
+                raise InvalidParamsError(f"case {case} failed", "n_traj")
+            return real(model, setting, psi0, steps, n_traj, seed)
+
+        monkeypatch.setattr(cli, "ensemble_second_moments", failing)
+        code, out = self.simulate(tmp_path, monkeypatch, cpus, "out")
+        assert code == 2
+        assert "error: monte_carlo.n_traj: case 3 failed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_exit_zero_and_valid_schema(self, train_config, tmp_path):
         out = tmp_path / "run"
@@ -266,6 +328,33 @@ class TestSweepCli:
         assert sorted(f"logs/{p.name}" for p in (out / "logs").iterdir()) == names
         # the cells repeat one (value, seed) pair, so their logs agree
         assert len({(out / name).read_bytes() for name in names}) == 1
+
+    def test_diverging_cells_are_records_not_warnings(self, tmp_path, capsys):
+        # the desk model at eta = 1.5 overflows within a few steps: its cells
+        # end as diverged, and no RuntimeWarning reaches the user
+        cfg = write_json(
+            tmp_path / "diverge.json",
+            {
+                "model": {"layer_sizes": [2, 32, 32, 2], "activation": "relu", "loss": "mse",
+                          "init_gain": 0.6, "seed": 0},
+                "dataset": {"kind": "gaussian_blobs", "n": 2000, "classes": 2, "radius": 1.0,
+                            "sigma": 0.8, "val_fraction": 0.2, "seed": 1},
+                "eta": 1.0, "batch_size": 32, "momentum": 0.0, "epochs": 2, "eval_every": 25,
+                "spectra": {"n_gradient_samples": 40, "gram_batch_size": 8, "lanczos_iters": 30},
+                "axis": {"name": "eta", "values": [1.0, 1.5]},
+                "seeds": [0, 1],
+            },
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Warning" not in capsys.readouterr().err
+        cells = json.loads((out / "sweep_report.json").read_text())["cells"]
+        assert [(c["axis_value"], c["diverged"], c["error"]) for c in cells] == [
+            (1.0, False, None), (1.0, False, None), (1.5, True, None), (1.5, True, None)
+        ]
 
     def test_single_axis_value_exit_2(self, tmp_path, train_config):
         cfg = json.loads(Path(train_config).read_text())
@@ -457,6 +546,8 @@ class TestConfigBoundary:
             ("simulate", "monte_carlo.sead", 1, "monte_carlo.sead"),
             ("sweep", "dataset.sigmaa", 0.3, "dataset.sigmaa"),
             ("simulate", "monte_carlo.steps", 0, "monte_carlo.steps"),
+            ("simulate", "monte_carlo.cases", 0, "monte_carlo.cases"),
+            ("simulate", "monte_carlo.cases", -2, "monte_carlo.cases"),
             ("simulate", "growth.psi0", 1e-200, "growth.psi0"),
             ("sweep", "axis", {"name": "batch_size", "values": [8, 12.5]}, "axis.values"),
             ("sweep", "spectra.gram_batch_size", 4.5, "spectra.gram_batch_size"),

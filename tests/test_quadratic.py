@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from breakeven.quadratic import (
     fit_growth_rate,
     phase_diagram,
     run_growth_dynamics,
-    simulate_sgd,
     stability_lhs,
     stability_lhs_scalar,
 )
@@ -63,6 +64,30 @@ class TestStabilityLhs:
     def test_rejects_nonpositive_mean_curvature(self):
         with pytest.raises(InvalidParamsError):
             QuadraticModel(curvatures=np.array([1.0, -3.0]))
+
+
+@dataclass(frozen=True)
+class SimulationResult:
+    trajectory: np.ndarray  # psi values, trajectory[0] == psi0
+    diverged: bool
+
+
+def simulate_sgd(model, setting, psi0, steps, seed, divergence_threshold=1e12):
+    """One SGD trajectory of the quadratic, the recursion that
+    ``ensemble_second_moments`` runs for a whole ensemble, with each batch
+    drawn without replacement by ``rng.choice``; truncated as diverged once
+    |psi| exceeds the threshold."""
+    n, s, h = model.n, setting.batch_size, model.curvatures
+    rng = make_rng(seed)
+    psi = float(psi0)
+    out = [psi]
+    for _ in range(steps):
+        hbar = model.lambda_h if s == n else float(np.mean(h[rng.choice(n, size=s, replace=False)]))
+        psi = psi - setting.eta * hbar * psi
+        out.append(psi)
+        if abs(psi) > divergence_threshold:
+            return SimulationResult(trajectory=np.array(out), diverged=True)
+    return SimulationResult(trajectory=np.array(out), diverged=False)
 
 
 class TestSimulateSgd:
@@ -333,6 +358,23 @@ def test_growth_matches_scalar_recursion_across_chunk_boundaries(case, monkeypat
             got = run_growth_dynamics(setting, schedule, alpha, n, max_steps)
             want = growth_reference(setting, schedule, alpha, n, max_steps)
             assert repr(got) == repr(want), (chunk, max_steps)
+
+
+def test_growth_predicate_squares_as_the_scalar_recursion_does():
+    # at step 1 of this schedule x * x puts lhs one ulp above 1, where the
+    # scalar recursion's (1 - eta * lambda) ** 2 (the C library's pow) gives
+    # exactly 1, so the schedule is still stable there
+    eta, batch_size, n, alpha = 0.7513745572012553, 8, 300, 0.44430445306441163
+    setting = SgdSetting(eta=eta, batch_size=batch_size)
+    schedule = GrowthSchedule(INCREASING, 2.6048370914084327, 1.001, 1.0)
+    lam, psi = schedule.lambda0 * schedule.rho, schedule.psi0 / schedule.rho
+    s2 = alpha * lam / (psi * psi)
+    x = 1.0 - eta * lam
+    assert x * x + s2 * eta * eta * quadratic.noise_factor(batch_size, n) > 1.0
+    assert stability_lhs_scalar(lam, s2, eta, batch_size, n) == 1.0
+    got = run_growth_dynamics(setting, schedule, alpha, n)
+    assert got.step_of_breakeven > 1
+    assert repr(got) == repr(growth_reference(setting, schedule, alpha, n, 10**6))
 
 
 class TestPhaseDiagram:
