@@ -60,10 +60,12 @@ from .quadratic import (
 )
 from .rng import PRNG_ALGORITHM, make_rng
 from .trainer import (
+    LIST_FIELDS,
     METRIC_FIELDS,
     SWEEP_AXES,
     RunConfig,
     breakeven_indicators,
+    check_metric_records,
     config_hash,
     metric_log_lines,
     parse_metric_log,
@@ -350,6 +352,13 @@ class _SimulateConfig:
     growth: Optional[_Growth] = None
     monte_carlo: Optional[_MonteCarlo] = None
 
+    def __post_init__(self):
+        # alpha scales the variance s² = αλ/ψ², which cannot be negative
+        if not 0.0 <= self.alpha < np.inf:
+            raise InvalidConfigError("must be >= 0 and finite", "alpha")
+        if not (self.psi * self.psi > 0.0 and np.isfinite(self.psi)):
+            raise InvalidConfigError("must be finite, with a nonzero square", "psi")
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -381,9 +390,19 @@ def cmd_simulate(args) -> int:
     with _section("curvatures"):
         model = QuadraticModel(curvatures=cfg.curvatures.draw())
     n = model.n
-    for s in cfg.batch_sizes:
-        if not 1 <= s <= n:
-            raise SchemaError("batch_sizes", f"batch size {s} outside [1, {n}]")
+    # the lists' entries are checked here, where the batch sizes' bound n is
+    # known; learning rate 0 sits on the break-even boundary, so the grid takes it
+    for key, values, ok, want in (
+        ("etas", cfg.etas, lambda eta: 0.0 < eta < np.inf, "positive and finite"),
+        ("batch_sizes", cfg.batch_sizes, lambda s: 1 <= s <= n, f"in [1, {n}]"),
+        ("phase_grid.etas", cfg.phase_grid.etas, lambda eta: 0.0 <= eta < np.inf, ">= 0 and finite"),
+        ("phase_grid.batch_sizes", cfg.phase_grid.batch_sizes, lambda s: 1 <= s <= n, f"in [1, {n}]"),
+    ):
+        if values is not None and not values:
+            raise SchemaError(key, "need a nonempty list")
+        for i, v in enumerate(values or ()):
+            if not ok(v):
+                raise SchemaError(f"{key}[{i}]", f"{v!r} is not {want}")
     etas, batch_sizes, alpha, psi = cfg.etas, cfg.batch_sizes, cfg.alpha, cfg.psi
     header = f"# config_hash={config_hash(raw)} tool=breakeven-{__version__} subcommand=simulate\n"
     # every file is computed before the first is written, so an error leaves --out untouched
@@ -568,9 +587,7 @@ def cmd_sweep(args) -> int:
 # report
 
 
-_PLOTTABLE = tuple(
-    f for f in METRIC_FIELDS if f not in ("step", "epoch", "lambda_h_top", "bn_gamma_norms")
-) + ("lambda_h1",)
+_PLOTTABLE = tuple(f for f in METRIC_FIELDS if f not in ("step", "epoch") + LIST_FIELDS) + ("lambda_h1",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -619,6 +636,7 @@ def cmd_report(args) -> int:
     for i, path in enumerate(cfg.logs):
         try:
             meta, records = parse_metric_log(Path(path).read_text(encoding="utf-8"))
+            check_metric_records(records)
         except ValidationError as exc:
             raise SchemaError(f"logs[{i}]", f"{path}: {exc}") from None
         threshold = _coerce(

@@ -9,11 +9,12 @@ linear -> (batch norm) -> activation; the output layer is linear (logits).
 There is one forward pass (``_forward``) and one reverse pass
 (``_backward``); every derivative is built on them. Both take a batch of
 examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
-example axis within each group, so ``grouped_grads`` returns one minibatch
-gradient per group from a single pass; ``grad`` is its one-group case.
-The same reverse pass can leave chosen layers' weight gradients unsummed,
-as per-example factors (``grouped_grad_factors``), for readers that need
-only inner products of the group gradients.
+example axis within each group, so ``grouped_grad_factors`` returns one
+minibatch gradient per group from a single pass; ``grad`` is its one-group
+case. The reverse pass can leave chosen layers' weight gradients unsummed,
+as per-example factors: the covariance readers need only inner products of
+the group gradients, and ``linearize`` factors every layer to read each
+layer's first-order δ.
 
 θ may carry leading axes too: a (C, D) stack holds one parameter vector per
 cell of a sweep. Weights are then read as (C, fan_in, fan_out) views and
@@ -24,8 +25,8 @@ Row c of a stacked result is bitwise equal to the call on row c alone,
 because every product runs the same BLAS kernel on each slice and every sum
 runs over the example axis in the same order. Two Hessian-vector products
 are provided: an exact forward-over-reverse product (``hvp_pearlmutter``,
-BN-free specs only), whose R-pass reads the forward caches and first-order
-backward chain that ``linearize`` computes once per (θ, batch), and a
+BN-free specs only), whose R-pass reads the forward caches and δs that
+``linearize`` computes once per (θ, batch), and a
 central-difference product on gradients (``hvp_fd``, supports BN with frozen
 statistics). ``hessian_operator`` is the one place that picks between them.
 """
@@ -264,15 +265,6 @@ def _act_d(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if kind == TANH:
         return 1.0 - a * a
     return np.ones_like(z)
-
-
-def _act_dd(kind: str, z: np.ndarray, a: np.ndarray) -> Optional[np.ndarray]:
-    """The activation's second derivative; None where it is zero (relu and
-    identity are piecewise linear)."""
-    if kind == RELU or kind == IDENTITY:
-        return None
-    # tanh'' = -2 tanh (1 - tanh^2)
-    return -2.0 * a * (1.0 - a * a)
 
 
 def _resolve_bn(spec: MlpSpec, bn_mode: BnMode):
@@ -548,14 +540,17 @@ def _mean_grads(
 def grouped_grad_factors(
     spec: MlpSpec, theta: np.ndarray, batch: Batch, groups, factored: Sequence[int], bn_mode: BnMode = BATCH_STATS
 ) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
-    """``grouped_grads`` with the weight gradients of the ``factored`` layers
-    left as per-example factors, from the same single pass.
+    """Mean loss gradient of each group of examples, from one forward and
+    one reverse pass, with the weight gradients of the ``factored`` layers
+    left as per-example factors.
 
-    Returns the (G, P) rows of every other parameter, in θ order with the
-    factored weights' columns left out, and one ``LayerFactors`` per
-    factored layer, in layer order; with no layer factored the rows are
-    ``grouped_grads``'s. A factored layer's group gradient
-    ``inputs[g]ᵀ deltas[g]`` equals its block of ``grouped_grads`` row g.
+    ``groups`` is a (G, M) array of example indices into ``batch``; with BN
+    batch statistics each group is normalized by its own statistics, and a
+    (G, D) stack θ evaluates group g at row g. Returns the (G, P) rows of
+    every parameter outside the factored weights, in θ order, and one
+    ``LayerFactors`` per factored layer, in layer order. With no layer
+    factored, row g equals ``grad(spec, theta, batch.subset(groups[g]),
+    bn_mode)``; a factored layer's ``inputs[g]ᵀ deltas[g]`` equals its block.
     """
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
@@ -565,24 +560,10 @@ def grouped_grad_factors(
     return _mean_grads(spec, theta, batch.inputs[groups], batch.labels[groups], bn_mode, factored)
 
 
-def grouped_grads(
-    spec: MlpSpec, theta: np.ndarray, batch: Batch, groups, bn_mode: BnMode = BATCH_STATS
-) -> np.ndarray:
-    """Mean loss gradient of each group of examples, one row per group.
-
-    ``groups`` is a (G, M) array of example indices into ``batch``. Row g
-    equals ``grad(spec, theta, batch.subset(groups[g]), bn_mode)``; with BN
-    batch statistics each group is normalized by its own statistics. All
-    groups share one forward and one reverse pass. With a (G, D) stack θ,
-    group g is evaluated at row g.
-    """
-    return grouped_grad_factors(spec, theta, batch, groups, (), bn_mode)[0]
-
-
 def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS) -> np.ndarray:
     """Exact reverse-mode gradient of the mean batch loss; the same pass as
-    one group of ``grouped_grads``. A stacked θ gives one gradient per row,
-    on the shared batch or, for a (C, n, d) batch, on block c."""
+    one group of ``grouped_grad_factors``. A stacked θ gives one gradient per
+    row, on the shared batch or, for a (C, n, d) batch, on block c."""
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
     return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_mode)[0]
@@ -595,11 +576,11 @@ class Linearization:
 
     ``layers`` holds, per hidden layer in forward order, the layer input
     ``a_in``, the weights ``w``, the activation derivative ``d1``, the
-    first-order δ and the curvature factor ``back_d2`` (the δ arriving from
-    above times the activation's second derivative; None where that is
-    zero). ``last`` holds the output layer's ``a_in``, ``w``, ``delta`` (the
-    gradient of the mean loss in the logits) and ``probs`` (their softmax,
-    None under MSE).
+    first-order δ and the curvature factor ``back_d2``: the δ arriving from
+    above times the activation's second derivative, -2·h·δ for tanh (tanh''
+    = -2·tanh·tanh'), None for relu and identity. ``last`` holds the output
+    layer's ``a_in``, ``w``, ``delta`` (the gradient of the mean loss in the
+    logits) and ``probs`` (their softmax, None under MSE).
     """
 
     layers: tuple[dict, ...]
@@ -608,8 +589,10 @@ class Linearization:
 
 @np.errstate(over="ignore", invalid="ignore")
 def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
-    """Forward pass and first-order backward chain of ``hvp_pearlmutter``,
-    run once for every direction at this (θ, batch).
+    """The forward pass and the reverse pass of ``grad``, run once for every
+    direction of ``hvp_pearlmutter`` at this (θ, batch). Every layer is
+    factored, so the reverse pass forms no weight-gradient block and hands
+    back each layer's δ.
 
     Checks θ and the labels; BN specs raise BnUnsupportedError.
     """
@@ -618,24 +601,18 @@ def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
     logits, caches, last = _forward(spec, theta, batch.inputs, BATCH_STATS)
-    last = {
-        **last,
-        "delta": _loss_grad_logits(spec, logits, batch.labels) / batch.size,
-        "probs": _softmax(logits) if spec.loss == SOFTMAX_CE else None,
-    }
+    delta = _loss_grad_logits(spec, logits, batch.labels) / batch.size
+    _, factors = _backward(spec, caches, last, delta, range(spec.n_layers))
     layers = []
-    upper = last
-    for cache in reversed(caches):
+    for cache, f in zip(caches, factors):
         kind = spec.activation[cache["entry"]["layer"]]
-        back = upper["delta"] @ _t(upper["w"])
-        d1 = _act_d(kind, cache["z"], cache["h"])
-        d2 = _act_dd(kind, cache["z"], cache["h"])
-        upper = {
-            "a_in": cache["a_in"], "w": cache["w"], "entry": cache["entry"], "d1": d1,
-            "delta": back * d1, "back_d2": None if d2 is None else back * d2,
-        }
-        layers.append(upper)
-    return Linearization(layers=tuple(reversed(layers)), last=last)
+        layers.append({
+            "a_in": cache["a_in"], "w": cache["w"], "entry": cache["entry"], "delta": f.deltas,
+            "d1": _act_d(kind, cache["z"], cache["h"]),
+            "back_d2": -2.0 * cache["h"] * f.deltas if kind == TANH else None,
+        })
+    probs = _softmax(logits) if spec.loss == SOFTMAX_CE else None
+    return Linearization(layers=tuple(layers), last={**last, "delta": delta, "probs": probs})
 
 
 @np.errstate(over="ignore", invalid="ignore")

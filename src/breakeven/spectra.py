@@ -57,14 +57,6 @@ COND_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """L x L matrix of centered minibatch-gradient inner products, scaled by
-    1/L. Symmetric by construction (upper triangle mirrored)."""
-
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     """Per-checkpoint spectral diagnostics of the gradient covariance."""
 
@@ -153,9 +145,10 @@ def _factor_gram(f: LayerFactors) -> np.ndarray:
     return s
 
 
-def gram_from_gradients(sample: GradientSample) -> GramMatrix:
-    """Gram matrix with entries (1/L) <c_i, c_j> of the centered samples
-    c_i = g_i - gbar (``sample_minibatch_gradients`` draws them).
+def gram_from_gradients(sample: GradientSample) -> np.ndarray:
+    """The L x L Gram matrix with entries (1/L) <c_i, c_j> of the centered
+    samples c_i = g_i - gbar (``sample_minibatch_gradients`` draws them),
+    symmetric by construction (upper triangle mirrored).
 
     The explicit columns are centered before they are multiplied, never as
     G G^T minus a correction, whose cancellation would swamp the small
@@ -172,8 +165,7 @@ def gram_from_gradients(sample: GradientSample) -> GramMatrix:
         for f in sample.factors:
             inner += _factor_gram(f)
         upper = np.triu(inner) / c.shape[0]
-    entries = upper + np.triu(upper, 1).T
-    return GramMatrix(entries=entries)
+    return upper + np.triu(upper, 1).T
 
 
 def _canonical_sample_order(entries: np.ndarray) -> np.ndarray:
@@ -189,7 +181,7 @@ def _canonical_sample_order(entries: np.ndarray) -> np.ndarray:
     return np.lexsort(np.vstack([rows.T[::-1], np.diag(entries)]))
 
 
-def k_spectrum(gram: GramMatrix) -> SpectralSummary:
+def k_spectrum(gram: np.ndarray) -> SpectralSummary:
     """Eigen-spectrum of the Gram matrix with the covariance reading applied.
 
     Eigenvalues are clamped at zero from below (the matrix is PSD up to
@@ -201,8 +193,8 @@ def k_spectrum(gram: GramMatrix) -> SpectralSummary:
     eigenvector rows are mapped back to the caller's sample order, so
     ``k_top_eigvecs`` can pair them with the gradient rows as given.
     """
-    order = _canonical_sample_order(gram.entries)
-    canonical = gram.entries[np.ix_(order, order)]
+    order = _canonical_sample_order(gram)
+    canonical = gram[np.ix_(order, order)]
     pairs = jacobi_eigh(DenseSymmetric.from_array(canonical))
     vectors = pairs.eigenvectors[np.argsort(order)]  # rows back in sample order
     clamped = np.maximum(pairs.eigenvalues, 0.0)  # descending
@@ -289,8 +281,6 @@ def hessian_spectrum(
     lockstep, one stacked product per matvec, and the result has one row of
     values per row of θ.
     """
-    if eval_subset.size < 1:
-        raise InsufficientDataError("evaluation subset is empty")
     op = hessian_operator(spec, theta, eval_subset, method=method, bn_mode=bn_mode)
     k_eff = min(k, op.dim, max_iters)
     pairs = lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed, vectors=False)

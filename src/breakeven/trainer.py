@@ -188,6 +188,7 @@ class MetricRecord:
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(MetricRecord))
+LIST_FIELDS = ("lambda_h_top", "bn_gamma_norms")
 
 
 @dataclass
@@ -793,24 +794,35 @@ def parse_metric_log(text: str) -> tuple[dict, list[MetricRecord]]:
     return meta, [MetricRecord(**{k: d.get(k) for k in METRIC_FIELDS}) for d in rows]
 
 
+def _is_number(v) -> bool:
+    # JSON gives exact int and float; a bool (an int subclass) is not a number
+    return type(v) is int or (type(v) is float and np.isfinite(v))
+
+
+def check_metric_records(records: Sequence[MetricRecord]) -> None:
+    """Every record's step and epoch are finite numbers (not bools), every
+    other metric is null or one, or, for ``LIST_FIELDS``, null or a list of
+    them, and steps strictly increase; otherwise InvalidConfigError names
+    the record and the field."""
+    last_step = -1
+    for i, r in enumerate(records):
+        for name in METRIC_FIELDS:
+            v = getattr(r, name)
+            if v is None and name not in ("step", "epoch"):
+                continue
+            if not (type(v) is list and all(map(_is_number, v)) if name in LIST_FIELDS else _is_number(v)):
+                want = "a list of finite numbers" if name in LIST_FIELDS else "a finite number"
+                raise InvalidConfigError(f"record {i}: field {name} must be {want}")
+        if r.step <= last_step:
+            raise InvalidConfigError(f"record {i}: steps must strictly increase")
+        last_step = r.step
+
+
 def validate_metric_log(text: str) -> None:
-    """Schema check: every line parses, required fields are present, values
-    are finite or explicit nulls, steps strictly increase."""
+    """Schema check: every line parses, required metadata fields are
+    present, and the records pass ``check_metric_records``."""
     meta, records = parse_metric_log(text)
     for key in ("schema_version", "config", "prng_algorithm", "artifact_version"):
         if key not in meta:
             raise InvalidConfigError(f"metadata missing {key!r}")
-    last_step = -1
-    for i, r in enumerate(records):
-        if r.step is None or r.step <= last_step:
-            raise InvalidConfigError(f"record {i}: steps must strictly increase")
-        last_step = r.step
-        for name in METRIC_FIELDS:
-            v = getattr(r, name)
-            if isinstance(v, float) and not np.isfinite(v):
-                raise InvalidConfigError(f"record {i}: field {name} is not finite")
-            if isinstance(v, list):
-                for x in v:
-                    if x is not None and not np.isfinite(x):
-                        raise InvalidConfigError(f"record {i}: field {name} has non-finite entry")
-
+    check_metric_records(records)

@@ -12,7 +12,7 @@ import pytest
 
 from breakeven import cli, trainer
 from breakeven.cli import TRAIN_COLUMNS, build_parser, main, resolve_run_config
-from breakeven.errors import InvalidParamsError
+from breakeven.errors import InvalidConfigError, InvalidParamsError
 from breakeven.netmodel import MlpSpec
 from breakeven.trainer import METRIC_FIELDS, RunConfig, validate_metric_log
 
@@ -492,6 +492,29 @@ class TestReportCli:
         assert "sweep_report.verdicts" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("train_loss", "abc"), ("lambda_h_top", ["x"]), ("lambda_h_top", 2.0), ("val_acc", True),
+         ("epoch", None), ("step", "1")],
+    )
+    def test_malformed_metric_value_exit_2_writes_nothing(self, field, value, tmp_path, log_dir, capsys):
+        # every log is checked before the first panel is written
+        meta, first, *rest = (log_dir / "metrics.jsonl").read_text().splitlines()
+        record = json.loads(first)
+        record[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([meta, json.dumps(record)] + rest) + "\n")
+        with pytest.raises(InvalidConfigError, match=f"record 0: field {field}"):
+            validate_metric_log(bad.read_text())
+        cfg = write_json(
+            tmp_path / "rep11.json",
+            {"logs": [str(log_dir / "metrics.jsonl"), str(bad)], "panels": [{"y": "val_acc"}, {"y": "train_loss"}]},
+        )
+        out = tmp_path / "r11"
+        assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"logs[1]: {bad}: record 0: field {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summary_table_lists_all_logs(self, tmp_path, log_dir):
         cfg = write_json(
             tmp_path / "rep5.json",
@@ -588,6 +611,18 @@ class TestConfigBoundary:
             ("train", "model.layer_sizes", [3, 8, 8, 2], "model.layer_sizes"),
             ("sweep", "batch_size", 10_000, "batch_size"),
             ("train", "batch_size", 10_000, "batch_size"),
+            # simulate's range checks name the key, the list entry included
+            ("simulate", "etas", [0.0], "etas[0]"),
+            ("simulate", "etas", [], "etas: need a nonempty list"),
+            ("simulate", "batch_sizes", [], "batch_sizes: need a nonempty list"),
+            ("simulate", "batch_sizes", [10, 0], "batch_sizes[1]"),
+            ("simulate", "psi", 0.0, "psi: "),
+            ("simulate", "psi", 1e-200, "psi: "),
+            ("simulate", "alpha", -1.0, "alpha: "),
+            ("simulate", "phase_grid", {"etas": [-1.0]}, "phase_grid.etas[0]"),
+            ("simulate", "phase_grid", {"etas": []}, "phase_grid.etas"),
+            ("simulate", "phase_grid", {"batch_sizes": []}, "phase_grid.batch_sizes"),
+            ("simulate", "phase_grid", {"batch_sizes": [1000]}, "phase_grid.batch_sizes[0]"),
         ],
     )
     def test_rejected_value_exits_2_names_key_writes_nothing(

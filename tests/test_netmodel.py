@@ -21,12 +21,16 @@ from breakeven.netmodel import (
     forward_loss,
     grad,
     grouped_grad_factors,
-    grouped_grads,
     hessian_operator,
     hvp_fd,
     hvp_pearlmutter,
     init_params,
 )
+
+
+def grouped_grads(spec, theta, batch, groups, bn_mode=BATCH_STATS):
+    """Reference: one mean-gradient row per group, no layer left as factors."""
+    return grouped_grad_factors(spec, theta, batch, groups, (), bn_mode)[0]
 
 
 def fd_grad(spec, theta, batch, bn_mode=BATCH_STATS):
@@ -533,6 +537,22 @@ class TestLinearizedHvp:
             op.apply(np.eye(theta.size)[j])
         assert len(forwards) == 1
         assert len(products) == 4
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_layer_deltas_reproduce_the_weight_gradients(self, activation, loss, stacked):
+        # each layer's δ is the reverse pass's: Σ a_inᵀ δ over the examples
+        # is that layer's weight block of grad
+        spec, thetas, stacked_batch, batches, _, _ = TestStackedTheta.stacked_case(loss, activation, "none")
+        theta, batch = (thetas, stacked_batch) if stacked else (thetas[0], batches[0])
+        lin = netmodel.linearize(spec, theta, batch)
+        g = grad(spec, theta, batch)
+        assert len(lin.layers) == spec.n_hidden
+        for layer in lin.layers:
+            want = g[..., layer["entry"]["w"]]
+            block = (layer["a_in"].swapaxes(-1, -2) @ layer["delta"]).reshape(want.shape)
+            assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_public_call_rejects_non_finite_theta_and_direction(self, bad):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from breakeven.netmodel import Batch, MlpSpec, grad, grouped_grads, init_params
+from breakeven.netmodel import Batch, MlpSpec, grad, grouped_grad_factors, init_params
 from breakeven.quadratic import QuadraticModel, SgdSetting, noise_factor, stability_lhs
 from breakeven.spectra import GradientSample, grad_subspace_ratio, gram_from_gradients, k_spectrum, k_top_eigvecs
 
@@ -77,5 +77,5 @@ def test_per_example_mean_consistency_random_nets(seed):
         inputs=rng.standard_normal((n, spec.layer_sizes[0])),
         labels=rng.integers(0, spec.layer_sizes[-1], size=n),
     )
-    peg = grouped_grads(spec, theta, batch, np.arange(n)[:, None])
+    peg = grouped_grad_factors(spec, theta, batch, np.arange(n)[:, None], ())[0]
     assert np.max(np.abs(peg.mean(axis=0) - grad(spec, theta, batch))) < 1e-12

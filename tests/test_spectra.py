@@ -14,13 +14,11 @@ from breakeven.netmodel import (
     bn_batch_statistics,
     grad,
     grouped_grad_factors,
-    grouped_grads,
     init_params,
 )
 from breakeven.rng import make_rng
 from breakeven.spectra import (
     GradientSample,
-    GramMatrix,
     grad_subspace_ratio,
     gram_from_gradients,
     hessian_spectrum,
@@ -49,7 +47,7 @@ class TestGram:
     def test_identical_gradients_zero_matrix(self):
         g = np.tile(np.arange(4.0), (3, 1))
         gram = gram_from_gradients(GradientSample(g - g.mean(axis=0)))
-        assert np.array_equal(gram.entries, np.zeros((3, 3)))
+        assert np.array_equal(gram, np.zeros((3, 3)))
 
     def test_antipodal_pair_hand_computation(self):
         v = np.array([1.0, 2.0, -1.0])
@@ -57,14 +55,14 @@ class TestGram:
         gram = gram_from_gradients(GradientSample(g))
         nsq = float(v @ v)
         expected = np.array([[nsq / 2, -nsq / 2], [-nsq / 2, nsq / 2]])
-        assert np.allclose(gram.entries, expected, atol=1e-14)
-        eigs = jacobi_eigh(DenseSymmetric.from_array(gram.entries)).eigenvalues
+        assert np.allclose(gram, expected, atol=1e-14)
+        eigs = jacobi_eigh(DenseSymmetric.from_array(gram)).eigenvalues
         assert np.allclose(eigs, [nsq, 0.0], atol=1e-12)
 
     def test_exact_symmetry(self):
         g, gbar = random_grads(6, 40, 0)
         gram = gram_from_gradients(GradientSample(g - gbar))
-        assert np.array_equal(gram.entries, gram.entries.T)
+        assert np.array_equal(gram, gram.T)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nonzero_spectrum_matches_dense_covariance(self, seed):
@@ -72,7 +70,7 @@ class TestGram:
         L, D = rng.integers(3, 8), rng.integers(10, 41)
         g, gbar = random_grads(int(L), int(D), 100 + seed)
         gram = gram_from_gradients(GradientSample(g - gbar))
-        gram_eigs = jacobi_eigh(DenseSymmetric.from_array(gram.entries)).eigenvalues
+        gram_eigs = jacobi_eigh(DenseSymmetric.from_array(gram)).eigenvalues
         dense_eigs = dense_covariance_eigs(g, gbar)
         k = min(len(gram_eigs), len(dense_eigs))
         assert np.max(np.abs(gram_eigs[:k][gram_eigs[:k] > 1e-12] - dense_eigs[: np.sum(gram_eigs[:k] > 1e-12)])) < 1e-10
@@ -86,13 +84,13 @@ class TestGram:
     def test_row_sums_vanish_with_sample_mean(self):
         g, gbar = random_grads(8, 30, 3)
         gram = gram_from_gradients(GradientSample(g - gbar))
-        fro = np.linalg.norm(gram.entries)
-        assert np.max(np.abs(gram.entries.sum(axis=1))) < 1e-10 * max(fro, 1.0)
+        fro = np.linalg.norm(gram)
+        assert np.max(np.abs(gram.sum(axis=1))) < 1e-10 * max(fro, 1.0)
 
 
 class TestKSpectrum:
     def test_zero_gram(self):
-        summary = k_spectrum(GramMatrix(entries=np.zeros((4, 4))))
+        summary = k_spectrum(np.zeros((4, 4)))
         assert summary.lambda_k1 == 0.0
         assert summary.lambda_k_star == 0.0
         assert summary.trace_k == 0.0
@@ -102,7 +100,7 @@ class TestKSpectrum:
         # eigenvalues {0, 2, 2, 2}
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
         a = q @ np.diag([0.0, 2.0, 2.0, 2.0]) @ q.T
-        summary = k_spectrum(GramMatrix(entries=(a + a.T) / 2))
+        summary = k_spectrum((a + a.T) / 2)
         assert summary.lambda_k1 == pytest.approx(2.0, abs=1e-10)
         assert summary.lambda_k_star == pytest.approx(2.0, abs=1e-10)
         assert summary.cond_ratio == pytest.approx(1.0, abs=1e-9)
@@ -194,7 +192,7 @@ class TestTopEigvecs:
         summary = k_spectrum(gram)
         vecs = summary.gram_eigenvectors
         recon = vecs @ np.diag(summary.gram_eigenvalues) @ vecs.T
-        assert np.max(np.abs(recon - gram.entries)) < 1e-12
+        assert np.max(np.abs(recon - gram)) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
 
     def test_g_ratio_stage_peaks_below_one_eigenvector_block(self, traced_peak):
@@ -259,7 +257,7 @@ class TestSampleMinibatchGradients:
         sample, gbar = sample_minibatch_gradients(spec, theta, data, n_batches=4, batch_size=12, seed=0)
         assert np.allclose(sample.explicit, sample.explicit[0], atol=1e-15)
         gram = gram_from_gradients(sample)
-        assert np.max(np.abs(gram.entries)) < 1e-20
+        assert np.max(np.abs(gram)) < 1e-20
 
     @pytest.mark.parametrize("batch_norm", [False, True])
     def test_equals_one_grad_call_per_drawn_batch(self, batch_norm):
@@ -326,7 +324,7 @@ class TestSampleMinibatchGradients:
 
 class TestFactorForm:
     """The factored covariance stage against the explicit per-group block
-    from ``grouped_grads`` on the same draw, read by the explicit path."""
+    from ``grouped_grad_factors`` (no layer factored) on the same draw, read by the explicit path."""
 
     L, M = 6, 3
 
@@ -348,7 +346,7 @@ class TestFactorForm:
     def oracle(self, spec, theta, data, mode, seed):
         draw = make_rng(seed)
         groups = np.stack([draw.choice(data.size, size=self.M, replace=False) for _ in range(self.L)])
-        block = grouped_grads(spec, theta, data, groups, mode)
+        block = grouped_grad_factors(spec, theta, data, groups, (), mode)[0]
         return GradientSample(block - block.mean(axis=0))
 
     def test_layer_choice_reads_shapes_only(self):
@@ -369,7 +367,7 @@ class TestFactorForm:
         assert len(sample.factors) == len(factor_form_layers(spec, self.L, self.M)) > 0
         explicit = self.oracle(spec, theta, data, mode, seed=11)
         gram, gram_ref = gram_from_gradients(sample), gram_from_gradients(explicit)
-        assert self.rel(gram.entries, gram_ref.entries) <= 1e-10
+        assert self.rel(gram, gram_ref) <= 1e-10
         ks, ks_ref = k_spectrum(gram), k_spectrum(gram_ref)
         for field in ("lambda_k1", "lambda_k_star", "trace_k", "cond_ratio"):
             assert abs(getattr(ks, field) - getattr(ks_ref, field)) <= 1e-10 * abs(getattr(ks_ref, field))
@@ -383,7 +381,7 @@ class TestFactorForm:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_g_ratio_equals_dense_covariance_eigh(self, activation, loss, layer_sizes, n_factored):
         # the oracle: eigh of the dense D x D covariance of the drawn groups'
-        # grouped_grads rows
+        # grouped_grad_factors rows
         spec, theta, data, mode = self.case(layer_sizes, activation, loss, "none")
         sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=5, bn_mode=mode)
         assert len(sample.factors) == n_factored
