@@ -3,10 +3,10 @@
 Configs are JSON files; flags override file values. Each config section is
 built from a frozen dataclass whose defaults are the only ones, and every key
 it accepts changes an output. An unknown key, a key its section's kind does
-not read, a value of the wrong type (``errors.config_value``), a sweep axis
-value the run config rejects or a model or batch the dataset cannot train
-(``_check_fits``) exits 2, naming the key, before any output is written or
-any cell trains.
+not read, a value of the wrong type or a non-finite number
+(``errors.config_value``), a sweep axis value the run config rejects or a
+model or batch the dataset cannot train (``_check_fits``) exits 2, naming
+the key, before any output is written or any cell trains.
 ``--seed`` sets the run seed of train/sweep and ``monte_carlo.seed`` of
 simulate; report draws nothing and takes none. Every output file starts with
 a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash of
@@ -353,11 +353,12 @@ class _SimulateConfig:
     monte_carlo: Optional[_MonteCarlo] = None
 
     def __post_init__(self):
-        # alpha scales the variance s² = αλ/ψ², which cannot be negative
-        if not 0.0 <= self.alpha < np.inf:
-            raise InvalidConfigError("must be >= 0 and finite", "alpha")
-        if not (self.psi * self.psi > 0.0 and np.isfinite(self.psi)):
-            raise InvalidConfigError("must be finite, with a nonzero square", "psi")
+        # alpha scales the variance s² = αλ/ψ², which cannot be negative;
+        # config_value has already rejected non-finite numbers
+        if self.alpha < 0.0:
+            raise InvalidConfigError("must be >= 0", "alpha")
+        if not self.psi * self.psi > 0.0:
+            raise InvalidConfigError("must have a nonzero square", "psi")
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +394,9 @@ def cmd_simulate(args) -> int:
     # the lists' entries are checked here, where the batch sizes' bound n is
     # known; learning rate 0 sits on the break-even boundary, so the grid takes it
     for key, values, ok, want in (
-        ("etas", cfg.etas, lambda eta: 0.0 < eta < np.inf, "positive and finite"),
+        ("etas", cfg.etas, lambda eta: eta > 0.0, "positive"),
         ("batch_sizes", cfg.batch_sizes, lambda s: 1 <= s <= n, f"in [1, {n}]"),
-        ("phase_grid.etas", cfg.phase_grid.etas, lambda eta: 0.0 <= eta < np.inf, ">= 0 and finite"),
+        ("phase_grid.etas", cfg.phase_grid.etas, lambda eta: eta >= 0.0, ">= 0"),
         ("phase_grid.batch_sizes", cfg.phase_grid.batch_sizes, lambda s: 1 <= s <= n, f"in [1, {n}]"),
     ):
         if values is not None and not values:

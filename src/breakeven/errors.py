@@ -6,6 +6,8 @@ no break-even flip) with 1. ``config_value`` is the type rule every config
 reader applies to a scalar value.
 """
 
+import math
+
 
 class BreakevenError(Exception):
     """Base class for all package errors."""
@@ -105,11 +107,16 @@ class UnknownMetricError(ValidationError):
 
 def config_value(kind: type, value, field: str | None = None):
     """The one type rule for a scalar config value: an ``int`` takes JSON
-    integers only, a ``float`` any JSON number and is stored as a float, a
-    ``str`` only a string; a bool is none of them. Raises InvalidParamsError
-    naming ``field`` otherwise."""
+    integers only, a ``float`` any finite JSON number (not ``NaN`` or
+    ``Infinity``) and is stored as a float, a ``str`` only a string; a bool
+    is none of them. Raises InvalidParamsError naming ``field`` otherwise."""
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
     if type(value) is not kind:
         raise InvalidParamsError(f"expected {kind.__name__}", field)
+    if kind is float and not math.isfinite(value):
+        raise InvalidParamsError("expected a finite number", field)
     return value

@@ -3,19 +3,20 @@
 Everything operates on float64. The two entry points are ``jacobi_eigh``
 (full spectrum of a small dense symmetric matrix through LAPACK's ``eigh``,
 used both directly on Gram matrices and as the oracle in tests) and
-``lanczos_topk`` (top-k eigenpairs of a symmetric operator given only
-matrix-vector products, used for Hessian spectra). Each Lanczos step is the
-three-term recurrence followed by one classical Gram-Schmidt pass over the
-whole basis; a second pass runs only when the Daniel-Gragg-Kaufman-Stewart
-(DGKS) test finds that the first removed most of the vector. ``lanczos_topk``
-also runs a stack of operators in lockstep, one matvec call per step for all
-of them, so the cells of a sweep share each Hessian-vector product pass.
-"""
+``lanczos_topk`` (top-k eigenvalues of a symmetric operator given only
+matrix-vector products, used for Hessian spectra). ``lanczos_topk`` runs a
+stack of operators in lockstep, one matvec call per step for all of them,
+so the cells of a sweep share each Hessian-vector product pass. Each Lanczos
+step is the three-term recurrence followed by one classical Gram-Schmidt pass
+over the cell's whole basis; a second pass runs only when the
+Daniel-Gragg-Kaufman-Stewart (DGKS) test finds that the first removed most
+of the vector. Only Ritz values are returned: no dim x k Ritz-vector block is
+formed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,9 +74,7 @@ class EigenPairs:
     """
 
     eigenvalues: np.ndarray
-    # shape (dim, k), column i pairs with eigenvalues[i]; None from
-    # lanczos_topk(..., vectors=False)
-    eigenvectors: Optional[np.ndarray]
+    eigenvectors: np.ndarray  # shape (dim, dim), column i pairs with eigenvalues[i]
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -154,15 +153,11 @@ def _fresh_start_vector(rng: np.random.Generator, basis: np.ndarray) -> np.ndarr
 
 
 def _lanczos_basis(
-    op: LinearOperator, m: int, seed: Union[int, Sequence[int]]
+    op: LinearOperator, m: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The m Lanczos vectors of ``lanczos_topk``, as the rows of an (m, dim)
-    array, and the diagonal and off-diagonal of the tridiagonal they reduce
-    ``op`` to. With one seed per cell of a stacked ``op``, each result gains
-    a leading cell axis."""
-    single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
-    apply = (lambda q: np.asarray(op.apply(q[0]), dtype=np.float64)[None]) if single else op.apply
+    """The m Lanczos vectors of ``lanczos_topk`` for each cell, as a
+    (C, m, dim) array, and the (C, m) diagonals and (C, m - 1)
+    off-diagonals of the tridiagonals they reduce each cell of ``op`` to."""
     n = op.dim
     cells = len(seeds)
     rngs = [make_rng(s) for s in seeds]
@@ -173,7 +168,7 @@ def _lanczos_basis(
     for c, rng in enumerate(rngs):
         Q[c, 0] = _fresh_start_vector(rng, Q[c, :0])
     for j in range(m):
-        u = np.asarray(apply(Q[:, j]), dtype=np.float64)
+        u = np.asarray(op.apply(Q[:, j]), dtype=np.float64)
         if u.shape != (cells, n):
             raise DimensionMismatchError(f"operator returned {u.shape} for a ({cells}, {n}) stack of vectors")
         if not np.all(np.isfinite(u)):
@@ -197,28 +192,19 @@ def _lanczos_basis(
             beta[c] = 0.0
             Q[c, j + 1] = _fresh_start_vector(rngs[c], Q[c, : j + 1])
         betas[:, j] = beta
-    return (Q[0], alphas[0], betas[0]) if single else (Q, alphas, betas)
+    return Q, alphas, betas
 
 
-def _ritz_pairs(Q: np.ndarray, alphas: np.ndarray, betas: np.ndarray, k: int, vectors: bool) -> EigenPairs:
-    """Top-k Ritz pairs of one Lanczos basis and its tridiagonal; without
-    ``vectors`` only the Ritz values, and no D x k block is formed."""
-    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    ritz = jacobi_eigh(DenseSymmetric.from_array(T))
-    if not vectors:
-        return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=None)
-    ambient = Q.T @ ritz.eigenvectors[:, :k]
-    ambient /= np.linalg.norm(ambient, axis=0, keepdims=True)
-    return EigenPairs(eigenvalues=ritz.eigenvalues[:k], eigenvectors=_canonical_signs(ambient))
+def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seeds: Sequence[int]) -> np.ndarray:
+    """Top-k algebraically largest eigenvalues of each cell of a stacked
+    symmetric operator, via Lanczos with full reorthogonalization.
 
-
-def lanczos_topk(
-    op: LinearOperator, k: int, max_iters: int, seed: Union[int, Sequence[int]], vectors: bool = True
-) -> Union[EigenPairs, list[EigenPairs]]:
-    """Top-k algebraically largest eigenpairs via Lanczos with full
-    reorthogonalization.
-
-    Builds an m-step Krylov tridiagonal, m = min(max_iters, dim), from a
+    ``op.apply`` maps a (C, dim) stack of vectors to their C images in one
+    call; ``seeds`` holds one seed per cell. The cells run in lockstep: each
+    step makes one stacked matvec, and every other quantity stays per cell
+    (start vector, α, β, DGKS pass, breakdown restart), so each cell's
+    arithmetic is bitwise that of a one-cell run. Per cell, the iteration
+    builds an m-step Krylov tridiagonal, m = min(max_iters, dim), from a
     seeded random start vector. Each step forms the three-term residual
     r₃ = u - α_j q_j - β_{j-1} q_{j-1} (u = op(q_j)) and makes one classical
     Gram-Schmidt pass against every previous Lanczos vector; a second pass
@@ -228,25 +214,15 @@ def lanczos_topk(
     ``LANCZOS_BREAKDOWN_TOL``) the iteration restarts with a fresh random
     vector orthogonal to the converged subspace, drawn under the same pass
     and DGKS test, leaving a zero coupling in the tridiagonal; if the
-    space is exhausted the spectrum found so far is exact. The tridiagonal
-    is diagonalized densely by LAPACK (``jacobi_eigh``) and Ritz vectors are
-    mapped back to the ambient space. With ``vectors=False`` that last
-    product is skipped and ``eigenvectors`` is None: the eigenvalues are
-    bitwise those of the default call.
-
-    ``seed`` may instead be a sequence, one seed per cell of a stacked
-    operator whose ``apply`` maps a (C, dim) stack of vectors to their C
-    images in one call. The cells then run in lockstep: each step makes one
-    stacked matvec, and every other quantity stays per cell (start vector,
-    α, β, DGKS pass, breakdown restart), with each cell's arithmetic
-    bitwise that of a run on its own. The result is then a list with one
-    EigenPairs per cell.
+    space is exhausted the spectrum found so far is exact. Each tridiagonal
+    is diagonalized densely by LAPACK (``jacobi_eigh``). Returns the (C, k)
+    Ritz values, each row descending.
     """
     n = op.dim
     if k < 1 or k > n or k > max_iters:
         raise InvalidKError(f"k={k} must satisfy 1 <= k <= min(dim={n}, max_iters={max_iters})")
-    Q, alphas, betas = _lanczos_basis(op, min(max_iters, n), seed)
-    if np.ndim(seed) == 0:
-        return _ritz_pairs(Q, alphas, betas, k, vectors)
-    return [_ritz_pairs(*cell, k, vectors) for cell in zip(Q, alphas, betas)]
-
+    _, alphas, betas = _lanczos_basis(op, min(max_iters, n), seeds)
+    return np.stack([
+        jacobi_eigh(DenseSymmetric.from_array(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))).eigenvalues[:k]
+        for a, b in zip(alphas, betas)
+    ])

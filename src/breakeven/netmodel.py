@@ -25,10 +25,12 @@ Row c of a stacked result is bitwise equal to the call on row c alone,
 because every product runs the same BLAS kernel on each slice and every sum
 runs over the example axis in the same order. Two Hessian-vector products
 are provided: an exact forward-over-reverse product (``hvp_pearlmutter``,
-BN-free specs only), whose R-pass reads the forward caches and δs that
-``linearize`` computes once per (θ, batch), and a
+BN-free specs only), which takes the ``Linearization`` that ``linearize``
+computes once per (θ, batch) and runs only the R-passes over it, and a
 central-difference product on gradients (``hvp_fd``, supports BN with frozen
-statistics). ``hessian_operator`` is the one place that picks between them.
+statistics). ``hessian_operator`` is the one place that picks between them:
+"auto" takes the exact product wherever the spec allows it, "fd" pins finite
+differences.
 """
 
 from __future__ import annotations
@@ -617,21 +619,17 @@ def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
 
 @np.errstate(over="ignore", invalid="ignore")
 def hvp_pearlmutter(
-    spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarray, lin: Optional[Linearization] = None
+    spec: MlpSpec, theta: np.ndarray, batch: Batch, v: np.ndarray, lin: Linearization
 ) -> np.ndarray:
     """Exact Hessian-vector product by forward-over-reverse differentiation.
 
-    Linear in ``v``. BN specs are rejected; use ``hvp_fd`` with frozen
-    statistics for those. ``lin``, when given, must be ``linearize(spec,
-    theta, batch)``: the call then runs only the R-forward and R-backward
-    passes over it, and a non-finite ``v`` surfaces as a non-finite product.
-    A stacked θ takes a stack ``v`` of the same shape: row c is the product
-    at row c of θ.
+    Linear in ``v``. ``lin`` must be ``linearize(spec, theta, batch)``,
+    which checks θ and rejects BN specs (use ``hvp_fd`` with frozen
+    statistics for those): the call runs only the R-forward and R-backward
+    passes over it, and a non-finite ``v`` surfaces as a non-finite product,
+    which raises NonFiniteError. A stacked θ takes a stack ``v`` of the same
+    shape: row c is the product at row c of θ.
     """
-    if lin is None:
-        lin = linearize(spec, theta, batch)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("direction has NaN or Inf entries")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != np.shape(theta):
         raise DimensionMismatchError("direction and parameters differ in length")
@@ -730,22 +728,20 @@ def hessian_operator(
 
     ``method`` "auto" takes the exact product (``hvp_pearlmutter``), or the
     finite-difference one (``hvp_fd``) on a spec with batch norm, which the
-    exact product does not support; "pearlmutter" and "fd" pin one. θ is
+    exact product does not support; "fd" pins finite differences. θ is
     checked once here. The exact product is linearized once (``linearize``),
     so each matvec runs only its R-passes; every matvec still calls the
     module-level ``hvp_pearlmutter`` or ``hvp_fd``, looked up at call time.
     For a stacked θ the operator maps a stack of directions, one per row of
     θ, to their products in one call.
     """
-    if method == "auto":
-        method = "fd" if spec.has_bn else "pearlmutter"
-    if method == "pearlmutter":
+    if method not in ("auto", "fd"):
+        raise InvalidParamsError(f"unknown HVP method {method!r}")
+    if method == "auto" and not spec.has_bn:
         lin = linearize(spec, theta, batch)
         return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v, lin))
-    if method == "fd":
-        theta = check_params(spec, theta)
-        return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
-    raise InvalidParamsError(f"unknown HVP method {method!r}")
+    theta = check_params(spec, theta)
+    return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
 
 
 def bn_gamma_norm(spec: MlpSpec, theta: np.ndarray, layer_index: int) -> float:

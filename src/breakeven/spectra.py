@@ -35,7 +35,7 @@ products C g and the Gram eigenpairs (``k_top_eigvecs``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -265,28 +265,22 @@ def hessian_spectrum(
     spec: MlpSpec,
     theta: np.ndarray,
     eval_subset: Batch,
+    seeds: Sequence[int],
     k: int = 5,
     method: str = "auto",
     max_iters: int = 40,
-    seed: Union[int, Sequence[int]] = 0,
     bn_mode: BnMode = BATCH_STATS,
 ) -> np.ndarray:
-    """Top Hessian eigenvalues, descending, via Lanczos over a
-    Hessian-vector-product operator evaluated on a subset of the data;
-    ``method`` is passed to ``hessian_operator``, which resolves "auto".
+    """Top Hessian eigenvalues, descending, of each row of a (C, D) stack θ,
+    via one lockstep Lanczos run (one seed per row) over a Hessian-vector-
+    product operator evaluated on a subset of the data; ``method`` is passed
+    to ``hessian_operator``, which resolves "auto".
 
-    Returns min(k, dim, max_iters) values, bitwise the ``eigenvalues`` of
-    ``lanczos_topk`` on the same operator; the Ritz vectors are not formed.
-    A (C, D) stack θ takes one seed per row; its rows run one Lanczos in
-    lockstep, one stacked product per matvec, and the result has one row of
-    values per row of θ.
+    Returns a (C, min(k, dim, max_iters)) array, bitwise the values of
+    ``lanczos_topk`` on the same operator; one stacked product per matvec.
     """
     op = hessian_operator(spec, theta, eval_subset, method=method, bn_mode=bn_mode)
-    k_eff = min(k, op.dim, max_iters)
-    pairs = lanczos_topk(op, k=k_eff, max_iters=max_iters, seed=seed, vectors=False)
-    if np.ndim(seed) == 0:
-        return pairs.eigenvalues
-    return np.stack([p.eigenvalues for p in pairs])
+    return lanczos_topk(op, k=min(k, op.dim, max_iters), max_iters=max_iters, seeds=seeds)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:

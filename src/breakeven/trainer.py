@@ -160,6 +160,8 @@ class RunConfig:
             raise InvalidConfigError("eval_every must be >= 1", "eval_every")
         if not 0.0 < self.eval_subset_fraction <= 1.0:
             raise InvalidConfigError("eval_subset_fraction must lie in (0, 1]", "eval_subset_fraction")
+        if not 0.0 <= self.accuracy_threshold <= 1.0:
+            raise InvalidConfigError("accuracy_threshold must lie in [0, 1]", "accuracy_threshold")
 
     def to_dict(self) -> dict:
         # tuples stay tuples: JSON writes them as arrays
@@ -244,9 +246,8 @@ def _as_model_batch(spec: MlpSpec, batch: Batch) -> Batch:
     return batch
 
 
-def _init_bn_running(spec: MlpSpec, cells: int) -> Optional[BnStats]:
-    if not spec.has_bn:
-        return None
+def _init_bn_running(spec: MlpSpec, cells: int) -> BnStats:
+    """Fresh running statistics, one row per cell; empty without BN."""
     widths = [spec.layer_sizes[i + 1] for i in spec.bn_layers]
     return BnStats(
         means=tuple(np.zeros((cells, w)) for w in widths),
@@ -292,7 +293,7 @@ class _Stack:
     cells: list
     theta: np.ndarray
     velocity: np.ndarray
-    running: Optional[BnStats]  # BN running statistics, (C, width) per layer
+    running: BnStats  # BN running statistics, (C, width) per BN layer
 
     def take(self, rows: list) -> "_Stack":
         if rows == list(range(len(self.cells))):
@@ -301,22 +302,19 @@ class _Stack:
             cells=[self.cells[i] for i in rows],
             theta=self.theta[rows],
             velocity=self.velocity[rows],
-            running=None if self.running is None else _bn_rows(self.running, rows),
+            running=_bn_rows(self.running, rows),
         )
 
 
 def _join(stacks: list) -> _Stack:
-    running = None
-    if stacks[0].running is not None:
-        running = BnStats(
-            means=tuple(np.concatenate(m) for m in zip(*(s.running.means for s in stacks))),
-            variances=tuple(np.concatenate(v) for v in zip(*(s.running.variances for s in stacks))),
-        )
     return _Stack(
         cells=[c for s in stacks for c in s.cells],
         theta=np.concatenate([s.theta for s in stacks]),
         velocity=np.concatenate([s.velocity for s in stacks]),
-        running=running,
+        running=BnStats(
+            means=tuple(np.concatenate(m) for m in zip(*(s.running.means for s in stacks))),
+            variances=tuple(np.concatenate(v) for v in zip(*(s.running.variances for s in stacks))),
+        ),
     )
 
 
@@ -338,7 +336,7 @@ def _checkpoint_record(
     train_set: Batch,
     val_set: Batch,
     step_batch: Batch,
-    frozen: Optional[BnStats],
+    frozen: BnStats,
 ) -> tuple[list, Optional[np.ndarray]]:
     """Every cell's metric record at this checkpoint, and, when the spec has
     no BN, the stack's gradient on ``step_batch``: without BN the
@@ -346,7 +344,7 @@ def _checkpoint_record(
     gradient (else None)."""
     cells = stack.cells
     spec, sp = cells[0].config.model, cells[0].config.spectra
-    modes = [BATCH_STATS if frozen is None else _bn_rows(frozen, i) for i in range(len(cells))]
+    modes = [_bn_rows(frozen, i) for i in range(len(cells))]
     records = []
     for theta, mode, lr in zip(stack.theta, modes, lrs):
         record = MetricRecord(step=step, epoch=epoch, lr_current=lr)
@@ -360,11 +358,10 @@ def _checkpoint_record(
     lambda_h = hessian_spectrum(
         spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
         k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
-        seed=[derive_seed(c.config.seed, 4, step) for c in cells],
-        bn_mode=BATCH_STATS if frozen is None else frozen,
+        seeds=[derive_seed(c.config.seed, 4, step) for c in cells], bn_mode=frozen,
     )
-    g_step = None if spec.has_bn else grad(spec, stack.theta, step_batch, BATCH_STATS)
-    g_now = g_step if g_step is not None else grad(spec, stack.theta, step_batch, frozen)
+    g_now = grad(spec, stack.theta, step_batch, frozen)
+    g_step = None if spec.has_bn else g_now
     m = sp.resolve_batch_size(train_set.size)
     for theta, mode, cell, record, values, g in zip(stack.theta, modes, cells, records, lambda_h, g_now):
         record.lambda_h_top = [float(v) for v in values]
@@ -399,7 +396,7 @@ def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, va
     spec = first.model
     batch = train_set.subset(np.stack([c.perm[start : start + first.batch_size] for c in cells]))
     running = stack.running
-    if running is not None:
+    if spec.has_bn:
         running = _update_bn_running(running, bn_batch_statistics(spec, stack.theta, batch))
     lrs = [c.config.schedule.lr_at(c.config.eta, epoch) for c in cells]
     records, g = None, None
@@ -417,8 +414,7 @@ def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, va
     ended = set(np.flatnonzero(~(np.isfinite(theta.min(axis=-1)) & np.isfinite(theta.max(axis=-1)))))
     for i, record in enumerate(records or ()):
         try:
-            mode = BATCH_STATS if running is None else _bn_rows(running, i)
-            record.delta_loss = delta_loss(spec, record.train_loss, theta[i], train_set, mode)
+            record.delta_loss = delta_loss(spec, record.train_loss, theta[i], train_set, _bn_rows(running, i))
         except NonFiniteError:
             record.delta_loss = None
             ended.add(i)

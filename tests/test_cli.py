@@ -459,6 +459,18 @@ class TestReportCli:
         assert "logs[1].config.accuracy_threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_threshold_in_log_exit_2(self, tmp_path, log_dir, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"config": {"accuracy_threshold": NaN}}\n')
+        cfg = write_json(
+            tmp_path / "rep9.json",
+            {"logs": [str(log_dir / "metrics.jsonl"), str(bad)], "panels": [{"y": "train_loss"}]},
+        )
+        out = tmp_path / "r9"
+        assert main(["report", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "logs[1].config.accuracy_threshold: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_malformed_sweep_report_exit_2_names_it(self, text, tmp_path, log_dir, capsys):
         bad = tmp_path / "sweep_report.json"
@@ -623,6 +635,23 @@ class TestConfigBoundary:
             ("simulate", "phase_grid", {"etas": []}, "phase_grid.etas"),
             ("simulate", "phase_grid", {"batch_sizes": []}, "phase_grid.batch_sizes"),
             ("simulate", "phase_grid", {"batch_sizes": [1000]}, "phase_grid.batch_sizes[0]"),
+            # JSON NaN and Infinity are not config numbers, in any section
+            ("train", "model.init_gain", float("nan"), "model.init_gain: expected a finite number"),
+            ("train", "accuracy_threshold", float("nan"), "accuracy_threshold: expected a finite number"),
+            ("simulate", "growth.rho", float("nan"), "growth.rho: expected a finite number"),
+            ("train", "eta", float("inf"), "eta: expected a finite number"),
+            ("sweep", "axis", {"name": "eta", "values": [0.02, float("inf")]}, "axis.values[1]: expected a finite"),
+            ("sweep", "dataset.sigma", float("-inf"), "dataset.sigma: expected a finite number"),
+            ("simulate", "etas", [0.1, float("inf")], "etas[1]: expected a finite number"),
+            ("simulate", "alpha", float("inf"), "alpha: expected a finite number"),
+            ("simulate", "psi", float("nan"), "psi: expected a finite number"),
+            ("simulate", "phase_grid", {"etas": [float("nan")]}, "phase_grid.etas[0]: expected a finite"),
+            ("simulate", "curvatures", {"kind": "constant", "value": float("inf"), "count": 20},
+             "curvatures.value: expected a finite number"),
+            pytest.param("simulate", "growth.lambda0", 10**400, "growth.lambda0: expected a finite number",
+                         id="simulate-growth.lambda0-integer_past_the_float_range"),
+            # a number the section rejects for its range
+            ("train", "accuracy_threshold", 1.5, "accuracy_threshold: accuracy_threshold must lie in [0, 1]"),
         ],
     )
     def test_rejected_value_exits_2_names_key_writes_nothing(
@@ -640,6 +669,19 @@ class TestConfigBoundary:
         assert main([subcommand, "--config", path, "--out", str(out), "--quiet"]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+        assert trained == []
+
+    @pytest.mark.parametrize("subcommand", ["train", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--momentum", "inf")])
+    def test_non_finite_override_flag_exits_2(self, subcommand, flag, value, train_config, tmp_path, capsys, trained):
+        base = json.loads(Path(train_config).read_text())
+        if subcommand == "sweep":
+            base["axis"] = {"name": "batch_size", "values": [16, 32]}
+        path = write_json(tmp_path / "cfg.json", base)
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", path, "--out", str(out), "--quiet", flag, value]) == 2
+        assert f"{flag[2:]}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
         assert trained == []
 
     def test_minimal_run_config_takes_dataclass_defaults(self):

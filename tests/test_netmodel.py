@@ -33,6 +33,11 @@ def grouped_grads(spec, theta, batch, groups, bn_mode=BATCH_STATS):
     return grouped_grad_factors(spec, theta, batch, groups, (), bn_mode)[0]
 
 
+def hvp(spec, theta, batch, v):
+    """The exact product at (θ, batch), linearized for this one direction."""
+    return hvp_pearlmutter(spec, theta, batch, v, netmodel.linearize(spec, theta, batch))
+
+
 def fd_grad(spec, theta, batch, bn_mode=BATCH_STATS):
     g = np.zeros_like(theta)
     for j in range(theta.size):
@@ -403,12 +408,12 @@ class TestHvp:
         theta = init_params(spec)
         if spec.has_bn:
             pytest.skip("bn case")
-        assert np.array_equal(hvp_pearlmutter(spec, theta, batch, np.zeros_like(theta)), np.zeros_like(theta))
+        assert np.array_equal(hvp(spec, theta, batch, np.zeros_like(theta)), np.zeros_like(theta))
 
     def test_identity_net_quadratic_closed_form(self):
         spec = tiny_identity_net()
         batch = Batch(inputs=[[3.0]], labels=[[0.0]])
-        hv = hvp_pearlmutter(spec, np.array([1.0, 0.0]), batch, np.array([1.0, 0.0]))
+        hv = hvp(spec, np.array([1.0, 0.0]), batch, np.array([1.0, 0.0]))
         assert np.allclose(hv, [18.0, 6.0], atol=1e-12)
 
     def test_linearity(self):
@@ -418,8 +423,8 @@ class TestHvp:
         batch = Batch(inputs=rng.standard_normal((5, 3)), labels=rng.integers(0, 3, size=5))
         v = rng.standard_normal(theta.size)
         w = rng.standard_normal(theta.size)
-        lhs = hvp_pearlmutter(spec, theta, batch, 2.0 * v + 0.5 * w)
-        rhs = 2.0 * hvp_pearlmutter(spec, theta, batch, v) + 0.5 * hvp_pearlmutter(spec, theta, batch, w)
+        lhs = hvp(spec, theta, batch, 2.0 * v + 0.5 * w)
+        rhs = 2.0 * hvp(spec, theta, batch, v) + 0.5 * hvp(spec, theta, batch, w)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_fd_exact_on_pure_quadratic(self):
@@ -427,7 +432,7 @@ class TestHvp:
         batch = Batch(inputs=[[3.0]], labels=[[1.0]])
         theta = np.array([0.5, -0.2])
         v = np.array([0.7, 1.3])
-        exact = hvp_pearlmutter(spec, theta, batch, v)
+        exact = hvp(spec, theta, batch, v)
         approx = hvp_fd(spec, theta, batch, v)
         assert np.linalg.norm(exact - approx) < 1e-9 * np.linalg.norm(exact)
 
@@ -451,7 +456,7 @@ class TestHvp:
         theta = init_params(spec)
         rng = np.random.default_rng(case)
         v = rng.standard_normal(theta.size)
-        hp = hvp_pearlmutter(spec, theta, batch, v)
+        hp = hvp(spec, theta, batch, v)
         hf = hvp_fd(spec, theta, batch, v)
         assert np.linalg.norm(hp - hf) < 1e-4 * max(1.0, np.linalg.norm(hp))
 
@@ -459,7 +464,7 @@ class TestHvp:
         spec = MlpSpec(layer_sizes=(2, 4, 2), batch_norm=True)
         theta = init_params(spec)
         with pytest.raises(BnUnsupportedError):
-            hvp_pearlmutter(spec, theta, Batch(inputs=[[1.0, 0.0]], labels=np.array([0])), np.zeros(theta.size))
+            hvp(spec, theta, Batch(inputs=[[1.0, 0.0]], labels=np.array([0])), np.zeros(theta.size))
 
 
 class TestHessianOperator:
@@ -468,7 +473,7 @@ class TestHessianOperator:
         theta = init_params(spec)
         rng = np.random.default_rng(3)
         batch = Batch(inputs=rng.standard_normal((6, 3)), labels=rng.integers(0, 3, size=6))
-        op = hessian_operator(spec, theta, batch, method="pearlmutter")
+        op = hessian_operator(spec, theta, batch)
         for _ in range(5):
             u = rng.standard_normal(op.dim)
             v = rng.standard_normal(op.dim)
@@ -484,8 +489,8 @@ class TestHessianOperator:
         # mean loss Hessian over (w, b): 2 * [[mean x^2, mean x], [mean x, 1]]
         h = 2.0 * np.array([[np.mean(xs**2), np.mean(xs)], [np.mean(xs), 1.0]])
         lam1 = jacobi_eigh(DenseSymmetric.from_array(h)).eigenvalues[0]
-        op = hessian_operator(spec, theta, batch, method="pearlmutter")
-        top = lanczos_topk(op, k=1, max_iters=2, seed=0).eigenvalues[0]
+        op = hessian_operator(spec, theta[None], batch)
+        top = lanczos_topk(op, k=1, max_iters=2, seeds=[0])[0, 0]
         assert abs(top - lam1) < 1e-8
 
     def test_identical_examples_match_single_example_hessian(self):
@@ -495,7 +500,7 @@ class TestHessianOperator:
         rep = Batch(inputs=[[0.5, -1.0]] * 4, labels=np.array([1] * 4))
         v = np.linspace(-1, 1, theta.size)
         assert np.allclose(
-            hvp_pearlmutter(spec, theta, one, v), hvp_pearlmutter(spec, theta, rep, v), atol=1e-12
+            hvp(spec, theta, one, v), hvp(spec, theta, rep, v), atol=1e-12
         )
 
     def test_linear_softmax_hessian_psd(self):
@@ -505,7 +510,7 @@ class TestHessianOperator:
         batch = Batch(inputs=rng.standard_normal((10, 4)), labels=rng.integers(0, 3, size=10))
         d = theta.size
         dense = np.column_stack(
-            [hvp_pearlmutter(spec, theta, batch, np.eye(d)[:, j]) for j in range(d)]
+            [hvp(spec, theta, batch, np.eye(d)[:, j]) for j in range(d)]
         )
         eigs = jacobi_eigh(DenseSymmetric.from_array(dense)).eigenvalues
         assert eigs[-1] >= -1e-8
@@ -519,11 +524,11 @@ class TestLinearizedHvp:
     def test_operator_matvec_bitwise_equals_one_shot_product(self, case):
         spec, batch = spec_matrix()[case]
         theta = init_params(spec)
-        op = hessian_operator(spec, theta, batch, method="pearlmutter")
+        op = hessian_operator(spec, theta, batch)
         rng = np.random.default_rng(case)
         for _ in range(3):
             v = rng.standard_normal(theta.size)
-            assert np.array_equal(op.apply(v), hvp_pearlmutter(spec, theta, batch, v))
+            assert np.array_equal(op.apply(v), hvp(spec, theta, batch, v))
 
     def test_linearized_once_and_every_matvec_enters_by_module_name(self, monkeypatch):
         spec, batch = spec_matrix()[4]
@@ -562,12 +567,12 @@ class TestLinearizedHvp:
         broken = theta.copy()
         broken[3] = bad
         with pytest.raises(NonFiniteError):
-            hvp_pearlmutter(spec, broken, batch, v)
+            hvp(spec, broken, batch, v)
         with pytest.raises(NonFiniteError):
-            hessian_operator(spec, broken, batch, method="pearlmutter")
+            hessian_operator(spec, broken, batch)
         v[5] = bad
         with pytest.raises(NonFiniteError):
-            hvp_pearlmutter(spec, theta, batch, v)
+            hvp(spec, theta, batch, v)
         # the linearized matvec does not re-check v; the product is not finite
         with pytest.raises(NonFiniteError):
             hessian_operator(spec, theta, batch).apply(v)
@@ -576,9 +581,17 @@ class TestLinearizedHvp:
         spec, batch = spec_matrix()[1]
         theta = init_params(spec)
         with pytest.raises(BnUnsupportedError):
-            hvp_pearlmutter(spec, theta, batch, np.ones_like(theta))
+            hvp(spec, theta, batch, np.ones_like(theta))
         with pytest.raises(BnUnsupportedError):
-            hessian_operator(spec, theta, batch, method="pearlmutter")
+            netmodel.linearize(spec, theta, batch)
+
+    @pytest.mark.parametrize("case", [0, 1])  # without and with BN
+    def test_operator_takes_only_auto_and_fd(self, case):
+        spec, batch = spec_matrix()[case]
+        theta = init_params(spec)
+        for method in ("pearlmutter", "exact", ""):
+            with pytest.raises(InvalidParamsError, match="unknown HVP method"):
+                hessian_operator(spec, theta, batch, method=method)
 
     @pytest.mark.parametrize("case", BN_FREE_CASES)
     def test_fd_operator_within_tolerance_of_exact(self, case):
@@ -668,7 +681,7 @@ class TestStackedTheta:
         op = hessian_operator(spec, thetas, stacked)
         assert np.array_equal(op.apply(v), products)
         for c, (theta, batch) in enumerate(zip(thetas, batches)):
-            assert np.array_equal(products[c], hvp_pearlmutter(spec, theta, batch, v[c]))
+            assert np.array_equal(products[c], hvp(spec, theta, batch, v[c]))
 
     @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])

@@ -442,8 +442,9 @@ class TestHessianSpectrum:
         xb = np.hstack([x, np.ones((6, 1))])  # (w1, w2, b) design
         analytic = 2.0 * xb.T @ xb / 6.0
         lam = jacobi_eigh(DenseSymmetric.from_array(analytic)).eigenvalues
-        hs = hessian_spectrum(spec, theta, data, k=3, method="pearlmutter", max_iters=3, seed=1)
-        assert np.max(np.abs(hs - lam)) < 1e-8
+        hs = hessian_spectrum(spec, theta[None], data, [1], k=3, max_iters=3)
+        assert hs.shape == (1, 3)
+        assert np.max(np.abs(hs[0] - lam)) < 1e-8
 
     def test_loss_scaling_scales_eigenvalues(self):
         from breakeven.linalg import LinearOperator, lanczos_topk
@@ -453,10 +454,10 @@ class TestHessianSpectrum:
         theta = init_params(spec)
         rng = np.random.default_rng(1)
         data = Batch(inputs=rng.standard_normal((10, 2)), labels=rng.integers(0, 3, size=10))
-        base = hessian_spectrum(spec, theta, data, k=3, max_iters=30, seed=2)
-        op = hessian_operator(spec, theta, data, method="pearlmutter")
+        base = hessian_spectrum(spec, theta[None], data, [2], k=3, max_iters=30)[0]
+        op = hessian_operator(spec, theta[None], data)
         scaled = LinearOperator(dim=op.dim, apply=lambda v: 3.0 * op.apply(v))
-        top = lanczos_topk(scaled, k=3, max_iters=30, seed=2).eigenvalues
+        top = lanczos_topk(scaled, k=3, max_iters=30, seeds=[2])[0]
         assert np.max(np.abs(top - 3.0 * base)) < 1e-8 * max(1.0, top[0])
 
     def test_pearlmutter_vs_fd_top_eigenvalue(self):
@@ -464,8 +465,8 @@ class TestHessianSpectrum:
         theta = init_params(spec)
         rng = np.random.default_rng(2)
         data = Batch(inputs=rng.standard_normal((20, 3)), labels=rng.integers(0, 3, size=20))
-        a = hessian_spectrum(spec, theta, data, k=1, method="pearlmutter", max_iters=30, seed=3)
-        b = hessian_spectrum(spec, theta, data, k=1, method="fd", max_iters=30, seed=3)
+        a = hessian_spectrum(spec, theta[None], data, [3], k=1, method="auto", max_iters=30)[0]
+        b = hessian_spectrum(spec, theta[None], data, [3], k=1, method="fd", max_iters=30)[0]
         assert abs(a[0] - b[0]) < 1e-3 * abs(a[0])
 
     @pytest.mark.parametrize(
@@ -478,29 +479,26 @@ class TestHessianSpectrum:
         rng = np.random.default_rng(5)
         n = 8
         data = Batch(inputs=rng.standard_normal((n, 2)), labels=rng.standard_normal((n, layer_sizes[-1])))
-        lam = hessian_spectrum(spec, theta, data, k=k, max_iters=max_iters, seed=1)
+        lam = hessian_spectrum(spec, theta[None], data, [1], k=k, max_iters=max_iters)
         assert isinstance(lam, np.ndarray)
-        assert lam.shape == (min(k, theta.size, max_iters),)
+        assert lam.shape == (1, min(k, theta.size, max_iters))
         assert np.all(np.diff(lam) <= 0.0)
 
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_values_are_lanczos_eigenvalues_bitwise(self, stacked):
+        # one cell on a shared batch, or two cells with a batch each
         from breakeven.linalg import lanczos_topk
         from breakeven.netmodel import hessian_operator
 
         spec = MlpSpec(layer_sizes=(3, 8, 3), activation="tanh", seed=6)
         rng = np.random.default_rng(4)
-        theta = init_params(spec) + 0.2 * rng.standard_normal((2, spec.param_dim) if stacked else spec.param_dim)
+        theta = init_params(spec) + 0.2 * rng.standard_normal((2 if stacked else 1, spec.param_dim))
         shape = (2, 12) if stacked else (12,)
         data = Batch(inputs=rng.standard_normal(shape + (3,)), labels=rng.integers(0, 3, size=shape))
-        seed = [5, 9] if stacked else 5
-        lam = hessian_spectrum(spec, theta, data, k=4, max_iters=20, seed=seed)
-        pairs = lanczos_topk(hessian_operator(spec, theta, data), k=4, max_iters=20, seed=seed)
-        if stacked:
-            assert np.array_equal(lam, np.stack([p.eigenvalues for p in pairs]))
-        else:
-            assert np.array_equal(lam, pairs.eigenvalues)
+        seeds = [5, 9] if stacked else [5]
+        lam = hessian_spectrum(spec, theta, data, seeds, k=4, max_iters=20)
+        assert np.array_equal(lam, lanczos_topk(hessian_operator(spec, theta, data), k=4, max_iters=20, seeds=seeds))
 
 
 class TestPearsonAndMSensitivity:

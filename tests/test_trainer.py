@@ -128,6 +128,13 @@ class TestRunTraining:
         with pytest.raises(InvalidConfigError):
             smoke_config(epochs=0)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_accuracy_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(InvalidConfigError, match=r"\[0, 1\]") as exc:
+            smoke_config(accuracy_threshold=threshold)
+        assert exc.value.field == "accuracy_threshold"
+        assert smoke_config(accuracy_threshold=0.0) and smoke_config(accuracy_threshold=1.0)
+
     def test_determinism_field_identical(self):
         ds = smoke_dataset()
         a_records, a_summary = run_training(smoke_config(), ds)
