@@ -5,8 +5,8 @@ built from a frozen dataclass whose defaults are the only ones, and every key
 it accepts changes an output. An unknown key, a key its section's kind does
 not read, a value of the wrong type or a non-finite number
 (``errors.config_value``), a sweep axis value the run config rejects or a
-model or batch the dataset cannot train (``_check_fits``) exits 2, naming
-the key, before any output is written or any cell trains.
+model, split or batch the dataset cannot train (``trainer.check_fits``)
+exits 2, naming the key, before any output is written or any cell trains.
 ``--seed`` sets the run seed of train/sweep and ``monte_carlo.seed`` of
 simulate; report draws nothing and takes none. Every output file starts with
 a metadata line (JSONL/Markdown) or comment (CSV/SVG) embedding the hash of
@@ -65,6 +65,7 @@ from .trainer import (
     SWEEP_AXES,
     RunConfig,
     breakeven_indicators,
+    check_fits,
     check_metric_records,
     config_hash,
     metric_log_lines,
@@ -271,18 +272,6 @@ def _dataset_from_config(raw: dict) -> Dataset:
         raise SchemaError("dataset", "expected an object")
     with _section("dataset"):
         return make_dataset(cfg, _coerce(int, cfg.get("seed", 0), "dataset.seed"))
-
-
-def _check_fits(config: RunConfig, dataset: Dataset, axis: str | None = None) -> None:
-    """Reject a run config that no cell could train on ``dataset``: a model
-    input width other than its feature count, or a batch larger than its
-    training split. On the batch-size axis each value is its own cell, and
-    one larger than the split fails alone, so the base value is not read."""
-    width = config.model.layer_sizes[0]
-    if width != dataset.n_features:
-        raise SchemaError("model.layer_sizes", f"input width {width} != {dataset.n_features} dataset features")
-    if axis != "batch_size" and config.batch_size > dataset.n_train:
-        raise SchemaError("batch_size", f"{config.batch_size} exceeds the {dataset.n_train} training examples")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -515,7 +504,8 @@ def cmd_train(args) -> int:
     raw = _load_json(args.config)
     config = resolve_run_config(raw, args)
     dataset = _dataset_from_config(raw)
-    _check_fits(config, dataset)
+    with _section(""):
+        check_fits(config, dataset)
     for key in _SWEEP_ONLY:
         if key in raw:
             raise SchemaError(key, "only sweep reads this key")
@@ -539,9 +529,12 @@ def cmd_sweep(args) -> int:
     kind = typing.get_type_hints(RunConfig)[axis.name]
     values = _coerce(tuple[kind, ...], axis.values, "axis.values")
     seeds = list(_coerce(tuple[int, ...], raw.get("seeds", [0]), "seeds"))
+    if not seeds:
+        raise SchemaError("seeds", "need a nonempty list")
     base = resolve_run_config(raw, args)
     dataset = _dataset_from_config(raw)
-    _check_fits(base, dataset, axis.name)
+    with _section(""):
+        check_fits(base, dataset, batch_axis=axis.name == "batch_size")
     out = Path(args.out)
     try:
         report = sweep(base, dataset, axis.name, values, seeds)

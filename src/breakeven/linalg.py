@@ -2,7 +2,9 @@
 
 Everything operates on float64. The two entry points are ``jacobi_eigh``
 (full spectrum of a small dense symmetric matrix through LAPACK's ``eigh``,
-used both directly on Gram matrices and as the oracle in tests) and
+returned as the pair of descending eigenvalues and their eigenvectors, with
+the signs LAPACK gives; used both directly on Gram matrices and as the
+oracle in tests) and
 ``lanczos_topk`` (top-k eigenvalues of a symmetric operator given only
 matrix-vector products, used for Hessian spectra). ``lanczos_topk`` runs a
 stack of operators in lockstep, one matvec call per step for all of them,
@@ -64,54 +66,24 @@ class LinearOperator:
     apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigenvalues sorted descending with orthonormal eigenvectors as columns.
-
-    Sign convention: in each eigenvector the component of largest absolute
-    value is positive (ties broken by lowest index), which makes vectors
-    unique up to eigenvalue degeneracy.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # shape (dim, dim), column i pairs with eigenvalues[i]
-
-
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Negate, in place, each column whose entry of largest absolute value
-    (the lowest index on ties) is negative; returns ``vectors``. That entry
-    is the column's first max or first min, so no |vectors| copy is made
-    (and for columns contiguous in memory, no copy at all)."""
-    cols = np.arange(vectors.shape[1])
-    hi, lo = vectors.argmax(axis=0), vectors.argmin(axis=0)
-    top, neg_bottom = vectors[hi, cols], -vectors[lo, cols]
-    vectors *= np.where((neg_bottom > top) | ((neg_bottom == top) & (lo < hi)), -1.0, 1.0)
-    return vectors
-
-
-def _sorted_pairs(values: np.ndarray, vectors: np.ndarray) -> EigenPairs:
-    order = np.argsort(-values, kind="stable")
-    return EigenPairs(
-        eigenvalues=np.ascontiguousarray(values[order]),
-        eigenvectors=_canonical_signs(np.ascontiguousarray(vectors[:, order])),
-    )
-
-
-def jacobi_eigh(a: DenseSymmetric) -> EigenPairs:
+def jacobi_eigh(a: DenseSymmetric) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a dense symmetric matrix.
 
-    LAPACK-backed (``np.linalg.eigh``); the result is returned in the
-    package's convention: eigenvalues descending, eigenvector signs fixed by
-    ``_canonical_signs``. The name predates the LAPACK solver and is kept
-    until the in-package spans (ROADMAP item 5a) let it be renamed without
-    losing per-layer metrics. Raises NoConvergenceError when LAPACK reports
-    that the decomposition failed to converge.
+    LAPACK-backed (``np.linalg.eigh``). Returns ``(eigenvalues,
+    eigenvectors)``: the eigenvalues descending (a stable sort, so equal ones
+    keep LAPACK's order) and the orthonormal eigenvectors as the columns of a
+    (dim, dim) array, column i paired with eigenvalue i. Each vector's sign is
+    whatever LAPACK leaves; no caller reads it. The name predates the LAPACK
+    solver and is kept until the in-package spans (ROADMAP item 5a) let it be
+    renamed without losing per-layer metrics. Raises NoConvergenceError when
+    LAPACK reports that the decomposition failed to converge.
     """
     try:
         values, vectors = np.linalg.eigh(a.entries)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigh failed on a {a.dim}x{a.dim} matrix: {exc}") from exc
-    return _sorted_pairs(values, vectors)
+    order = np.argsort(-values, kind="stable")
+    return values[order], vectors[:, order]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,6 +195,6 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seeds: Sequence[int
         raise InvalidKError(f"k={k} must satisfy 1 <= k <= min(dim={n}, max_iters={max_iters})")
     _, alphas, betas = _lanczos_basis(op, min(max_iters, n), seeds)
     return np.stack([
-        jacobi_eigh(DenseSymmetric.from_array(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))).eigenvalues[:k]
+        jacobi_eigh(DenseSymmetric.from_array(np.diag(a) + np.diag(b, 1) + np.diag(b, -1)))[0][:k]
         for a, b in zip(alphas, betas)
     ])

@@ -191,13 +191,14 @@ def k_spectrum(gram: np.ndarray) -> SpectralSummary:
     ratio is null when the spectral norm is (numerically) zero. Sample order
     is canonicalized first, so summaries do not depend on draw order; the
     eigenvector rows are mapped back to the caller's sample order, so
-    ``k_top_eigvecs`` can pair them with the gradient rows as given.
+    ``k_top_eigvecs`` can pair them with the gradient rows as given. Each
+    eigenvector's sign is arbitrary (LAPACK's); no reading depends on it.
     """
     order = _canonical_sample_order(gram)
     canonical = gram[np.ix_(order, order)]
-    pairs = jacobi_eigh(DenseSymmetric.from_array(canonical))
-    vectors = pairs.eigenvectors[np.argsort(order)]  # rows back in sample order
-    clamped = np.maximum(pairs.eigenvalues, 0.0)  # descending
+    values, vectors = jacobi_eigh(DenseSymmetric.from_array(canonical))
+    vectors = vectors[np.argsort(order)]  # rows back in sample order
+    clamped = np.maximum(values, 0.0)  # descending
     lambda_k1 = float(clamped[0])
     lambda_k_star = float(clamped[-2]) if clamped.size >= 2 else float(clamped[-1])
     trace_k = float(np.trace(canonical))

@@ -246,6 +246,32 @@ def _as_model_batch(spec: MlpSpec, batch: Batch) -> Batch:
     return batch
 
 
+def check_fits(config: RunConfig, dataset: Dataset, batch_axis: bool = False) -> None:
+    """Reject a run config that ``dataset`` cannot train, raising
+    InvalidConfigError that names the dotted key at fault: a model input
+    width other than the feature count or an output width below the class
+    count (``model.layer_sizes``), an empty validation split
+    (``dataset.val_fraction``), or a batch larger than the training split
+    (``batch_size``). With ``batch_axis`` the batch size is not read: on a
+    sweep's batch-size axis each value is its own cell, and one larger than
+    the split fails alone."""
+    sizes = config.model.layer_sizes
+    if sizes[0] != dataset.n_features:
+        raise InvalidConfigError(
+            f"input width {sizes[0]} != {dataset.n_features} dataset features", "model.layer_sizes"
+        )
+    if sizes[-1] < dataset.n_classes:
+        raise InvalidConfigError(
+            f"output width {sizes[-1]} < {dataset.n_classes} dataset classes", "model.layer_sizes"
+        )
+    if dataset.val_idx.size < 1:
+        raise InvalidConfigError("the validation split is empty", "dataset.val_fraction")
+    if not batch_axis and config.batch_size > dataset.n_train:
+        raise InvalidConfigError(
+            f"{config.batch_size} exceeds the {dataset.n_train} training examples", "batch_size"
+        )
+
+
 def _init_bn_running(spec: MlpSpec, cells: int) -> BnStats:
     """Fresh running statistics, one row per cell; empty without BN."""
     widths = [spec.layer_sizes[i + 1] for i in spec.bn_layers]
@@ -478,14 +504,11 @@ def run_training(
             "the cells of a stack must share model shape, batch size, epochs, eval_every, "
             "schedule kind and spectra settings"
         )
+    check_fits(first, dataset)
     spec = first.model
     train_set = _as_model_batch(spec, dataset.train())
     val_set = _as_model_batch(spec, dataset.val())
     n_train = train_set.size
-    if first.batch_size > n_train:
-        raise InvalidConfigError("batch_size exceeds training set size")
-    if spec.layer_sizes[0] != dataset.n_features:
-        raise InvalidConfigError("model input width does not match dataset features")
 
     n_eval = max(1, int(round(first.eval_subset_fraction * n_train)))
     cells = [

@@ -623,6 +623,7 @@ class TestConfigBoundary:
             ("train", "model.layer_sizes", [3, 8, 8, 2], "model.layer_sizes"),
             ("sweep", "batch_size", 10_000, "batch_size"),
             ("train", "batch_size", 10_000, "batch_size"),
+            ("sweep", "seeds", [], "seeds: need a nonempty list"),
             # simulate's range checks name the key, the list entry included
             ("simulate", "etas", [0.0], "etas[0]"),
             ("simulate", "etas", [], "etas: need a nonempty list"),
@@ -657,14 +658,35 @@ class TestConfigBoundary:
     def test_rejected_value_exits_2_names_key_writes_nothing(
         self, subcommand, dotted, value, named, train_config, tmp_path, capsys, trained
     ):
+        self.assert_rejected(subcommand, {dotted: value}, named, train_config, tmp_path, capsys, trained)
+
+    @pytest.mark.parametrize("subcommand", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"model.loss": "mse", "dataset.classes": 3}, "model.layer_sizes: output width 2 < 3"),
+            ({"model.loss": "softmax_cross_entropy", "dataset.classes": 3}, "model.layer_sizes: output width 2 < 3"),
+            ({"dataset.val_fraction": 0.0}, "dataset.val_fraction: the validation split is empty"),
+        ],
+    )
+    def test_model_the_dataset_cannot_train_exits_2(
+        self, subcommand, overrides, named, train_config, tmp_path, capsys, trained
+    ):
+        self.assert_rejected(subcommand, overrides, named, train_config, tmp_path, capsys, trained)
+
+    def assert_rejected(self, subcommand, overrides, named, train_config, tmp_path, capsys, trained):
+        """The config with ``overrides`` (dotted key: value) exits 2 naming
+        ``named``, writes nothing and trains no cell."""
         if subcommand == "simulate":
-            base = self.SIMULATE
+            cfg = self.SIMULATE
         elif subcommand == "report":
-            base = self.REPORT
+            cfg = self.REPORT
         else:
-            base = json.loads(Path(train_config).read_text())
-            base["axis"] = {"name": "eta", "values": [0.02, 0.1]}
-        path = write_json(tmp_path / "bad.json", self.with_value(base, dotted, value))
+            cfg = json.loads(Path(train_config).read_text())
+            cfg["axis"] = {"name": "eta", "values": [0.02, 0.1]}
+        for dotted, value in overrides.items():
+            cfg = self.with_value(cfg, dotted, value)
+        path = write_json(tmp_path / "bad.json", cfg)
         out = tmp_path / "out"
         assert main([subcommand, "--config", path, "--out", str(out), "--quiet"]) == 2
         assert named in capsys.readouterr().err

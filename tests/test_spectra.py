@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from breakeven import spectra
 from breakeven.errors import (
     DegenerateProjectionError,
     InsufficientCheckpointsError,
@@ -34,7 +35,7 @@ from breakeven.spectra import (
 def dense_covariance_eigs(grads, gbar):
     centered = grads - gbar
     cov = centered.T @ centered / grads.shape[0]
-    return jacobi_eigh(DenseSymmetric.from_array(cov)).eigenvalues
+    return jacobi_eigh(DenseSymmetric.from_array(cov))[0]
 
 
 def random_grads(L, D, seed):
@@ -56,7 +57,7 @@ class TestGram:
         nsq = float(v @ v)
         expected = np.array([[nsq / 2, -nsq / 2], [-nsq / 2, nsq / 2]])
         assert np.allclose(gram, expected, atol=1e-14)
-        eigs = jacobi_eigh(DenseSymmetric.from_array(gram)).eigenvalues
+        eigs = jacobi_eigh(DenseSymmetric.from_array(gram))[0]
         assert np.allclose(eigs, [nsq, 0.0], atol=1e-12)
 
     def test_exact_symmetry(self):
@@ -70,7 +71,7 @@ class TestGram:
         L, D = rng.integers(3, 8), rng.integers(10, 41)
         g, gbar = random_grads(int(L), int(D), 100 + seed)
         gram = gram_from_gradients(GradientSample(g - gbar))
-        gram_eigs = jacobi_eigh(DenseSymmetric.from_array(gram)).eigenvalues
+        gram_eigs = jacobi_eigh(DenseSymmetric.from_array(gram))[0]
         dense_eigs = dense_covariance_eigs(g, gbar)
         k = min(len(gram_eigs), len(dense_eigs))
         assert np.max(np.abs(gram_eigs[:k][gram_eigs[:k] > 1e-12] - dense_eigs[: np.sum(gram_eigs[:k] > 1e-12)])) < 1e-10
@@ -203,6 +204,44 @@ class TestTopEigvecs:
         _, peak = traced_peak(lambda: grad_subspace_ratio(grad_now, sample, k_top_eigvecs(ks, k=5)))
         # the D x 5 block of ambient eigenvectors is never formed
         assert peak < 65536 * 5 * 8
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_negating_any_eigenvector_column_leaves_readings_bitwise(self, factored, monkeypatch):
+        # jacobi_eigh leaves each vector's sign to LAPACK; negating column j of
+        # W negates entry j of Wᵀ(C g) exactly, so no reading may move
+        if factored:
+            spec = MlpSpec(layer_sizes=(3, 16, 12, 2), activation="tanh", seed=3)
+            rng = np.random.default_rng(7)
+            theta = init_params(spec) + 0.3 * rng.standard_normal(spec.param_dim)
+            data = Batch(inputs=rng.standard_normal((40, 3)), labels=rng.integers(0, 2, size=40))
+            sample, _ = sample_minibatch_gradients(spec, theta, data, 6, 3, seed=11)
+            assert sample.factors
+            grad_now = grad(spec, theta, data.subset(np.arange(8)))
+        else:
+            g, gbar = random_grads(8, 30, 23)
+            sample, grad_now = GradientSample(g - gbar), g[0].copy()
+        gram = gram_from_gradients(sample)
+        n, k = gram.shape[0], gram.shape[0] - 1
+
+        def readings():
+            ks = k_spectrum(gram)
+            ratio = grad_subspace_ratio(grad_now, sample, k_top_eigvecs(ks, k=k))
+            return ks, (ks.lambda_k1, ks.lambda_k_star, ks.trace_k, ks.cond_ratio, ratio)
+
+        ref_ks, ref = readings()
+        real = spectra.jacobi_eigh
+        for j in range(n):
+            def flipped(a, j=j):
+                values, vectors = real(a)
+                vectors[:, j] = -vectors[:, j]
+                return values, vectors
+
+            monkeypatch.setattr(spectra, "jacobi_eigh", flipped)
+            ks, got = readings()
+            assert got == ref
+            assert np.array_equal(ks.gram_eigenvalues, ref_ks.gram_eigenvalues)
+            signs = np.where(np.arange(n) == j, -1.0, 1.0)
+            assert np.array_equal(ks.gram_eigenvectors * signs, ref_ks.gram_eigenvectors)
 
     def test_rank_deficient(self):
         v = np.array([1.0, 0.0])
@@ -441,7 +480,7 @@ class TestHessianSpectrum:
         data = Batch(inputs=x, labels=np.zeros((6, 1)))
         xb = np.hstack([x, np.ones((6, 1))])  # (w1, w2, b) design
         analytic = 2.0 * xb.T @ xb / 6.0
-        lam = jacobi_eigh(DenseSymmetric.from_array(analytic)).eigenvalues
+        lam = jacobi_eigh(DenseSymmetric.from_array(analytic))[0]
         hs = hessian_spectrum(spec, theta[None], data, [1], k=3, max_iters=3)
         assert hs.shape == (1, 3)
         assert np.max(np.abs(hs[0] - lam)) < 1e-8

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from breakeven import trainer
+from breakeven import spectra, trainer
 from breakeven.datasets import make_dataset
 from breakeven.errors import (
     InsufficientDataError,
@@ -134,6 +134,29 @@ class TestRunTraining:
             smoke_config(accuracy_threshold=threshold)
         assert exc.value.field == "accuracy_threshold"
         assert smoke_config(accuracy_threshold=0.0) and smoke_config(accuracy_threshold=1.0)
+
+    def test_model_narrower_than_the_classes_rejected(self):
+        ds = make_dataset({"kind": "gaussian_blobs", "n": 128, "classes": 3, "sigma": 0.6}, seed=1)
+        with pytest.raises(InvalidConfigError, match="output width 2 < 3") as exc:
+            run_training(smoke_config(model=MlpSpec(layer_sizes=(2, 8, 8, 2), loss="mse", seed=3)), ds)
+        assert exc.value.field == "model.layer_sizes"
+
+    def test_eigenvector_signs_change_no_record(self, monkeypatch):
+        # jacobi_eigh leaves each Gram eigenvector's sign to LAPACK; every
+        # covariance reading of a checkpoint, g_ratio included, is blind to it
+        ds = smoke_dataset(n=128)
+        cfg = smoke_config(epochs=1, eval_every=1)
+        want, _ = run_training(cfg, ds)
+        assert all(r.g_ratio is not None for r in want)
+        real = spectra.jacobi_eigh
+
+        def flipped(a):
+            values, vectors = real(a)
+            return values, vectors * np.where(np.arange(a.dim) % 2, -1.0, 1.0)
+
+        monkeypatch.setattr(spectra, "jacobi_eigh", flipped)
+        got, _ = run_training(cfg, ds)
+        assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
     def test_determinism_field_identical(self):
         ds = smoke_dataset()
