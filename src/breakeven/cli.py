@@ -200,8 +200,9 @@ def _section(path: str):
 
 def _coerce(kind, value, path: str):
     """Check one JSON value against a dataclass field type. ``int``,
-    ``float`` and ``str`` follow ``config_value``, ``Optional`` also takes
-    null, a tuple of ints or floats a list checked element by element, and a
+    ``float``, ``str`` and ``bool`` follow ``config_value``, ``Optional``
+    also takes null, a tuple a list checked element by element (a per-layer
+    tuple of strs or bools also takes one value for every layer), and a
     dataclass an object built by ``_build``. Anything else is left to the
     dataclass's own checks."""
     args = typing.get_args(kind)
@@ -211,10 +212,12 @@ def _coerce(kind, value, path: str):
         kind, args = args[0], typing.get_args(args[0])
     if dataclasses.is_dataclass(kind):
         return _build(kind, value, path)
-    if kind in (int, float, str):
+    if kind in (int, float, str, bool):
         with _section(path):
             return config_value(kind, value)
-    if typing.get_origin(kind) is tuple and args[0] in (int, float):
+    if typing.get_origin(kind) is tuple:
+        if args[0] in (str, bool) and not isinstance(value, list):
+            return _coerce(args[0], value, path)
         if not isinstance(value, list):
             raise SchemaError(path, "expected a list")
         return tuple(_coerce(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))

@@ -108,8 +108,9 @@ class UnknownMetricError(ValidationError):
 def config_value(kind: type, value, field: str | None = None):
     """The one type rule for a scalar config value: an ``int`` takes JSON
     integers only, a ``float`` any finite JSON number (not ``NaN`` or
-    ``Infinity``) and is stored as a float, a ``str`` only a string; a bool
-    is none of them. Raises InvalidParamsError naming ``field`` otherwise."""
+    ``Infinity``) and is stored as a float, a ``str`` only a string, a
+    ``bool`` only ``true`` or ``false``; a bool is none of the others.
+    Raises InvalidParamsError naming ``field`` otherwise."""
     if kind is float and type(value) is int:
         try:
             value = float(value)

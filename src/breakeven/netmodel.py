@@ -3,7 +3,9 @@ products.
 
 Parameters live in a single flat float64 vector with a canonical layout: for
 each layer, weights (fan_in x fan_out, row-major), then biases, then, when the
-layer is batch-normalized, gamma and beta. Hidden layers apply
+layer is batch-normalized, gamma and beta. Frozen batch-norm statistics live
+the same way in a second vector, of ``spec.stats_dim`` floats: each BN
+layer's means, then its variances. Hidden layers apply
 linear -> (batch norm) -> activation; the output layer is linear (logits).
 
 There is one forward pass (``_forward``) and one reverse pass
@@ -62,18 +64,6 @@ TANH = "tanh"
 IDENTITY = "identity"
 SOFTMAX_CE = "softmax_cross_entropy"
 MSE = "mse"
-BATCH_STATS = "batch"
-
-
-@dataclass(frozen=True)
-class BnStats:
-    """Frozen batch-norm statistics, one entry per BN layer in layer order."""
-
-    means: tuple[np.ndarray, ...]
-    variances: tuple[np.ndarray, ...]
-
-
-BnMode = Union[str, BnStats]
 
 
 def _as_tuple(value, count, kinds, what):
@@ -124,6 +114,7 @@ class MlpSpec:
             raise InvalidParamsError(f"unknown init {self.init!r}", "init")
         layout = []
         offset = 0
+        stats = 0  # offset into the frozen-statistics vector
         for layer in range(len(sizes) - 1):
             fan_in, fan_out = sizes[layer], sizes[layer + 1]
             entry = {"layer": layer, "fan_in": fan_in, "fan_out": fan_out}
@@ -136,10 +127,14 @@ class MlpSpec:
                 offset += fan_out
                 entry["beta"] = slice(offset, offset + fan_out)
                 offset += fan_out
+                entry["mean"] = slice(stats, stats + fan_out)
+                entry["var"] = slice(stats + fan_out, stats + 2 * fan_out)
+                stats += 2 * fan_out
             layout.append(entry)
         # built once per spec; not a dataclass field, so it stays out of
         # equality, repr and the config dicts written to logs
         object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_stats_dim", stats)
 
     @property
     def n_layers(self) -> int:
@@ -158,7 +153,9 @@ class MlpSpec:
         return tuple(i for i, bn in enumerate(self.batch_norm) if bn)
 
     def layout(self) -> tuple[dict, ...]:
-        """Slices of the flat parameter vector, one entry per layer."""
+        """Slices of the flat parameter vector, one entry per layer; a BN
+        layer's entry also holds its ``mean`` and ``var`` slices of the
+        frozen-statistics vector."""
         return self._layout
 
     @property
@@ -166,6 +163,11 @@ class MlpSpec:
         last = self._layout[-1]
         final = last.get("beta", last["b"])
         return final.stop
+
+    @property
+    def stats_dim(self) -> int:
+        """Length of a frozen-statistics vector; 0 without BN."""
+        return self._stats_dim
 
 
 def check_params(spec: MlpSpec, theta: np.ndarray) -> np.ndarray:
@@ -201,6 +203,16 @@ def init_params(spec: MlpSpec) -> np.ndarray:
         if "gamma" in entry:
             theta[entry["gamma"]] = 1.0
     return theta
+
+
+def init_bn_stats(spec: MlpSpec) -> np.ndarray:
+    """Frozen statistics before any batch is seen: zero means, unit
+    variances; a (stats_dim,) vector, empty without BN."""
+    stats = np.zeros(spec.stats_dim)
+    for entry in spec.layout():
+        if "var" in entry:
+            stats[entry["var"]] = 1.0
+    return stats
 
 
 @dataclass(frozen=True)
@@ -269,16 +281,17 @@ def _act_d(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _resolve_bn(spec: MlpSpec, bn_mode: BnMode):
-    if not spec.has_bn:
+def _check_stats(spec: MlpSpec, bn_stats: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Frozen statistics as float64, (..., stats_dim); None (batch
+    statistics) passes through."""
+    if bn_stats is None:
         return None
-    if isinstance(bn_mode, BnStats):
-        if len(bn_mode.means) != len(spec.bn_layers):
-            raise DimensionMismatchError("frozen statistics do not match BN layer count")
-        return bn_mode
-    if bn_mode == BATCH_STATS:
-        return BATCH_STATS
-    raise InvalidParamsError(f"unknown bn_mode {bn_mode!r}")
+    bn_stats = np.asarray(bn_stats, dtype=np.float64)
+    if bn_stats.ndim < 1 or bn_stats.shape[-1] != spec.stats_dim:
+        raise DimensionMismatchError(
+            f"frozen statistics have shape {bn_stats.shape}, spec needs (..., {spec.stats_dim})"
+        )
+    return bn_stats
 
 
 def _matrix(vec: np.ndarray, entry: dict) -> np.ndarray:
@@ -298,7 +311,9 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode, keep_caches: bool = True):
+def _forward(
+    spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_stats: Optional[np.ndarray], keep_caches: bool = True
+):
     """Run the network, returning logits plus per-layer caches for backward
     (an empty list when ``keep_caches`` is False: each layer's cache and
     activations are then dropped before the next layer's product, so the
@@ -306,18 +321,18 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode, k
 
     ``x`` is (n, d), or (G, M, d) for G groups of M examples: every
     reduction runs over the example axis -2, so each group gets its own BN
-    batch statistics and a group computes exactly what it would alone. A
-    stacked θ's leading axes broadcast against x's; frozen statistics may
-    carry the same leading axes as θ.
+    batch statistics and a group computes exactly what it would alone.
+    ``bn_stats`` None normalizes by those batch statistics; a frozen
+    statistics vector may carry the same leading axes as a stacked θ, whose
+    leading axes broadcast against x's.
 
     Overflow is not a numpy warning here: non-finite activations raise
     NonFiniteError, which training loops treat as divergence.
     """
     layout = spec.layout()
-    mode = _resolve_bn(spec, bn_mode)
+    bn_stats = _check_stats(spec, bn_stats)
     a = x
     caches = []
-    bn_index = 0
     for entry in layout[:-1]:
         layer = entry["layer"]
         w = _matrix(theta, entry)
@@ -326,15 +341,14 @@ def _forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_mode: BnMode, k
         if "gamma" in entry:
             gamma = _row(theta, entry["gamma"])
             beta = _row(theta, entry["beta"])
-            if mode == BATCH_STATS:
+            if bn_stats is None:
                 mu = z.mean(axis=-2)
                 var = z.var(axis=-2)
             else:
-                mu = mode.means[bn_index]
-                var = mode.variances[bn_index]
-            bn_index += 1
+                mu = bn_stats[..., entry["mean"]]
+                var = bn_stats[..., entry["var"]]
             inv = 1.0 / np.sqrt(var[..., None, :] + BN_EPS)
-            cache.update(gamma=gamma, mu=mu, var=var, inv=inv, batch_stats=(mode == BATCH_STATS))
+            cache.update(gamma=gamma, mu=mu, var=var, inv=inv, batch_stats=bn_stats is None)
             cache["xhat"] = (z - mu[..., None, :]) * inv
             y = gamma * cache["xhat"] + beta
         else:
@@ -389,12 +403,12 @@ def _scalar(x: np.ndarray):
 
 
 def forward_loss(
-    spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS
+    spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_stats: Optional[np.ndarray] = None
 ) -> ForwardResult:
     """Mean loss, per-example losses and argmax accuracy on a batch.
 
     θ and the labels are checked once. When the rows are independent (no
-    BN, or frozen ``BnStats``), the batch is evaluated in blocks of rows
+    BN, or frozen ``bn_stats``), the batch is evaluated in blocks of rows
     sized so one activation of the widest layer fills ``FORWARD_BLOCK_BYTES``
     per cell, and no layer caches are kept: each block's losses and
     predictions are written into one (…, n) result, so the pass's memory
@@ -411,10 +425,9 @@ def forward_loss(
     """
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
-    mode = _resolve_bn(spec, bn_mode)
     x, labels = batch.inputs, batch.labels
     n = batch.size
-    rows = n if mode == BATCH_STATS else max(1, FORWARD_BLOCK_BYTES // (8 * max(spec.layer_sizes)))
+    rows = n if spec.has_bn and bn_stats is None else max(1, FORWARD_BLOCK_BYTES // (8 * max(spec.layer_sizes)))
     lead = np.broadcast_shapes(theta.shape[:-1], x.shape[:-2])
     per_example = np.empty(lead + (n,))
     correct = np.empty(lead + (n,), dtype=bool)
@@ -422,7 +435,7 @@ def forward_loss(
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         y = labels[..., block] if classes else labels[..., block, :]
-        logits, _, _ = _forward(spec, theta, x[..., block, :], mode, keep_caches=False)
+        logits, _, _ = _forward(spec, theta, x[..., block, :], bn_stats, keep_caches=False)
         with np.errstate(over="ignore", invalid="ignore"):
             per_example[..., block] = _per_example_loss(spec, logits, y)
         correct[..., block] = np.argmax(logits, axis=-1) == (y if classes else np.argmax(y, axis=-1))
@@ -506,30 +519,30 @@ def _backward(
     return grad, tuple(reversed(factors))
 
 
-def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> BnStats:
-    """Batch means/variances at each BN layer for the given inputs; used by
-    the trainer to maintain running statistics."""
-    if not spec.has_bn:
-        return BnStats(means=(), variances=())
+def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> np.ndarray:
+    """Batch means and variances at each BN layer for the given inputs, as
+    a (..., stats_dim) frozen-statistics vector (one row per row of a
+    stacked θ); used by the trainer to maintain running statistics."""
     theta = check_params(spec, theta)
-    _, caches, _ = _forward(spec, theta, batch.inputs, BATCH_STATS)
-    means = []
-    variances = []
-    for cache in caches:
-        if "gamma" in cache:
-            means.append(cache["mu"].copy())
-            variances.append(cache["var"].copy())
-    return BnStats(means=tuple(means), variances=tuple(variances))
+    if not spec.has_bn:
+        return np.zeros(theta.shape[:-1] + (0,))
+    _, caches, _ = _forward(spec, theta, batch.inputs, None)
+    return np.concatenate([s for c in caches if "gamma" in c for s in (c["mu"], c["var"])], axis=-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _mean_grads(
-    spec: MlpSpec, theta: np.ndarray, x: np.ndarray, labels, bn_mode: BnMode, factored: Sequence[int] = ()
+    spec: MlpSpec,
+    theta: np.ndarray,
+    x: np.ndarray,
+    labels,
+    bn_stats: Optional[np.ndarray],
+    factored: Sequence[int] = (),
 ) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
     """Gradient of the mean loss over the example axis -2 of ``x``: one
     forward and one reverse pass, with θ and the labels already checked.
     The ``factored`` layers' weights come back as factors (``_backward``)."""
-    logits, caches, last = _forward(spec, theta, x, bn_mode)
+    logits, caches, last = _forward(spec, theta, x, bn_stats)
     dlogits = _loss_grad_logits(spec, logits, labels) / x.shape[-2]
     g, factors = _backward(spec, caches, last, dlogits, factored)
     # NaN propagates through min and max and an inf sits at one end: no G x D
@@ -540,35 +553,41 @@ def _mean_grads(
 
 
 def grouped_grad_factors(
-    spec: MlpSpec, theta: np.ndarray, batch: Batch, groups, factored: Sequence[int], bn_mode: BnMode = BATCH_STATS
+    spec: MlpSpec,
+    theta: np.ndarray,
+    batch: Batch,
+    groups,
+    factored: Sequence[int],
+    bn_stats: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
     """Mean loss gradient of each group of examples, from one forward and
     one reverse pass, with the weight gradients of the ``factored`` layers
     left as per-example factors.
 
-    ``groups`` is a (G, M) array of example indices into ``batch``; with BN
-    batch statistics each group is normalized by its own statistics, and a
+    ``groups`` is a (G, M) array of example indices into ``batch``; with
+    ``bn_stats`` None each group is normalized by its own batch statistics
+    (frozen statistics normalize every group alike), and a
     (G, D) stack θ evaluates group g at row g. Returns the (G, P) rows of
     every parameter outside the factored weights, in θ order, and one
     ``LayerFactors`` per factored layer, in layer order. With no layer
     factored, row g equals ``grad(spec, theta, batch.subset(groups[g]),
-    bn_mode)``; a factored layer's ``inputs[g]ᵀ deltas[g]`` equals its block.
+    bn_stats)``; a factored layer's ``inputs[g]ᵀ deltas[g]`` equals its block.
     """
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
     groups = np.asarray(groups)
     if groups.ndim != 2 or min(groups.shape) < 1:
         raise InvalidParamsError("groups must be a (G >= 1, M >= 1) index array")
-    return _mean_grads(spec, theta, batch.inputs[groups], batch.labels[groups], bn_mode, factored)
+    return _mean_grads(spec, theta, batch.inputs[groups], batch.labels[groups], bn_stats, factored)
 
 
-def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_mode: BnMode = BATCH_STATS) -> np.ndarray:
+def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_stats: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact reverse-mode gradient of the mean batch loss; the same pass as
     one group of ``grouped_grad_factors``. A stacked θ gives one gradient per
     row, on the shared batch or, for a (C, n, d) batch, on block c."""
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
-    return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_mode)[0]
+    return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_stats)[0]
 
 
 @dataclass(frozen=True)
@@ -602,7 +621,7 @@ def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
         raise BnUnsupportedError("exact HVP does not support batch-norm layers")
     theta = check_params(spec, theta)
     _check_classification_labels(spec, batch)
-    logits, caches, last = _forward(spec, theta, batch.inputs, BATCH_STATS)
+    logits, caches, last = _forward(spec, theta, batch.inputs, None)
     delta = _loss_grad_logits(spec, logits, batch.labels) / batch.size
     _, factors = _backward(spec, caches, last, delta, range(spec.n_layers))
     layers = []
@@ -692,7 +711,7 @@ def hvp_fd(
     theta: np.ndarray,
     batch: Batch,
     v: np.ndarray,
-    bn_mode: BnMode = BATCH_STATS,
+    bn_stats: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Hessian-vector product by central differences of the gradient along
     the normalized direction, with step ``FD_EPS``; invariant to the scale
@@ -711,7 +730,7 @@ def hvp_fd(
     step = np.multiply(v, FD_EPS / norm, out=pair[1])
     np.add(theta, step, out=pair[0])
     np.subtract(theta, step, out=step)
-    hv, minus = grad(spec, pair, batch, bn_mode)
+    hv, minus = grad(spec, pair, batch, bn_stats)
     hv -= minus
     hv *= norm / (2.0 * FD_EPS)
     return hv
@@ -722,7 +741,7 @@ def hessian_operator(
     theta: np.ndarray,
     batch: Batch,
     method: str = "auto",
-    bn_mode: BnMode = BATCH_STATS,
+    bn_stats: Optional[np.ndarray] = None,
 ) -> LinearOperator:
     """The Hessian of the mean batch loss as a symmetric linear operator.
 
@@ -741,7 +760,7 @@ def hessian_operator(
         lin = linearize(spec, theta, batch)
         return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v, lin))
     theta = check_params(spec, theta)
-    return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_mode=bn_mode))
+    return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_stats=bn_stats))
 
 
 def bn_gamma_norm(spec: MlpSpec, theta: np.ndarray, layer_index: int) -> float:

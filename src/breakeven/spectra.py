@@ -49,7 +49,7 @@ from .errors import (
 from .linalg import DenseSymmetric, jacobi_eigh, lanczos_topk
 # ``grad`` is unused here but stays bound: perfbench/tracepoints.py patches
 # ``breakeven.spectra.grad`` (ROADMAP item 5a)
-from .netmodel import BATCH_STATS, Batch, BnMode, LayerFactors, MlpSpec, grad, grouped_grad_factors, hessian_operator
+from .netmodel import Batch, LayerFactors, MlpSpec, grad, grouped_grad_factors, hessian_operator
 from .rng import derive_seed, make_rng
 
 RANK_TOL = 1e-12
@@ -98,7 +98,7 @@ def sample_minibatch_gradients(
     n_batches: int,
     batch_size: int,
     seed: int,
-    bn_mode: BnMode = BATCH_STATS,
+    bn_stats: Optional[np.ndarray] = None,
 ) -> tuple[GradientSample, np.ndarray]:
     """Draw ``n_batches`` independent minibatches (without replacement within
     each batch) and return their gradients as a ``GradientSample``, plus the
@@ -121,7 +121,7 @@ def sample_minibatch_gradients(
     rng = make_rng(seed)
     groups = np.stack([rng.choice(dataset.size, size=batch_size, replace=False) for _ in range(n_batches)])
     factored = factor_form_layers(spec, n_batches, batch_size)
-    grads, factors = grouped_grad_factors(spec, theta, dataset, groups, factored, bn_mode)
+    grads, factors = grouped_grad_factors(spec, theta, dataset, groups, factored, bn_stats)
     # overflow here surfaces as NonFiniteError downstream (divergence policy)
     with np.errstate(over="ignore", invalid="ignore"):
         gbar = grads.mean(axis=0)
@@ -270,7 +270,7 @@ def hessian_spectrum(
     k: int = 5,
     method: str = "auto",
     max_iters: int = 40,
-    bn_mode: BnMode = BATCH_STATS,
+    bn_stats: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Top Hessian eigenvalues, descending, of each row of a (C, D) stack θ,
     via one lockstep Lanczos run (one seed per row) over a Hessian-vector-
@@ -280,7 +280,7 @@ def hessian_spectrum(
     Returns a (C, min(k, dim, max_iters)) array, bitwise the values of
     ``lanczos_topk`` on the same operator; one stacked product per matvec.
     """
-    op = hessian_operator(spec, theta, eval_subset, method=method, bn_mode=bn_mode)
+    op = hessian_operator(spec, theta, eval_subset, method=method, bn_stats=bn_stats)
     return lanczos_topk(op, k=min(k, op.dim, max_iters), max_iters=max_iters, seeds=seeds)
 
 

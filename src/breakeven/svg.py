@@ -41,9 +41,18 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """The range, or, where it is too narrow to resolve at its finite
+    magnitude (zero width included), one of width 1 or a thousandth of the
+    magnitude, whichever is wider."""
+    scale = max(abs(lo), abs(hi))
+    if hi - lo <= 1e-9 * scale and np.isfinite(scale):
+        hi = lo + max(1.0, 1e-3 * scale)
+    return lo, hi
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(lo, hi)
     span = hi - lo
     raw = span / target
     mag = 10.0 ** np.floor(np.log10(raw))
@@ -52,12 +61,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             step = mult * mag
             break
     first = np.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
-        t += step
-    return ticks
+    # step >= span / target, so there are at most target + 1 ticks; a span
+    # past the float range has none
+    count = int((hi - first + 1e-12 * span) // step) + 1 if np.isfinite(span) else 0
+    ticks = (first + i * step for i in range(count))
+    return [0.0 if abs(t) < 1e-12 * span else float(t) for t in ticks]
 
 
 def _tick_label(v: float) -> str:
@@ -99,13 +107,9 @@ def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
     def ty(y: float) -> float:
         return np.log10(max(y, clamp_floor)) if log_y else y
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    x_lo, x_hi = _widen(min(xs_all), max(xs_all))
     y_vals = [ty(y) for y in ys_all]
-    y_lo, y_hi = min(y_vals), max(y_vals)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    y_lo, y_hi = _widen(min(y_vals), max(y_vals))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -173,29 +177,26 @@ def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
                 f'<text x="{_fmt(x_pix + 3)}" y="{_fmt(MARGIN_T + 10)}" font-size="9" fill="#555555">{_escape(vlabel)}</text>'
             )
 
-    # series polylines, split at missing values
+    # series polylines, split at missing values; a point with no neighbour
+    # on either side is a circle
     for i, s in enumerate(panel.series):
         color = PALETTE[i % len(PALETTE)]
-        segment = []
-        segments = []
+        segments = [[]]
         for x, y in zip(s.xs, s.ys):
             if y is None or not np.isfinite(y):
-                if len(segment) > 1:
-                    segments.append(segment)
-                segment = []
+                segments.append([])
                 continue
             yy = max(y, clamp_floor) if clamp_floor is not None else y
-            segment.append((px(float(x)), py(float(yy))))
-        if len(segment) > 1:
-            segments.append(segment)
-        elif len(segment) == 1:
-            cx, cy = segment[0]
-            out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="{color}"/>')
+            segments[-1].append((px(float(x)), py(float(yy))))
         for seg in segments:
-            points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)
-            out.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+            if len(seg) == 1:
+                cx, cy = seg[0]
+                out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="{color}"/>')
+            elif seg:
+                points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)
+                out.append(
+                    f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+                )
 
     # legend
     ly = MARGIN_T + 8

@@ -53,15 +53,14 @@ from .errors import (
     RankDeficientError,
 )
 from .netmodel import (
-    BATCH_STATS,
     MSE,
     Batch,
-    BnStats,
     MlpSpec,
     bn_batch_statistics,
     bn_gamma_norm,
     forward_loss,
     grad,
+    init_bn_stats,
     init_params,
 )
 from .rng import PRNG_ALGORITHM, derive_seed, make_rng
@@ -226,14 +225,14 @@ def delta_loss(
     loss_before: float,
     theta_after: np.ndarray,
     train_set: Batch,
-    bn_mode=BATCH_STATS,
+    bn_stats: Optional[np.ndarray] = None,
 ) -> float:
     """Training-set loss reduction across one step; positive means the step
     reduced the loss. ``loss_before`` is the mean training-set loss at the
-    pre-step parameters under the same ``bn_mode``; the checkpoint record
+    pre-step parameters under the same ``bn_stats``; the checkpoint record
     already holds it as ``train_loss``, so only the post-step loss is
     evaluated here."""
-    return loss_before - forward_loss(spec, theta_after, train_set, bn_mode).mean_loss
+    return loss_before - forward_loss(spec, theta_after, train_set, bn_stats).mean_loss
 
 
 def _as_model_batch(spec: MlpSpec, batch: Batch) -> Batch:
@@ -272,31 +271,6 @@ def check_fits(config: RunConfig, dataset: Dataset, batch_axis: bool = False) ->
         )
 
 
-def _init_bn_running(spec: MlpSpec, cells: int) -> BnStats:
-    """Fresh running statistics, one row per cell; empty without BN."""
-    widths = [spec.layer_sizes[i + 1] for i in spec.bn_layers]
-    return BnStats(
-        means=tuple(np.zeros((cells, w)) for w in widths),
-        variances=tuple(np.ones((cells, w)) for w in widths),
-    )
-
-
-def _bn_rows(stats: BnStats, rows) -> BnStats:
-    """The statistics of the given stack rows (one row: that cell's own)."""
-    return BnStats(means=tuple(m[rows] for m in stats.means), variances=tuple(v[rows] for v in stats.variances))
-
-
-def _update_bn_running(running: BnStats, batch_stats: BnStats) -> BnStats:
-    means = tuple(
-        BN_EMA_DECAY * r + (1.0 - BN_EMA_DECAY) * b for r, b in zip(running.means, batch_stats.means)
-    )
-    variances = tuple(
-        BN_EMA_DECAY * r + (1.0 - BN_EMA_DECAY) * b
-        for r, b in zip(running.variances, batch_stats.variances)
-    )
-    return BnStats(means=means, variances=variances)
-
-
 @dataclass
 class _Cell:
     """One cell of a training stack: its config, shuffle stream, evaluation
@@ -319,7 +293,7 @@ class _Stack:
     cells: list
     theta: np.ndarray
     velocity: np.ndarray
-    running: BnStats  # BN running statistics, (C, width) per BN layer
+    running: np.ndarray  # BN running statistics, (C, stats_dim)
 
     def take(self, rows: list) -> "_Stack":
         if rows == list(range(len(self.cells))):
@@ -328,7 +302,7 @@ class _Stack:
             cells=[self.cells[i] for i in rows],
             theta=self.theta[rows],
             velocity=self.velocity[rows],
-            running=_bn_rows(self.running, rows),
+            running=self.running[rows],
         )
 
 
@@ -337,10 +311,7 @@ def _join(stacks: list) -> _Stack:
         cells=[c for s in stacks for c in s.cells],
         theta=np.concatenate([s.theta for s in stacks]),
         velocity=np.concatenate([s.velocity for s in stacks]),
-        running=BnStats(
-            means=tuple(np.concatenate(m) for m in zip(*(s.running.means for s in stacks))),
-            variances=tuple(np.concatenate(v) for v in zip(*(s.running.variances for s in stacks))),
-        ),
+        running=np.concatenate([s.running for s in stacks]),
     )
 
 
@@ -362,7 +333,7 @@ def _checkpoint_record(
     train_set: Batch,
     val_set: Batch,
     step_batch: Batch,
-    frozen: BnStats,
+    frozen: np.ndarray,
 ) -> tuple[list, Optional[np.ndarray]]:
     """Every cell's metric record at this checkpoint, and, when the spec has
     no BN, the stack's gradient on ``step_batch``: without BN the
@@ -370,30 +341,29 @@ def _checkpoint_record(
     gradient (else None)."""
     cells = stack.cells
     spec, sp = cells[0].config.model, cells[0].config.spectra
-    modes = [_bn_rows(frozen, i) for i in range(len(cells))]
     records = []
-    for theta, mode, lr in zip(stack.theta, modes, lrs):
+    for theta, stats, lr in zip(stack.theta, frozen, lrs):
         record = MetricRecord(step=step, epoch=epoch, lr_current=lr)
-        train_res = forward_loss(spec, theta, train_set, mode)
+        train_res = forward_loss(spec, theta, train_set, stats)
         record.train_loss = train_res.mean_loss
         record.train_acc = train_res.accuracy
-        record.val_acc = forward_loss(spec, theta, val_set, mode).accuracy
+        record.val_acc = forward_loss(spec, theta, val_set, stats).accuracy
         records.append(record)
 
     # one Lanczos run for the stack, released before any gradient sample exists
     lambda_h = hessian_spectrum(
         spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
         k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
-        seeds=[derive_seed(c.config.seed, 4, step) for c in cells], bn_mode=frozen,
+        seeds=[derive_seed(c.config.seed, 4, step) for c in cells], bn_stats=frozen,
     )
     g_now = grad(spec, stack.theta, step_batch, frozen)
     g_step = None if spec.has_bn else g_now
     m = sp.resolve_batch_size(train_set.size)
-    for theta, mode, cell, record, values, g in zip(stack.theta, modes, cells, records, lambda_h, g_now):
+    for theta, stats, cell, record, values, g in zip(stack.theta, frozen, cells, records, lambda_h, g_now):
         record.lambda_h_top = [float(v) for v in values]
         sample, _ = sample_minibatch_gradients(
             spec, theta, train_set, sp.n_gradient_samples, m,
-            seed=derive_seed(cell.config.seed, 3, step), bn_mode=mode,
+            seed=derive_seed(cell.config.seed, 3, step), bn_stats=stats,
         )
         ks = k_spectrum(gram_from_gradients(sample))
         record.lambda_k1 = ks.lambda_k1
@@ -423,7 +393,7 @@ def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, va
     batch = train_set.subset(np.stack([c.perm[start : start + first.batch_size] for c in cells]))
     running = stack.running
     if spec.has_bn:
-        running = _update_bn_running(running, bn_batch_statistics(spec, stack.theta, batch))
+        running = BN_EMA_DECAY * running + (1.0 - BN_EMA_DECAY) * bn_batch_statistics(spec, stack.theta, batch)
     lrs = [c.config.schedule.lr_at(c.config.eta, epoch) for c in cells]
     records, g = None, None
     if step > 0 and step % first.eval_every == 0:
@@ -431,7 +401,7 @@ def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, va
         if param_sink is not None:
             param_sink(step, stack.theta[0].copy())
     if g is None:
-        g = grad(spec, stack.theta, batch, BATCH_STATS)
+        g = grad(spec, stack.theta, batch, None)
     theta, velocity = sgd_step(
         stack.theta, g, stack.velocity,
         np.array(lrs)[:, None], np.array([c.config.momentum for c in cells])[:, None],
@@ -440,7 +410,7 @@ def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, va
     ended = set(np.flatnonzero(~(np.isfinite(theta.min(axis=-1)) & np.isfinite(theta.max(axis=-1)))))
     for i, record in enumerate(records or ()):
         try:
-            record.delta_loss = delta_loss(spec, record.train_loss, theta[i], train_set, _bn_rows(running, i))
+            record.delta_loss = delta_loss(spec, record.train_loss, theta[i], train_set, running[i])
         except NonFiniteError:
             record.delta_loss = None
             ended.add(i)
@@ -520,7 +490,7 @@ def run_training(
         for c in configs
     ]
     theta = np.stack([init_params(c.model) for c in configs])
-    stack = _Stack(cells, theta, np.zeros_like(theta), _init_bn_running(spec, len(cells)))
+    stack = _Stack(cells, theta, np.zeros_like(theta), np.stack([init_bn_stats(c.model) for c in configs]))
     step = 0
     for epoch in range(first.epochs):
         for cell in stack.cells:

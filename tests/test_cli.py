@@ -300,6 +300,25 @@ class TestSweepCli:
             assert (out / cell["log"]).exists()
             validate_metric_log((out / cell["log"]).read_text())
 
+    def test_report_lists_each_sweep_verdict(self, tmp_path, train_config):
+        cfg = json.loads(Path(train_config).read_text())
+        cfg["axis"] = {"name": "eta", "values": [0.02, 0.1]}
+        path = write_json(tmp_path / "sweep.json", cfg)
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        rep = write_json(
+            tmp_path / "rep.json",
+            {"logs": [str(out / c["log"]) for c in report["cells"]], "panels": [{"y": "lambda_k1"}],
+             "sweep_report": str(out / "sweep_report.json")},
+        )
+        assert main(["report", "--config", rep, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+        md = (tmp_path / "r" / "summary.md").read_text().splitlines()
+        table = md[md.index("## Sweep verdicts (axis: eta)") + 2:]
+        assert table[:2] == ["| check | verdict |", "|---|---|"]
+        assert table[2:] == [f"| {check} | {report['verdicts'][check]} |" for check in sorted(report["verdicts"])]
+        assert len(table[2:]) == 4
+
     def test_failed_cell_records_error_type(self, tmp_path, train_config):
         cfg = json.loads(Path(train_config).read_text())
         cfg["epochs"] = 1
@@ -653,6 +672,12 @@ class TestConfigBoundary:
                          id="simulate-growth.lambda0-integer_past_the_float_range"),
             # a number the section rejects for its range
             ("train", "accuracy_threshold", 1.5, "accuracy_threshold: accuracy_threshold must lie in [0, 1]"),
+            # bool and per-layer fields follow the same type rule, entry by entry
+            ("train", "model.batch_norm", 1, "model.batch_norm: expected bool"),
+            ("train", "model.activation", 5, "model.activation: expected str"),
+            ("train", "model.batch_norm", [1, 0], "model.batch_norm[0]: expected bool"),
+            ("sweep", "model.activation", ["relu", 5], "model.activation[1]: expected str"),
+            ("report", "panels", [{"y": "lambda_k1", "log_y": "no"}], "panels[0].log_y: expected bool"),
         ],
     )
     def test_rejected_value_exits_2_names_key_writes_nothing(
@@ -718,6 +743,17 @@ class TestConfigBoundary:
         raw = {"model": {"layer_sizes": [2, 3, 2], "init_gain": 1}, "eta": 1, "batch_size": 4, "epochs": 1}
         config = resolve_run_config(raw, args)
         assert type(config.model.init_gain) is float and type(config.eta) is float
+
+    def test_per_layer_fields_take_a_list_or_one_value(self):
+        args = build_parser().parse_args(["train", "--config", "c.json", "--out", "o"])
+        base = {"eta": 0.1, "batch_size": 4, "epochs": 1}
+        listed = resolve_run_config(
+            {"model": {"layer_sizes": [2, 3, 3, 2], "activation": ["tanh", "relu"], "batch_norm": [True, False]},
+             **base}, args)
+        assert listed.model.activation == ("tanh", "relu") and listed.model.batch_norm == (True, False)
+        shorthand = resolve_run_config(
+            {"model": {"layer_sizes": [2, 3, 3, 2], "activation": "tanh", "batch_norm": True}, **base}, args)
+        assert shorthand.model.activation == ("tanh", "tanh") and shorthand.model.batch_norm == (True, True)
 
     def test_benchmark_workload_configs_resolve(self, tmp_path, monkeypatch):
         # every variant of every benchmark config passes the schema; the

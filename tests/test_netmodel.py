@@ -4,6 +4,7 @@ import pytest
 from breakeven import netmodel
 from breakeven.errors import (
     BnUnsupportedError,
+    DimensionMismatchError,
     InvalidParamsError,
     NoBnLayerError,
     NonFiniteError,
@@ -11,10 +12,8 @@ from breakeven.errors import (
 )
 from breakeven.linalg import DenseSymmetric, LinearOperator, jacobi_eigh, lanczos_topk
 from breakeven.netmodel import (
-    BATCH_STATS,
     MSE,
     Batch,
-    BnStats,
     MlpSpec,
     bn_batch_statistics,
     bn_gamma_norm,
@@ -24,13 +23,14 @@ from breakeven.netmodel import (
     hessian_operator,
     hvp_fd,
     hvp_pearlmutter,
+    init_bn_stats,
     init_params,
 )
 
 
-def grouped_grads(spec, theta, batch, groups, bn_mode=BATCH_STATS):
+def grouped_grads(spec, theta, batch, groups, bn_stats=None):
     """Reference: one mean-gradient row per group, no layer left as factors."""
-    return grouped_grad_factors(spec, theta, batch, groups, (), bn_mode)[0]
+    return grouped_grad_factors(spec, theta, batch, groups, (), bn_stats)[0]
 
 
 def hvp(spec, theta, batch, v):
@@ -38,7 +38,7 @@ def hvp(spec, theta, batch, v):
     return hvp_pearlmutter(spec, theta, batch, v, netmodel.linearize(spec, theta, batch))
 
 
-def fd_grad(spec, theta, batch, bn_mode=BATCH_STATS):
+def fd_grad(spec, theta, batch, bn_stats=None):
     g = np.zeros_like(theta)
     for j in range(theta.size):
         h = 1e-5 * max(1.0, abs(theta[j]))
@@ -46,8 +46,8 @@ def fd_grad(spec, theta, batch, bn_mode=BATCH_STATS):
         tp[j] += h
         tm = theta.copy()
         tm[j] -= h
-        lp = forward_loss(spec, tp, batch, bn_mode).mean_loss
-        lm = forward_loss(spec, tm, batch, bn_mode).mean_loss
+        lp = forward_loss(spec, tp, batch, bn_stats).mean_loss
+        lm = forward_loss(spec, tm, batch, bn_stats).mean_loss
         g[j] = (lp - lm) / (2 * h)
     return g
 
@@ -180,7 +180,7 @@ class TestForwardLossBlocks:
         else:
             y = rng.standard_normal((cells, n, 3))
         batch = Batch(inputs=x, labels=y)
-        mode = bn_batch_statistics(spec, thetas, batch) if bn == "frozen" else BATCH_STATS
+        mode = bn_batch_statistics(spec, thetas, batch) if bn == "frozen" else None
         return spec, thetas, batch, mode
 
     @staticmethod
@@ -210,7 +210,7 @@ class TestForwardLossBlocks:
     def test_batch_statistics_stay_one_whole_batch_pass(self, loss):
         spec, thetas, batch, _ = self.case(loss, "relu", "batch_stats", 2 * self.block_rows() + 3)
         res = forward_loss(spec, thetas, batch)
-        per_example, accuracy = self.whole_batch(spec, thetas, batch, BATCH_STATS)
+        per_example, accuracy = self.whole_batch(spec, thetas, batch, None)
         assert np.array_equal(res.per_example, per_example)
         assert np.array_equal(res.accuracy, accuracy)
 
@@ -264,8 +264,7 @@ class TestGrad:
         theta = init_params(spec)
         rng = np.random.default_rng(0)
         batch = Batch(inputs=rng.standard_normal((6, 3)), labels=rng.integers(0, 4, size=6))
-        stats = bn_batch_statistics(spec, theta, batch)
-        frozen = BnStats(means=stats.means, variances=stats.variances)
+        frozen = bn_batch_statistics(spec, theta, batch)
         assert max_rel_err(grad(spec, theta, batch, frozen), fd_grad(spec, theta, batch, frozen)) < 1e-5
 
 
@@ -281,7 +280,7 @@ class TestGroupedGrads:
         x = rng.standard_normal((40, 4))
         y = rng.integers(0, 3, size=40) if loss == "softmax_cross_entropy" else rng.standard_normal((40, 3))
         batch = Batch(inputs=x, labels=y)
-        mode = bn_batch_statistics(spec, theta, batch) if bn == "frozen" else BATCH_STATS
+        mode = bn_batch_statistics(spec, theta, batch) if bn == "frozen" else None
         groups = np.stack([rng.choice(40, size=6, replace=False) for _ in range(5)])
         rows = grouped_grads(spec, theta, batch, groups, mode)
         assert rows.shape == (5, spec.param_dim)
@@ -295,7 +294,7 @@ class TestGroupedGrads:
         theta = init_params(spec)
         rng = np.random.default_rng(12)
         batch = Batch(inputs=rng.standard_normal((40, 4)), labels=rng.standard_normal((40, 3)))
-        mode = bn_batch_statistics(spec, theta, batch) if bn == "frozen" else BATCH_STATS
+        mode = bn_batch_statistics(spec, theta, batch) if bn == "frozen" else None
         groups = np.stack([rng.choice(40, size=6, replace=False) for _ in range(5)])
         block = grouped_grads(spec, theta, batch, groups, mode)
         rows, factors = grouped_grad_factors(spec, theta, batch, groups, factored, mode)
@@ -365,9 +364,9 @@ class TestGroupedGrads:
             grouped_grads(spec, init_params(spec), batch, np.arange(4))
 
 
-def per_example(spec, theta, batch, bn_mode=BATCH_STATS):
+def per_example(spec, theta, batch, bn_stats=None):
     """One gradient row per example: ``grouped_grads`` with groups of one."""
-    return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_mode)
+    return grouped_grads(spec, theta, batch, np.arange(batch.size)[:, None], bn_stats)
 
 
 class TestPerExampleGrads:
@@ -606,13 +605,13 @@ class TestLinearizedHvp:
     def test_fd_exactly_scale_invariant(self, case):
         spec, batch = spec_matrix()[case]
         theta = init_params(spec)
-        stats = bn_batch_statistics(spec, theta, batch) if spec.has_bn else BATCH_STATS
+        stats = bn_batch_statistics(spec, theta, batch) if spec.has_bn else None
         v = np.random.default_rng(case).standard_normal(theta.size)
         a = hvp_fd(spec, theta, batch, v, stats)
         # a power-of-two scale leaves the step vector bitwise unchanged
         assert np.array_equal(2.0 * a, hvp_fd(spec, theta, batch, 2.0 * v, stats))
         assert np.max(np.abs(a - hvp_fd(spec, theta, batch, 3.0 * v, stats) / 3.0)) < 1e-12 * np.linalg.norm(a)
-        op = hessian_operator(spec, theta, batch, method="auto" if spec.has_bn else "fd", bn_mode=stats)
+        op = hessian_operator(spec, theta, batch, method="auto" if spec.has_bn else "fd", bn_stats=stats)
         assert np.array_equal(op.apply(v), a)
 
 
@@ -634,14 +633,11 @@ class TestStackedTheta:
         else:
             y = rng.standard_normal((TestStackedTheta.CELLS, 10, 3))
         batches = [Batch(inputs=x[c], labels=y[c]) for c in range(TestStackedTheta.CELLS)]
-        modes = [BATCH_STATS] * TestStackedTheta.CELLS
-        stacked_mode = BATCH_STATS
+        modes = [None] * TestStackedTheta.CELLS
+        stacked_mode = None
         if bn == "frozen":
             modes = [bn_batch_statistics(spec, t, b) for t, b in zip(thetas, batches)]
-            stacked_mode = BnStats(
-                means=tuple(np.stack(m) for m in zip(*(s.means for s in modes))),
-                variances=tuple(np.stack(v) for v in zip(*(s.variances for s in modes))),
-            )
+            stacked_mode = np.stack(modes)
         return spec, thetas, Batch(inputs=x, labels=y), batches, modes, stacked_mode
 
     @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
@@ -716,6 +712,72 @@ class TestStackedTheta:
         v[1] = 0.0
         with pytest.raises(ZeroDirectionError):
             hvp_fd(spec, thetas, stacked, v)
+
+
+class TestBnStats:
+    """Frozen statistics are one (..., stats_dim) vector: each BN layer's
+    means, then its variances, at the layer entry's ``mean``/``var``."""
+
+    @staticmethod
+    def case():
+        # BN on the first and third hidden layers, none on the second
+        spec = MlpSpec(layer_sizes=(3, 5, 4, 6, 2), activation="tanh", batch_norm=(True, False, True), seed=8)
+        rng = np.random.default_rng(21)
+        thetas = init_params(spec) + 0.3 * rng.standard_normal((2, spec.param_dim))
+        return spec, thetas, rng.standard_normal((9, 3))
+
+    @staticmethod
+    def layer_moments(spec, theta, x):
+        """Each BN layer's batch mean and variance, by a plain loop."""
+        moments, a = [], x
+        for entry in spec.layout()[:-1]:
+            z = a @ theta[entry["w"]].reshape(entry["fan_in"], entry["fan_out"]) + theta[entry["b"]]
+            if "gamma" in entry:
+                mu, var = z.mean(axis=0), z.var(axis=0)
+                moments.append((entry, mu, var))
+                z = theta[entry["gamma"]] * (z - mu) / np.sqrt(var + netmodel.BN_EPS) + theta[entry["beta"]]
+            a = np.tanh(z)
+        return moments
+
+    def test_layout_slices_tile_the_vector(self):
+        spec, _, _ = self.case()
+        assert spec.stats_dim == 2 * (5 + 6)
+        bn = [e for e in spec.layout() if "mean" in e]
+        assert [e["layer"] for e in bn] == [0, 2]
+        assert [(e["mean"], e["var"]) for e in bn] == [(slice(0, 5), slice(5, 10)), (slice(10, 16), slice(16, 22))]
+        assert MlpSpec(layer_sizes=(3, 5, 2)).stats_dim == 0
+
+    def test_slices_hold_each_layers_batch_moments(self):
+        spec, thetas, x = self.case()
+        batch = Batch(inputs=x, labels=np.zeros(9, dtype=int))
+        stacked = bn_batch_statistics(spec, thetas, batch)
+        assert stacked.shape == (2, spec.stats_dim)
+        for c, theta in enumerate(thetas):
+            single = bn_batch_statistics(spec, theta, batch)
+            assert single.shape == (spec.stats_dim,)
+            assert np.array_equal(stacked[c], single)
+            for entry, mu, var in self.layer_moments(spec, theta, x):
+                assert np.allclose(single[entry["mean"]], mu, rtol=1e-13, atol=1e-15)
+                assert np.allclose(single[entry["var"]], var, rtol=1e-13, atol=1e-15)
+
+    def test_wrong_width_rejected(self):
+        spec, thetas, x = self.case()
+        batch = Batch(inputs=x, labels=np.zeros(9, dtype=int))
+        for bad in (np.zeros(spec.stats_dim - 1), np.zeros((2, spec.stats_dim + 1)), np.float64(0.0)):
+            with pytest.raises(DimensionMismatchError):
+                forward_loss(spec, thetas[0], batch, bad)
+            with pytest.raises(DimensionMismatchError):
+                grad(spec, thetas, batch, bad)
+
+    def test_init_is_zero_means_unit_variances(self):
+        spec, _, _ = self.case()
+        stats = init_bn_stats(spec)
+        assert stats.shape == (spec.stats_dim,)
+        for entry in spec.layout():
+            if "mean" in entry:
+                assert np.array_equal(stats[entry["mean"]], np.zeros(entry["fan_out"]))
+                assert np.array_equal(stats[entry["var"]], np.ones(entry["fan_out"]))
+        assert init_bn_stats(MlpSpec(layer_sizes=(3, 5, 2))).shape == (0,)
 
 
 class TestBnGammaNorm:

@@ -306,11 +306,11 @@ class TestSampleMinibatchGradients:
         theta = init_params(spec)
         rng = np.random.default_rng(4)
         data = Batch(inputs=rng.standard_normal((30, 3)), labels=rng.integers(0, 2, size=30))
-        for bn_mode in ("batch", bn_batch_statistics(spec, theta, data)):
-            sample, gbar = sample_minibatch_gradients(spec, theta, data, 7, 5, seed=9, bn_mode=bn_mode)
+        for bn_stats in (None, bn_batch_statistics(spec, theta, data)):
+            sample, gbar = sample_minibatch_gradients(spec, theta, data, 7, 5, seed=9, bn_stats=bn_stats)
             draw = make_rng(9)
             expected = np.stack(
-                [grad(spec, theta, data.subset(draw.choice(30, size=5, replace=False)), bn_mode) for _ in range(7)]
+                [grad(spec, theta, data.subset(draw.choice(30, size=5, replace=False)), bn_stats) for _ in range(7)]
             )
             assert sample.factors == ()
             assert np.array_equal(sample.explicit, expected - expected.mean(axis=0))
@@ -379,7 +379,7 @@ class TestFactorForm:
         n, classes = 40, layer_sizes[-1]
         y = rng.integers(0, classes, size=n) if loss == "softmax_cross_entropy" else rng.standard_normal((n, classes))
         data = Batch(inputs=rng.standard_normal((n, layer_sizes[0])), labels=y)
-        mode = bn_batch_statistics(spec, theta, data) if bn == "frozen" else "batch"
+        mode = bn_batch_statistics(spec, theta, data) if bn == "frozen" else None
         return spec, theta, data, mode
 
     def oracle(self, spec, theta, data, mode, seed):
@@ -402,7 +402,7 @@ class TestFactorForm:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_readings_equal_the_explicit_block(self, activation, loss, bn, layer_sizes):
         spec, theta, data, mode = self.case(layer_sizes, activation, loss, bn)
-        sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=11, bn_mode=mode)
+        sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=11, bn_stats=mode)
         assert len(sample.factors) == len(factor_form_layers(spec, self.L, self.M)) > 0
         explicit = self.oracle(spec, theta, data, mode, seed=11)
         gram, gram_ref = gram_from_gradients(sample), gram_from_gradients(explicit)
@@ -422,7 +422,7 @@ class TestFactorForm:
         # the oracle: eigh of the dense D x D covariance of the drawn groups'
         # grouped_grad_factors rows
         spec, theta, data, mode = self.case(layer_sizes, activation, loss, "none")
-        sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=5, bn_mode=mode)
+        sample, _ = sample_minibatch_gradients(spec, theta, data, self.L, self.M, seed=5, bn_stats=mode)
         assert len(sample.factors) == n_factored
         g = grad(spec, theta, data.subset(np.arange(8)), mode)
         ratio = grad_subspace_ratio(g, sample, k_top_eigvecs(k_spectrum(gram_from_gradients(sample)), k=3))
@@ -447,7 +447,7 @@ class TestFactorForm:
         g = grad(spec, theta, data.subset(np.arange(8)), frozen)
 
         def stage():
-            sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_mode=frozen)
+            sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_stats=frozen)
             ks = k_spectrum(gram_from_gradients(sample))
             return grad_subspace_ratio(g, sample, k_top_eigvecs(ks, k=5))
 
@@ -462,7 +462,7 @@ class TestFactorForm:
         data = Batch(inputs=rng.standard_normal((64, 10)), labels=rng.standard_normal((64, 10)))
         frozen = bn_batch_statistics(spec, theta, data)
         g = grad(spec, theta, data.subset(np.arange(8)), frozen)
-        sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_mode=frozen)
+        sample, _ = sample_minibatch_gradients(spec, theta, data, 40, 8, seed=3, bn_stats=frozen)
         assert sample.factors
         ks = k_spectrum(gram_from_gradients(sample))
         ratio, peak = traced_peak(lambda: grad_subspace_ratio(g, sample, k_top_eigvecs(ks, k=5)))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from breakeven.svg import Panel, Series, render_panel
 
@@ -29,11 +30,20 @@ def test_no_timestamps_or_randomness():
     assert svg.rstrip().endswith("</svg>")
 
 
-def test_missing_values_split_polyline():
-    ys = [1.0, 2.0, None, 4.0, 5.0]
-    p = simple_panel(series=[Series(label="a", xs=list(range(5)), ys=ys)])
+@pytest.mark.parametrize(
+    "ys, polylines, circles",
+    [
+        ([1.0, 2.0, None, 4.0, 5.0], 2, 0),
+        # a value with a missing value on each side, as null g_ratio readings leave
+        ([1.0, None, 2.0, None, 3.0], 0, 3),
+        ([1.0, 2.0, None, 3.0, None, 4.0, 5.0, None, 6.0], 2, 2),
+    ],
+)
+def test_missing_values_split_polyline(ys, polylines, circles):
+    p = simple_panel(series=[Series(label="a", xs=list(range(len(ys))), ys=ys)])
     svg = render_panel(p)
-    assert svg.count("<polyline") == 2
+    assert svg.count("<polyline") == polylines
+    assert svg.count("<circle") == circles
 
 
 def test_log_scale_clamps_nonpositive_with_footnote():
@@ -66,3 +76,20 @@ def test_escaping():
 def test_single_point_series_renders_circle():
     p = simple_panel(series=[Series(label="a", xs=[3], ys=[2.0])])
     assert "<circle" in render_panel(p)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        [1e20],
+        [-3e300],
+        # 1e16 + 2 is the next float after 1e16: a tick step of 0.5 cannot
+        # advance at this magnitude
+        [1e16, 1.0000000000000002e16],
+    ],
+)
+def test_nearly_constant_large_values_render_with_few_ticks(ys):
+    svg = render_panel(simple_panel(series=[Series(label="a", xs=list(range(len(ys))), ys=ys)]))
+    assert svg.count("<circle") + svg.count("<polyline") == 1
+    assert 1 <= svg.count('font-size="10" text-anchor="end"') <= 6
+    assert "nan" not in svg and "inf" not in svg

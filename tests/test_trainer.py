@@ -11,7 +11,7 @@ from breakeven.errors import (
     InvalidConfigError,
     NeedTwoValuesError,
 )
-from breakeven.netmodel import BATCH_STATS, Batch, MlpSpec, forward_loss, grad, init_params
+from breakeven.netmodel import Batch, MlpSpec, forward_loss, grad, init_params
 from breakeven.trainer import (
     LrSchedule,
     MetricRecord,
@@ -193,7 +193,7 @@ class TestRunTraining:
             perm = rng.permutation(train.size)
             for start in range(0, train.size, cfg.batch_size):
                 batch = train.subset(perm[start : start + cfg.batch_size])
-                theta = theta - cfg.eta * grad(spec, theta, batch, BATCH_STATS)
+                theta = theta - cfg.eta * grad(spec, theta, batch, None)
 
         # instrumented run must produce the same parameters; rerun with a
         # probe checkpoint at the final step to expose them
@@ -204,7 +204,7 @@ class TestRunTraining:
             perm = rng2.permutation(train.size)
             for start in range(0, train.size, cfg.batch_size):
                 batch = train.subset(perm[start : start + cfg.batch_size])
-                theta2, v = sgd_step(theta2, grad(spec, theta2, batch, BATCH_STATS), v, cfg.eta, 0.0)
+                theta2, v = sgd_step(theta2, grad(spec, theta2, batch, None), v, cfg.eta, 0.0)
         assert np.array_equal(theta, theta2)
 
     def test_every_example_seen_once_per_epoch(self):
@@ -330,7 +330,7 @@ class TestBnTraining:
         real_grad = trainer.grad
         monkeypatch.setattr(trainer, "grad", lambda *a: modes.append(a[3]) or real_grad(*a))
         records, _ = run_training(cfg, ds)
-        assert sum(isinstance(m, str) for m in modes) == steps
+        assert sum(m is None for m in modes) == steps
         assert len(modes) == steps + sum(r.g_ratio is not None for r in records)
 
 
@@ -474,7 +474,7 @@ class TestStackedTraining:
         real_grad = trainer.grad
 
         def spy(spec, theta, batch, mode):
-            if isinstance(mode, str):
+            if mode is None:
                 step_batches.append(batch.inputs.copy())
             return real_grad(spec, theta, batch, mode)
 
