@@ -60,6 +60,7 @@ from .quadratic import (
 )
 from .rng import PRNG_ALGORITHM, make_rng
 from .trainer import (
+    DERIVED_READINGS,
     LIST_FIELDS,
     METRIC_FIELDS,
     SWEEP_AXES,
@@ -584,7 +585,7 @@ def cmd_sweep(args) -> int:
 # report
 
 
-_PLOTTABLE = tuple(f for f in METRIC_FIELDS if f not in ("step", "epoch") + LIST_FIELDS) + ("lambda_h1",)
+_PLOTTABLE = tuple(f for f in METRIC_FIELDS if f not in ("step", "epoch") + LIST_FIELDS) + DERIVED_READINGS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -610,17 +611,6 @@ class _Report:
         for name in ("logs", "panels"):
             if not isinstance(getattr(self, name), list) or not getattr(self, name):
                 raise InvalidConfigError("need a nonempty list", name)
-
-
-def _series_from_log(records, metric: str, x_axis: str):
-    xs, ys = [], []
-    for r in records:
-        xs.append(getattr(r, x_axis))
-        if metric == "lambda_h1":
-            ys.append(r.lambda_h_top[0] if r.lambda_h_top else None)
-        else:
-            ys.append(getattr(r, metric))
-    return xs, ys
 
 
 def cmd_report(args) -> int:
@@ -652,7 +642,7 @@ def cmd_report(args) -> int:
         series = []
         vlines = []
         for label, threshold, records in parsed:
-            xs, ys = _series_from_log(records, p.y, p.x)
+            xs, ys = ([getattr(r, name) for r in records] for name in (p.x, p.y))
             series.append(Series(label=label, xs=xs, ys=ys))
             marker = next(
                 (r for r in records if r.train_acc is not None and r.train_acc >= threshold), None

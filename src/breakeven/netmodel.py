@@ -9,14 +9,15 @@ layer's means, then its variances. Hidden layers apply
 linear -> (batch norm) -> activation; the output layer is linear (logits).
 
 There is one forward pass (``_forward``) and one reverse pass
-(``_backward``); every derivative is built on them. Both take a batch of
-examples, (n, d), or groups of minibatches, (G, M, d), reducing over the
-example axis within each group, so ``grouped_grad_factors`` returns one
-minibatch gradient per group from a single pass; ``grad`` is its one-group
-case. The reverse pass can leave chosen layers' weight gradients unsummed,
-as per-example factors: the covariance readers need only inner products of
-the group gradients, and ``linearize`` factors every layer to read each
-layer's first-order δ.
+(``_backward``); every derivative is built on them, and neither checks
+inputs: each public entry point runs ``_check_inputs`` once. Both take a
+batch of examples, (n, d), or groups of minibatches, (G, M, d), reducing
+over the example axis within each group, so ``grouped_grad_factors``
+returns one minibatch gradient per group from a single pass; ``grad`` is
+its one-group case. The reverse pass can leave chosen layers' weight
+gradients unsummed, as per-example factors: the covariance readers need
+only inner products of the group gradients, and ``linearize`` factors
+every layer and keeps the pass's caches, with each layer's δ added.
 
 θ may carry leading axes too: a (C, D) stack holds one parameter vector per
 cell of a sweep. Weights are then read as (C, fan_in, fan_out) views and
@@ -170,18 +171,6 @@ class MlpSpec:
         return self._stats_dim
 
 
-def check_params(spec: MlpSpec, theta: np.ndarray) -> np.ndarray:
-    """θ as float64: one parameter vector, (D,), or a stack of them, (..., D)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim < 1 or theta.shape[-1] != spec.param_dim:
-        raise DimensionMismatchError(
-            f"parameter vector has shape {theta.shape}, spec needs (..., {spec.param_dim})"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise NonFiniteError("parameter vector has NaN or Inf entries")
-    return theta
-
-
 def init_params(spec: MlpSpec) -> np.ndarray:
     """Deterministic initialization: identical (spec, seed) gives bitwise-
     identical parameters."""
@@ -250,19 +239,42 @@ class Batch:
         return Batch(inputs=self.inputs[idx], labels=self.labels[idx])
 
 
-def _check_classification_labels(spec: MlpSpec, batch: Batch):
-    y = batch.labels
-    if spec.loss == SOFTMAX_CE:
-        if not np.issubdtype(np.asarray(y).dtype, np.integer):
-            raise InvalidParamsError("softmax cross-entropy needs integer class labels")
-        classes = spec.layer_sizes[-1]
-        if np.any(y < 0) or np.any(y >= classes):
-            raise InvalidParamsError(f"labels must lie in [0, {classes})")
-    else:
-        if np.issubdtype(np.asarray(y).dtype, np.integer):
+def _check_inputs(
+    spec: MlpSpec, theta: np.ndarray, batch: Optional[Batch] = None, bn_stats: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The one input check of the public entry points: returns θ as finite
+    float64 (..., D), after checking the labels against the loss and output
+    width, and frozen statistics as float64 (..., stats_dim) with no leading
+    axis θ lacks (None, batch statistics, passes through)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim < 1 or theta.shape[-1] != spec.param_dim:
+        raise DimensionMismatchError(
+            f"parameter vector has shape {theta.shape}, spec needs (..., {spec.param_dim})"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise NonFiniteError("parameter vector has NaN or Inf entries")
+    if batch is not None:
+        y = batch.labels
+        if spec.loss == SOFTMAX_CE:
+            if not np.issubdtype(y.dtype, np.integer):
+                raise InvalidParamsError("softmax cross-entropy needs integer class labels")
+            classes = spec.layer_sizes[-1]
+            if np.any(y < 0) or np.any(y >= classes):
+                raise InvalidParamsError(f"labels must lie in [0, {classes})")
+        elif np.issubdtype(y.dtype, np.integer):
             raise InvalidParamsError("mse needs (n, out) float targets")
-        if y.shape[-1] != spec.layer_sizes[-1]:
+        elif y.shape[-1] != spec.layer_sizes[-1]:
             raise DimensionMismatchError("target width does not match output size")
+    if bn_stats is not None:
+        bn_stats = np.asarray(bn_stats, dtype=np.float64)
+        lead = bn_stats.shape[:-1]
+        fits = len(lead) < theta.ndim and all(s in (1, t) for s, t in zip(lead[::-1], theta.shape[-2::-1]))
+        if bn_stats.ndim < 1 or bn_stats.shape[-1] != spec.stats_dim or not fits:
+            raise DimensionMismatchError(
+                f"frozen statistics have shape {bn_stats.shape}; θ of shape {theta.shape} "
+                f"needs (..., {spec.stats_dim}) with no leading axis it lacks"
+            )
+    return theta, bn_stats
 
 
 def _act(kind: str, z: np.ndarray) -> np.ndarray:
@@ -279,19 +291,6 @@ def _act_d(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if kind == TANH:
         return 1.0 - a * a
     return np.ones_like(z)
-
-
-def _check_stats(spec: MlpSpec, bn_stats: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Frozen statistics as float64, (..., stats_dim); None (batch
-    statistics) passes through."""
-    if bn_stats is None:
-        return None
-    bn_stats = np.asarray(bn_stats, dtype=np.float64)
-    if bn_stats.ndim < 1 or bn_stats.shape[-1] != spec.stats_dim:
-        raise DimensionMismatchError(
-            f"frozen statistics have shape {bn_stats.shape}, spec needs (..., {spec.stats_dim})"
-        )
-    return bn_stats
 
 
 def _matrix(vec: np.ndarray, entry: dict) -> np.ndarray:
@@ -323,21 +322,20 @@ def _forward(
     reduction runs over the example axis -2, so each group gets its own BN
     batch statistics and a group computes exactly what it would alone.
     ``bn_stats`` None normalizes by those batch statistics; a frozen
-    statistics vector may carry the same leading axes as a stacked θ, whose
-    leading axes broadcast against x's.
+    statistics vector may carry the leading axes of a stacked θ, whose
+    leading axes broadcast against x's. Inputs come checked.
 
     Overflow is not a numpy warning here: non-finite activations raise
     NonFiniteError, which training loops treat as divergence.
     """
     layout = spec.layout()
-    bn_stats = _check_stats(spec, bn_stats)
     a = x
     caches = []
     for entry in layout[:-1]:
         layer = entry["layer"]
         w = _matrix(theta, entry)
         z = a @ w + _row(theta, entry["b"])
-        cache = {"a_in": a, "z": z, "w": w, "entry": entry}
+        cache = {"a_in": a, "w": w, "entry": entry}
         if "gamma" in entry:
             gamma = _row(theta, entry["gamma"])
             beta = _row(theta, entry["beta"])
@@ -407,10 +405,10 @@ def forward_loss(
 ) -> ForwardResult:
     """Mean loss, per-example losses and argmax accuracy on a batch.
 
-    θ and the labels are checked once. When the rows are independent (no
-    BN, or frozen ``bn_stats``), the batch is evaluated in blocks of rows
-    sized so one activation of the widest layer fills ``FORWARD_BLOCK_BYTES``
-    per cell, and no layer caches are kept: each block's losses and
+    The inputs are checked once. When the rows are independent (no BN, or
+    frozen ``bn_stats``), the batch is evaluated in blocks of rows sized so
+    one activation of the widest layer fills ``FORWARD_BLOCK_BYTES`` per
+    cell, and no layer caches are kept: each block's losses and
     predictions are written into one (…, n) result, so the pass's memory
     does not grow with n and each block reuses the memory the last one
     freed, where one whole-batch pass maps fresh pages for every array. BN
@@ -423,8 +421,7 @@ def forward_loss(
     Accuracy ties resolve to the lowest class index. Raises NonFiniteError
     when activations overflow, which training loops treat as divergence.
     """
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
+    theta, bn_stats = _check_inputs(spec, theta, batch, bn_stats)
     x, labels = batch.inputs, batch.labels
     n = batch.size
     rows = n if spec.has_bn and bn_stats is None else max(1, FORWARD_BLOCK_BYTES // (8 * max(spec.layer_sizes)))
@@ -472,7 +469,8 @@ def _backward(
     result, so no (G, fan_in, fan_out) temporary is built. The weights of
     the ``factored`` layers are not summed: their columns are left out of
     the rows, and each such layer's input and δ are returned instead, as
-    ``LayerFactors`` in layer order.
+    ``LayerFactors`` in layer order. In each hidden layer's cache the
+    activation derivative ``d1`` takes the place of its input ``y``.
     """
     skipped = [e["w"] for e in spec.layout() if e["layer"] in factored]
     grad = np.zeros(dlogits.shape[:-2] + (spec.param_dim - sum(w.stop - w.start for w in skipped),))
@@ -500,7 +498,8 @@ def _backward(
     dz, upper = dlogits, last
     for cache in reversed(caches):
         entry = cache["entry"]
-        dy = (dz @ _t(upper["w"])) * _act_d(spec.activation[entry["layer"]], cache["y"], cache["h"])
+        cache["d1"] = _act_d(spec.activation[entry["layer"]], cache.pop("y"), cache["h"])
+        dy = (dz @ _t(upper["w"])) * cache["d1"]
         if "gamma" in cache:
             grad[..., cols(entry["gamma"])] = (dy * cache["xhat"]).sum(axis=-2)
             grad[..., cols(entry["beta"])] = dy.sum(axis=-2)
@@ -523,7 +522,7 @@ def bn_batch_statistics(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> np.nd
     """Batch means and variances at each BN layer for the given inputs, as
     a (..., stats_dim) frozen-statistics vector (one row per row of a
     stacked θ); used by the trainer to maintain running statistics."""
-    theta = check_params(spec, theta)
+    theta, _ = _check_inputs(spec, theta)
     if not spec.has_bn:
         return np.zeros(theta.shape[:-1] + (0,))
     _, caches, _ = _forward(spec, theta, batch.inputs, None)
@@ -540,7 +539,7 @@ def _mean_grads(
     factored: Sequence[int] = (),
 ) -> tuple[np.ndarray, tuple[LayerFactors, ...]]:
     """Gradient of the mean loss over the example axis -2 of ``x``: one
-    forward and one reverse pass, with θ and the labels already checked.
+    forward and one reverse pass, with the inputs already checked.
     The ``factored`` layers' weights come back as factors (``_backward``)."""
     logits, caches, last = _forward(spec, theta, x, bn_stats)
     dlogits = _loss_grad_logits(spec, logits, labels) / x.shape[-2]
@@ -573,8 +572,7 @@ def grouped_grad_factors(
     factored, row g equals ``grad(spec, theta, batch.subset(groups[g]),
     bn_stats)``; a factored layer's ``inputs[g]ᵀ deltas[g]`` equals its block.
     """
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
+    theta, bn_stats = _check_inputs(spec, theta, batch, bn_stats)
     groups = np.asarray(groups)
     if groups.ndim != 2 or min(groups.shape) < 1:
         raise InvalidParamsError("groups must be a (G >= 1, M >= 1) index array")
@@ -585,8 +583,7 @@ def grad(spec: MlpSpec, theta: np.ndarray, batch: Batch, bn_stats: Optional[np.n
     """Exact reverse-mode gradient of the mean batch loss; the same pass as
     one group of ``grouped_grad_factors``. A stacked θ gives one gradient per
     row, on the shared batch or, for a (C, n, d) batch, on block c."""
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
+    theta, bn_stats = _check_inputs(spec, theta, batch, bn_stats)
     return _mean_grads(spec, theta, batch.inputs, batch.labels, bn_stats)[0]
 
 
@@ -595,13 +592,14 @@ class Linearization:
     """The direction-independent half of an exact Hessian-vector product at
     one (θ, batch), built by ``linearize`` and read by ``hvp_pearlmutter``.
 
-    ``layers`` holds, per hidden layer in forward order, the layer input
-    ``a_in``, the weights ``w``, the activation derivative ``d1``, the
-    first-order δ and the curvature factor ``back_d2``: the δ arriving from
-    above times the activation's second derivative, -2·h·δ for tanh (tanh''
-    = -2·tanh·tanh'), None for relu and identity. ``last`` holds the output
-    layer's ``a_in``, ``w``, ``delta`` (the gradient of the mean loss in the
-    logits) and ``probs`` (their softmax, None under MSE).
+    ``layers`` are the pass's own hidden-layer caches, in forward order,
+    holding the layer input ``a_in``, the weights ``w``, the activation
+    derivative ``d1`` (from ``_backward``), the first-order δ and the
+    curvature factor ``back_d2``: the δ from above times the activation's
+    second derivative, -2·h·δ for tanh (tanh'' = -2·tanh·tanh'), None for
+    relu and identity. ``last`` is the output layer's cache, with ``delta``
+    (the mean loss's gradient in the logits) and ``probs`` (their softmax,
+    None under MSE).
     """
 
     layers: tuple[dict, ...]
@@ -613,27 +611,21 @@ def linearize(spec: MlpSpec, theta: np.ndarray, batch: Batch) -> Linearization:
     """The forward pass and the reverse pass of ``grad``, run once for every
     direction of ``hvp_pearlmutter`` at this (θ, batch). Every layer is
     factored, so the reverse pass forms no weight-gradient block and hands
-    back each layer's δ.
+    back each layer's δ, which joins the pass's caches.
 
     Checks θ and the labels; BN specs raise BnUnsupportedError.
     """
     if spec.has_bn:
         raise BnUnsupportedError("exact HVP does not support batch-norm layers")
-    theta = check_params(spec, theta)
-    _check_classification_labels(spec, batch)
+    theta, _ = _check_inputs(spec, theta, batch)
     logits, caches, last = _forward(spec, theta, batch.inputs, None)
     delta = _loss_grad_logits(spec, logits, batch.labels) / batch.size
     _, factors = _backward(spec, caches, last, delta, range(spec.n_layers))
-    layers = []
     for cache, f in zip(caches, factors):
-        kind = spec.activation[cache["entry"]["layer"]]
-        layers.append({
-            "a_in": cache["a_in"], "w": cache["w"], "entry": cache["entry"], "delta": f.deltas,
-            "d1": _act_d(kind, cache["z"], cache["h"]),
-            "back_d2": -2.0 * cache["h"] * f.deltas if kind == TANH else None,
-        })
-    probs = _softmax(logits) if spec.loss == SOFTMAX_CE else None
-    return Linearization(layers=tuple(layers), last={**last, "delta": delta, "probs": probs})
+        tanh = spec.activation[cache["entry"]["layer"]] == TANH
+        cache.update(delta=f.deltas, back_d2=-2.0 * cache["h"] * f.deltas if tanh else None)
+    last.update(delta=delta, probs=_softmax(logits) if spec.loss == SOFTMAX_CE else None)
+    return Linearization(layers=tuple(caches), last=last)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -716,8 +708,9 @@ def hvp_fd(
     """Hessian-vector product by central differences of the gradient along
     the normalized direction, with step ``FD_EPS``; invariant to the scale
     of ``v``. θ + step and θ − step form one two-row stack, so both
-    gradients come from one ``grad`` call, which also checks θ. A stacked θ
-    takes a stack ``v`` of the same shape, one direction per row."""
+    gradients come from one ``grad`` call, whose check sees the statistics
+    take the pair axis too. A stacked θ takes a stack ``v`` of the same
+    shape, one direction per row."""
     theta = np.asarray(theta, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.shape:
@@ -730,7 +723,7 @@ def hvp_fd(
     step = np.multiply(v, FD_EPS / norm, out=pair[1])
     np.add(theta, step, out=pair[0])
     np.subtract(theta, step, out=step)
-    hv, minus = grad(spec, pair, batch, bn_stats)
+    hv, minus = grad(spec, pair, batch, None if bn_stats is None else np.expand_dims(bn_stats, 0))
     hv -= minus
     hv *= norm / (2.0 * FD_EPS)
     return hv
@@ -747,8 +740,9 @@ def hessian_operator(
 
     ``method`` "auto" takes the exact product (``hvp_pearlmutter``), or the
     finite-difference one (``hvp_fd``) on a spec with batch norm, which the
-    exact product does not support; "fd" pins finite differences. θ is
-    checked once here. The exact product is linearized once (``linearize``),
+    exact product does not support; "fd" pins finite differences. The
+    inputs are checked once: by ``linearize`` for the exact product, which
+    reads no statistics, else here. The exact product is linearized once,
     so each matvec runs only its R-passes; every matvec still calls the
     module-level ``hvp_pearlmutter`` or ``hvp_fd``, looked up at call time.
     For a stacked θ the operator maps a stack of directions, one per row of
@@ -759,13 +753,13 @@ def hessian_operator(
     if method == "auto" and not spec.has_bn:
         lin = linearize(spec, theta, batch)
         return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_pearlmutter(spec, theta, batch, v, lin))
-    theta = check_params(spec, theta)
+    theta, bn_stats = _check_inputs(spec, theta, batch, bn_stats)
     return LinearOperator(dim=spec.param_dim, apply=lambda v: hvp_fd(spec, theta, batch, v, bn_stats=bn_stats))
 
 
 def bn_gamma_norm(spec: MlpSpec, theta: np.ndarray, layer_index: int) -> float:
     """Euclidean norm of the gamma scale vector of the given hidden layer."""
-    theta = check_params(spec, theta)
+    theta, _ = _check_inputs(spec, theta)
     if layer_index < 0 or layer_index >= spec.n_hidden or not spec.batch_norm[layer_index]:
         raise NoBnLayerError(f"hidden layer {layer_index} has no batch norm")
     entry = spec.layout()[layer_index]

@@ -54,6 +54,8 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     lo, hi = _widen(lo, hi)
     span = hi - lo
+    if not np.isfinite(span):  # past the float range: tick the (exactly) halved range
+        return [2.0 * t for t in _nice_ticks(lo / 2, hi / 2, target)]
     raw = span / target
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -61,19 +63,25 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             step = mult * mag
             break
     first = np.ceil(lo / step) * step
-    # step >= span / target, so there are at most target + 1 ticks; a span
-    # past the float range has none
-    count = int((hi - first + 1e-12 * span) // step) + 1 if np.isfinite(span) else 0
+    # step >= span / target, so there are at most target + 1 ticks
+    count = int((hi - first + 1e-12 * span) // step) + 1
     ticks = (first + i * step for i in range(count))
     return [0.0 if abs(t) < 1e-12 * span else float(t) for t in ticks]
 
 
-def _tick_label(v: float) -> str:
-    if v == 0:
-        return "0"
-    if abs(v) >= 1e4 or abs(v) < 1e-3:
-        return f"{v:.1e}"
-    return f"{v:g}"
+def _tick_labels(values: Sequence[float]) -> list[str]:
+    """Labels for increasing tick values, each printed down to the leading
+    digit of its smaller gap to a neighbour, so adjacent labels differ."""
+    gaps = np.diff(values, prepend=-np.inf, append=np.inf)
+    labels = []
+    for v, step in zip(values, np.minimum(gaps[:-1], gaps[1:])):
+        # decimal exponents of v and of its gap, with a margin for the
+        # rounding in each tick; 0 prints as "0"
+        e_v, e_step = np.floor(np.log10([abs(v) or 1.0, min(step, abs(v)) or 1.0]) + 1e-9)
+        digits = int(e_v - e_step)
+        sci = abs(v) >= 1e4 or 0 < abs(v) < 1e-3
+        labels.append(f"{v:.{max(1, digits)}e}" if sci else f"{v:.{max(6, digits + 1)}g}")
+    return labels
 
 
 def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
@@ -82,7 +90,7 @@ def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
     plot_h = height - MARGIN_T - MARGIN_B
 
     xs_all = [float(x) for s in panel.series for x in s.xs]
-    ys_all = [float(y) for s in panel.series for y in s.ys if y is not None]
+    ys_all = [float(y) for s in panel.series for y in s.ys if y is not None and np.isfinite(y)]
     footnote = ""
 
     if not xs_all or not ys_all:
@@ -98,7 +106,7 @@ def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
             clamp_floor = min(positive)
             n_clamped = sum(1 for y in ys_all if y <= 0)
             if n_clamped:
-                footnote = f"{n_clamped} non-positive value(s) clamped to {_tick_label(clamp_floor)} for log scale"
+                footnote = f"{n_clamped} non-positive value(s) clamped to {_tick_labels([clamp_floor])[0]} for log scale"
             ys_all = [max(y, clamp_floor) for y in ys_all]
         else:
             log_y = False
@@ -110,15 +118,21 @@ def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
     x_lo, x_hi = _widen(min(xs_all), max(xs_all))
     y_vals = [ty(y) for y in ys_all]
     y_lo, y_hi = _widen(min(y_vals), max(y_vals))
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    # a 5% pad, taken on exact halves so a span past the float range stays
+    # finite; nan_to_num clamps a padded end to the float range
+    pad = 0.1 * (y_hi / 2 - y_lo / 2)
+    y_lo, y_hi = (float(v) for v in np.nan_to_num([y_lo - pad, y_hi + pad]))
+    if log_y:  # a log tick is labelled 10**t, which must stay a float
+        y_hi = min(y_hi, np.log10(np.finfo(float).max))
+
+    def frac(v: float, lo: float, hi: float) -> float:  # (v - lo) / (hi - lo), on halves
+        return (v / 2 - lo / 2) / (hi / 2 - lo / 2)
 
     def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + frac(x, x_lo, x_hi) * plot_w
 
     def py(y: float) -> float:
-        return MARGIN_T + (1.0 - (ty(y) - y_lo) / (y_hi - y_lo)) * plot_h
+        return MARGIN_T + (1.0 - frac(ty(y), y_lo, y_hi)) * plot_h
 
     out = []
     out.append(
@@ -137,22 +151,23 @@ def render_panel(panel: Panel, width: int = WIDTH, height: int = HEIGHT) -> str:
     )
 
     # y ticks (in transformed space when log)
-    for t in _nice_ticks(y_lo, y_hi):
-        y_pix = MARGIN_T + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
-        label = _tick_label(10.0**t) if panel.log_y else _tick_label(t)
+    y_ticks = _nice_ticks(y_lo, y_hi)
+    for t, label in zip(y_ticks, _tick_labels([10.0**t for t in y_ticks] if log_y else y_ticks)):
+        y_pix = MARGIN_T + (1.0 - frac(t, y_lo, y_hi)) * plot_h
         out.append(
             f'<line x1="{_fmt(MARGIN_L - 4)}" y1="{_fmt(y_pix)}" x2="{_fmt(MARGIN_L)}" y2="{_fmt(y_pix)}" stroke="#000000"/>'
         )
         out.append(
             f'<text x="{_fmt(MARGIN_L - 7)}" y="{_fmt(y_pix + 3.5)}" font-size="10" text-anchor="end">{label}</text>'
         )
-    for t in _nice_ticks(x_lo, x_hi, target=6):
+    x_ticks = _nice_ticks(x_lo, x_hi, target=6)
+    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
         x_pix = px(t)
         out.append(
             f'<line x1="{_fmt(x_pix)}" y1="{_fmt(MARGIN_T + plot_h)}" x2="{_fmt(x_pix)}" y2="{_fmt(MARGIN_T + plot_h + 4)}" stroke="#000000"/>'
         )
         out.append(
-            f'<text x="{_fmt(x_pix)}" y="{_fmt(MARGIN_T + plot_h + 16)}" font-size="10" text-anchor="middle">{_tick_label(t)}</text>'
+            f'<text x="{_fmt(x_pix)}" y="{_fmt(MARGIN_T + plot_h + 16)}" font-size="10" text-anchor="middle">{label}</text>'
         )
 
     out.append(

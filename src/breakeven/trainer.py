@@ -184,12 +184,18 @@ class MetricRecord:
     bn_gamma_norms: Optional[list] = None
     lr_current: Optional[float] = None
 
+    @property
+    def lambda_h1(self) -> Optional[float]:
+        """The top Hessian eigenvalue; a derived reading, not a logged field."""
+        return self.lambda_h_top[0] if self.lambda_h_top else None
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(MetricRecord))
 LIST_FIELDS = ("lambda_h_top", "bn_gamma_norms")
+DERIVED_READINGS = ("lambda_h1",)  # MetricRecord properties read like fields
 
 
 @dataclass
@@ -528,12 +534,7 @@ def summarize_run(
     max_k1, k1_step = max_with_step("lambda_k1")
     max_cond, cond_step = max_with_step("cond_ratio")
     max_trace, _ = max_with_step("trace_k")
-    max_h1, h1_step = None, None
-    for r in records:
-        if r.lambda_h_top:
-            v = r.lambda_h_top[0]
-            if max_h1 is None or v > max_h1:
-                max_h1, h1_step = v, r.step
+    max_h1, h1_step = max_with_step("lambda_h1")
     threshold_epoch = next(
         (r.epoch for r in records if r.train_acc is not None and r.train_acc >= accuracy_threshold),
         None,
@@ -541,12 +542,10 @@ def summarize_run(
     first_negative = next(
         (r.step for r in records if r.delta_loss is not None and r.delta_loss < 0), None
     )
-    alpha_series = []
-    for r in records:
-        if r.lambda_k1 is not None and r.lambda_h_top and abs(r.lambda_h_top[0]) > 1e-12:
-            alpha_series.append(r.lambda_k1 / r.lambda_h_top[0])
-        else:
-            alpha_series.append(None)
+    alpha_series = [
+        r.lambda_k1 / r.lambda_h1 if r.lambda_k1 is not None and abs(r.lambda_h1 or 0.0) > 1e-12 else None
+        for r in records
+    ]
     return RunSummary(
         max_lambda_k1=max_k1,
         max_lambda_k1_step=k1_step,
@@ -567,7 +566,7 @@ def breakeven_indicators(records: Sequence[MetricRecord]) -> tuple[int, Optional
     peaks, the first step with a negative loss change, and the Pearson
     correlation between covariance and Hessian spectral norms over
     checkpoints up to (and including) that peak."""
-    usable = [r for r in records if r.lambda_k1 is not None and r.lambda_h_top]
+    usable = [r for r in records if r.lambda_k1 is not None and r.lambda_h1 is not None]
     if len(usable) < 5:
         raise InsufficientDataError("need at least 5 instrumented checkpoints")
     k1 = np.array([r.lambda_k1 for r in usable])
@@ -576,7 +575,7 @@ def breakeven_indicators(records: Sequence[MetricRecord]) -> tuple[int, Optional
     first_negative = next(
         (r.step for r in records if r.delta_loss is not None and r.delta_loss < 0), None
     )
-    h1 = np.array([r.lambda_h_top[0] for r in usable])
+    h1 = np.array([r.lambda_h1 for r in usable])
     r = pearson(k1[: argmax + 1], h1[: argmax + 1])
     return argmax_step, first_negative, r
 
@@ -608,7 +607,7 @@ class SweepReport:
     seeds: list
     cells: list  # list of SweepCell
     seed_means: dict  # metric -> list aligned with axis_values (None where undefined)
-    verdicts: dict  # metric -> "holds" | "violated" | "tie"
+    verdicts: dict  # metric -> "holds" | "violated" | "tie" | "undefined"
 
 
 def _seed_mean(values):

@@ -214,6 +214,18 @@ class TestForwardLossBlocks:
         assert np.array_equal(res.per_example, per_example)
         assert np.array_equal(res.accuracy, accuracy)
 
+    def test_inputs_checked_once_over_several_blocks(self, monkeypatch):
+        spec = MlpSpec(layer_sizes=(3, 4096, 2), seed=0)
+        rows = netmodel.FORWARD_BLOCK_BYTES // (8 * 4096)
+        batch = Batch(inputs=np.ones((2 * rows + 1, 3)), labels=np.zeros(2 * rows + 1, dtype=int))
+        checks, passes = [], []
+        real_check, real_forward = netmodel._check_inputs, netmodel._forward
+        monkeypatch.setattr(netmodel, "_check_inputs", lambda *a: checks.append(1) or real_check(*a))
+        monkeypatch.setattr(netmodel, "_forward", lambda *a, **k: passes.append(1) or real_forward(*a, **k))
+        forward_loss(spec, init_params(spec), batch)
+        assert len(passes) == 3
+        assert len(checks) == 1
+
     def test_peak_memory_does_not_grow_with_rows(self, traced_peak):
         spec = MlpSpec(layer_sizes=(10, 256, 256, 10), loss="mse", seed=0)
         theta = init_params(spec)
@@ -558,6 +570,32 @@ class TestLinearizedHvp:
             block = (layer["a_in"].swapaxes(-1, -2) @ layer["delta"]).reshape(want.shape)
             assert np.max(np.abs(block - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_layers_are_the_reverse_pass_caches(self, activation, monkeypatch):
+        # the activation derivative comes from the reverse pass alone, and
+        # the linearization keeps the forward caches it was left in
+        spec, thetas, stacked, _, _, _ = TestStackedTheta.stacked_case("mse", activation, "none")
+        passes, inside, act_d = [], [], []
+        real_forward, real_backward, real_act_d = netmodel._forward, netmodel._backward, netmodel._act_d
+
+        def backward(*args):
+            inside.append(True)
+            try:
+                return real_backward(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(netmodel, "_forward", lambda *a: passes.append(real_forward(*a)) or passes[-1])
+        monkeypatch.setattr(netmodel, "_backward", backward)
+        monkeypatch.setattr(netmodel, "_act_d", lambda *a: act_d.append(bool(inside)) or real_act_d(*a))
+        lin = netmodel.linearize(spec, thetas, stacked)
+        ((_, caches, last),) = passes
+        assert act_d == [True] * spec.n_hidden
+        assert len(lin.layers) == len(caches) and all(a is b for a, b in zip(lin.layers, caches))
+        assert lin.last is last
+        # d1 takes the place of y; neither pre-activation is kept
+        assert all("z" not in layer and "y" not in layer for layer in lin.layers)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_public_call_rejects_non_finite_theta_and_direction(self, bad):
         spec, batch = spec_matrix()[0]
@@ -768,6 +806,26 @@ class TestBnStats:
                 forward_loss(spec, thetas[0], batch, bad)
             with pytest.raises(DimensionMismatchError):
                 grad(spec, thetas, batch, bad)
+
+    def test_statistics_with_an_axis_theta_lacks_rejected(self):
+        # one θ with two statistics rows: no call may pair them up itself
+        spec, thetas, x = self.case()
+        batch = Batch(inputs=x, labels=np.zeros(9, dtype=int))
+        stats = bn_batch_statistics(spec, thetas, batch)
+        theta, v = thetas[0], np.ones(spec.param_dim)
+        calls = [
+            lambda: forward_loss(spec, theta, batch, stats),
+            lambda: grad(spec, theta, batch, stats),
+            lambda: grouped_grad_factors(spec, theta, batch, np.arange(8).reshape(2, 4), (), stats),
+            lambda: hvp_fd(spec, theta, batch, v, stats),
+            lambda: hessian_operator(spec, theta, batch, bn_stats=stats),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
+        # the stack those rows belong to, and one row shared by it, pass
+        assert grad(spec, thetas, batch, stats).shape == thetas.shape
+        assert hvp_fd(spec, thetas, batch, np.ones_like(thetas), stats[:1]).shape == thetas.shape
 
     def test_init_is_zero_means_unit_variances(self):
         spec, _, _ = self.case()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,9 @@ def test_single_point_series_renders_circle():
         # 1e16 + 2 is the next float after 1e16: a tick step of 0.5 cannot
         # advance at this magnitude
         [1e16, 1.0000000000000002e16],
+        [12345.0, 12346.0, 12347.0],
+        # finite, but the padded range and its span are past the float range
+        [-1.7e308, 1.7e308],
     ],
 )
 def test_nearly_constant_large_values_render_with_few_ticks(ys):
@@ -93,3 +98,6 @@ def test_nearly_constant_large_values_render_with_few_ticks(ys):
     assert svg.count("<circle") + svg.count("<polyline") == 1
     assert 1 <= svg.count('font-size="10" text-anchor="end"') <= 6
     assert "nan" not in svg and "inf" not in svg
+    # each label carries the digits its tick step needs
+    labels = re.findall(r'font-size="10" text-anchor="end">([^<]*)<', svg)
+    assert all(a != b for a, b in zip(labels, labels[1:]))
