@@ -14,6 +14,11 @@ point where it equals 1 is the break-even point. With the coupling
 ``s^2 = alpha * lambda / psi^2`` the break-even curvature has the closed
 form ``(2 - (alpha/psi^2) * eta * (N-S)/(S*(N-1))) / eta``, degenerating to
 ``2/eta`` for full-batch gradient descent.
+
+``ensemble_second_moments`` checks the multiplier by Monte Carlo. It draws
+every batch exactly uniformly by Floyd's algorithm on min(S, N - S)
+examples (the batch, or its complement), at a cost of
+O(steps * trajectories * min(S, N - S)).
 """
 
 from __future__ import annotations
@@ -34,8 +39,11 @@ PHASE_DIAGRAM_BAND = 1e-9
 INCREASING = "increasing_from_stable"
 DECREASING = "decreasing_from_unstable"
 
-# bytes of selection keys an ensemble draws at once (at least one step's worth)
-ENSEMBLE_BLOCK_BYTES = 256 * 1024
+# bytes an ensemble block may hold while it draws its batches (at least one
+# step's worth): per trajectory-step, the n-byte membership mask of the Floyd
+# draw and about 48 bytes of picks, indices and sums. Blocks this large keep
+# each numpy call long enough that two threads' calls rarely wait on the GIL
+ENSEMBLE_BLOCK_BYTES = 1024 * 1024
 # schedule steps the growth dynamics evaluate per vectorized chunk
 GROWTH_CHUNK = 8192
 # schedule steps a growth run takes before it gives up without a flip
@@ -111,16 +119,23 @@ def stability_lhs(model: QuadraticModel, setting: SgdSetting) -> float:
     return stability_lhs_scalar(model.lambda_h, model.s_squared, setting.eta, setting.batch_size, model.n)
 
 
-def _masked_sums(u: np.ndarray, s: int, weights: np.ndarray) -> np.ndarray:
-    """``(u <= kth) @ weights`` over the last axis, ``kth`` being each row's
-    s-th smallest key. The 0/1 mask is written as float64 into the copy
-    ``np.partition`` returns, once ``kth`` is taken out of it, so the
-    product needs no bool -> float64 block copy; the buffer is freed on
-    return, before the next block of keys is drawn."""
-    mask = np.partition(u, s - 1, axis=-1)
-    kth = mask[..., s - 1, None].copy()
-    np.less_equal(u, kth, out=mask, casting="unsafe")
-    return mask @ weights
+def _batch_sums(rng: np.random.Generator, h: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Sum of ``h`` over k distinct examples for each of ``rows`` rows, the
+    k examples drawn uniformly without replacement by Floyd's algorithm: for
+    j = n - k, ..., n - 1, one ``rng.integers(0, j + 1, size=rows)`` draw,
+    and a row whose pick it already holds takes j instead. Each call draws
+    for every row at once, so the number of rows is part of the draw order.
+    """
+    n = h.size
+    taken = np.zeros(rows * n, dtype=bool)  # row r holds example i iff taken[r * n + i]
+    base = np.arange(0, rows * n, n)
+    sums = np.zeros(rows)
+    for j in range(n - k, n):
+        pick = rng.integers(0, j + 1, size=rows)
+        pick = np.where(taken[base + pick], j, pick)
+        taken[base + pick] = True
+        sums += h[pick]
+    return sums
 
 
 def ensemble_second_moments(
@@ -133,17 +148,17 @@ def ensemble_second_moments(
 ) -> np.ndarray:
     """Mean of psi^2 over an ensemble at every step.
 
-    Each trajectory draws its batch without replacement at every step: one
-    uniform key per example, and the batch is the ``batch_size`` examples
-    with the smallest keys. Keys are drawn for a block of steps at once
-    (``ENSEMBLE_BLOCK_BYTES``), which consumes the generator exactly as one
-    draw per step would. The batch mean curvature is the masked sum
-    ``(u <= kth) @ h / batch_size``, where ``kth`` is the ``batch_size``-th
-    smallest key; a row whose mask counts more than ``batch_size`` keys
-    (tied keys) is resolved by ``argpartition`` instead. The mask is
-    float64, written into ``np.partition``'s copy (``_masked_sums``), so a
-    block of steps holds two key-sized arrays: the keys and that copy.
-    The deviations then advance as running products down the step axis.
+    Each trajectory draws its batch without replacement at every step, an
+    exactly uniform draw by Floyd's algorithm (``_batch_sums``) on
+    k = min(batch_size, n - batch_size) examples: the batch itself when it
+    is the smaller side, else its complement, whose curvature sum is
+    subtracted from ``h.sum()``; a full batch draws nothing. The draws of a
+    block of steps (all its trajectory-steps as rows, as many as
+    ``ENSEMBLE_BLOCK_BYTES`` allows, at least one step's worth) are made
+    together, so the block's row count is part of the draw order. The cost
+    is O(steps * n_traj * k) plus a per-call numpy overhead for each of the
+    k Floyd steps of each block. The deviations then advance as running
+    products down the step axis.
     """
     for name, count in (("steps", steps), ("n_traj", n_traj)):
         if count < 1:
@@ -154,29 +169,22 @@ def ensemble_second_moments(
         raise InvalidParamsError(f"batch size {s} exceeds example count {n}")
     rng = make_rng(seed)
     h = model.curvatures
+    k = min(s, n - s)
+    total = float(np.sum(h))
     dev = np.full(n_traj, float(psi0))
     out = np.empty(steps + 1)
     out[0] = float(np.mean(dev * dev))
-    block = max(1, ENSEMBLE_BLOCK_BYTES // (8 * n_traj * n))
-    # one product gives each row's masked curvature sum and its mask count
-    h_and_count = np.column_stack([h, np.ones(n)])
+    block = max(1, ENSEMBLE_BLOCK_BYTES // ((n + 48) * n_traj))
     for t0 in range(0, steps, block):
         b = min(block, steps - t0)
-        if s == n:
-            hbar = np.full((b, n_traj), model.lambda_h)
-        else:
-            u = rng.random((b, n_traj, n))
-            sums = _masked_sums(u, s, h_and_count)
-            hbar = sums[..., 0] / s
-            tied = sums[..., 1] != s
-            if tied.any():
-                idx = np.argpartition(u[tied], s - 1, axis=-1)[:, :s]
-                hbar[tied] = np.mean(h[idx], axis=-1)
-        factors = 1.0 - setting.eta * hbar
+        sums = _batch_sums(rng, h, k, b * n_traj).reshape(b, n_traj)
+        factors = 1.0 - setting.eta * ((total - sums if k < s else sums) / s)
         factors[0] *= dev
-        devs = np.multiply.accumulate(factors, axis=0, out=factors)
-        out[t0 + 1 : t0 + b + 1] = np.mean(devs * devs, axis=-1)
-        dev = devs[-1]
+        np.multiply.accumulate(factors, axis=0, out=factors)
+        out[t0 + 1 : t0 + b + 1] = np.mean(factors * factors, axis=-1)
+        dev = factors[-1].copy()
+        # freed before the next block is drawn, so at most one block is held
+        del sums, factors
     return out
 
 

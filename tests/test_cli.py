@@ -189,7 +189,8 @@ class TestSimulateOnCpus:
 
     @staticmethod
     def simulate(tmp_path, monkeypatch, cpus, name):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if cpus is not None:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         cfg = write_json(tmp_path / "sim.json", TestSimulateOnCpus.CONFIG)
         out = tmp_path / name
         threads = threading.active_count()
@@ -206,6 +207,17 @@ class TestSimulateOnCpus:
         assert sorted(outputs[0]) == ["breakeven_table.csv", "growth_dynamics.csv", "mc_validation.csv",
                                       "phase_diagram.csv"]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cpu_count", [None, 1, 4])
+    def test_cpu_count_stands_in_for_a_missing_sched_getaffinity(self, cpu_count, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may return None
+        code, out = self.simulate(tmp_path, monkeypatch, 2, "affinity")
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+        fallback_code, fallback = self.simulate(tmp_path, monkeypatch, None, "cpu_count")
+        assert code == fallback_code == 0
+        files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (out, fallback)]
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_lowest_numbered_failing_case_is_reported(self, cpus, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,30 +135,43 @@ class TestSimulateSgd:
 
 
 def ensemble_reference(model, setting, psi0, steps, n_traj, rng):
-    # one step at a time, each batch the argpartition of that step's keys
+    # one step at a time, in the documented draw order: Floyd's algorithm on
+    # k = min(s, n - s) examples, one rng.integers(0, j + 1, size=n_traj)
+    # per j = n - k, ..., n - 1, a pick a trajectory already holds taking j;
+    # the batch is the picks, or their complement when k < s
     n, s, h = model.n, setting.batch_size, model.curvatures
+    k = min(s, n - s)
     dev = np.full(n_traj, float(psi0))
     out = [float(np.mean(dev * dev))]
     for _ in range(steps):
-        if s == n:
-            hbar = model.lambda_h
-        else:
-            u = rng.random((n_traj, n))
-            idx = np.argpartition(u, s - 1, axis=1)[:, :s]
-            hbar = np.mean(h[idx], axis=1)
+        picks = [[] for _ in range(n_traj)]
+        for j in range(n - k, n):
+            for held, t in zip(picks, rng.integers(0, j + 1, size=n_traj)):
+                held.append(j if t in held else int(t))
+        sums = np.array([sum(h[i] for i in held) for held in picks])
+        hbar = (float(np.sum(h)) - sums) / s if k < s else sums / s
         dev = dev * (1.0 - setting.eta * hbar)
         out.append(float(np.mean(dev * dev)))
     return np.array(out)
 
 
-class QuantizedRng:
-    """Keys on a grid of four values, so that tied keys are common."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def random(self, shape):
-        return np.floor(self.rng.random(shape) * 4) / 4
+class TestBatchSums:
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_draws_every_subset_uniformly(self, s):
+        # curvature 2**i marks example i, so a row's sum is the bit set of its
+        # picks; s > 3 draws the complement, s = 3 is n/2, s = 6 draws nothing
+        n, rows = 6, 30_000
+        k = min(s, n - s)
+        sums = quadratic._batch_sums(make_rng(s), 2.0 ** np.arange(n), k, rows)
+        picks = sums.astype(np.int64)
+        assert np.array_equal(picks, sums)
+        batches = picks if k == s else (2**n - 1) - picks
+        assert all(bin(b).count("1") == s for b in np.unique(batches))
+        subsets = [sum(2**i for i in c) for c in itertools.combinations(range(n), s)]
+        counts = np.array([np.count_nonzero(batches == b) for b in subsets])
+        assert counts.sum() == rows
+        p = 1.0 / len(subsets)
+        assert np.all(np.abs(counts / rows - p) <= 5 * np.sqrt(p * (1 - p) / rows))
 
 
 class TestEnsembleSecondMoments:
@@ -165,43 +179,19 @@ class TestEnsembleSecondMoments:
         "n, batch_size, n_traj, steps",
         [(50, 5, 100, 200), (30, 1, 40, 60), (100, 99, 30, 50), (40, 40, 20, 30), (60, 12, 600, 9)],
     )
-    def test_matches_per_step_argpartition(self, n, batch_size, n_traj, steps):
+    def test_matches_per_step_floyd_reference(self, n, batch_size, n_traj, steps, monkeypatch):
+        # one step per block, so the draws are made step by step as in the reference
+        monkeypatch.setattr(quadratic, "ENSEMBLE_BLOCK_BYTES", 1)
         model = uniform_model(n, n)
         setting = SgdSetting(eta=0.1, batch_size=batch_size)
         got = ensemble_second_moments(model, setting, 1.5, steps, n_traj, seed=7)
         want = ensemble_reference(model, setting, 1.5, steps, n_traj, make_rng(7))
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
-    def test_block_size_does_not_change_result(self, monkeypatch):
-        # 100 x 50 keys per step: the default block holds 6 steps, so 200
-        # steps run 33 full blocks and a short last one
-        model = uniform_model(50, 1)
-        setting = SgdSetting(eta=0.1, batch_size=5)
-        blocked = ensemble_second_moments(model, setting, 1.0, 200, 100, seed=3)
-        monkeypatch.setattr(quadratic, "ENSEMBLE_BLOCK_BYTES", 1)
-        stepwise = ensemble_second_moments(model, setting, 1.0, 200, 100, seed=3)
-        assert np.array_equal(blocked, stepwise)
-
-    def test_tied_keys_fall_back_to_argpartition(self, monkeypatch):
-        model = uniform_model(20, 5)
-        setting = SgdSetting(eta=0.1, batch_size=6)
-        monkeypatch.setattr(quadratic, "make_rng", lambda seed: QuantizedRng(make_rng(seed)))
-        fallback_rows = []
-        argpartition = np.argpartition
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                np, "argpartition",
-                lambda a, *args, **kw: fallback_rows.append(len(a)) or argpartition(a, *args, **kw),
-            )
-            got = ensemble_second_moments(model, setting, 1.0, 40, 50, seed=11)
-        want = ensemble_reference(model, setting, 1.0, 40, 50, QuantizedRng(make_rng(11)))
-        assert sum(fallback_rows) > 0
-        assert np.all(np.abs(got - want) <= 1e-14 * want)
-
     @pytest.mark.parametrize("n_traj, n, steps", [(100, 50, 200), (1500, 30, 20)])
     def test_peak_memory_does_not_grow_with_steps(self, traced_peak, n_traj, n, steps):
-        # (100, 50) draws 6 steps per block; (1500, 30) has 360 KB of keys
-        # per step, above the block budget, so each block is one step
+        # (100, 50) draws 107 steps per block, so the short run holds one full
+        # block and the long run 18; (1500, 30) draws 8 steps per block
         model = uniform_model(n, 2)
         setting = SgdSetting(eta=0.05, batch_size=n // 3)
 
