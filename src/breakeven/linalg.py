@@ -143,13 +143,18 @@ def _lanczos_basis(
         u = np.asarray(op.apply(Q[:, j]), dtype=np.float64)
         if u.shape != (cells, n):
             raise DimensionMismatchError(f"operator returned {u.shape} for a ({cells}, {n}) stack of vectors")
-        if not np.all(np.isfinite(u)):
+        # a NaN or ±Inf in u reaches α = q_j·u (as NaN where q_j is 0), so
+        # the operator's output is checked without a pass over it; it raises
+        # NonFiniteError rather than a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            alphas[:, j] = _row_dots(Q[:, j], u)
+        if not np.all(np.isfinite(alphas[:, j])):
             raise NonFiniteError("operator produced NaN or Inf")
-        alphas[:, j] = _row_dots(Q[:, j], u)
         if j == m - 1:
             break
-        # a new array: the operator may hand back a vector it still holds
-        r = u - alphas[:, j, None] * Q[:, j]
+        # r is built where q_{j+1} will be; u may be a vector the operator
+        # still holds, so it is only read
+        r = np.subtract(u, alphas[:, j, None] * Q[:, j], out=Q[:, j + 1])
         if j > 0:
             r -= betas[:, j - 1, None] * Q[:, j - 1]
         r3_norm = row_norms(r)
@@ -159,7 +164,7 @@ def _lanczos_basis(
         for c in np.flatnonzero(beta < r3_norm / np.sqrt(2.0)):
             beta[c] = row_norms(_project_out(r[c], Q[c, : j + 1]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(r, beta[:, None], out=Q[:, j + 1])
+            r /= beta[:, None]
         for c in np.flatnonzero(beta < LANCZOS_BREAKDOWN_TOL):
             beta[c] = 0.0
             Q[c, j + 1] = _fresh_start_vector(rngs[c], Q[c, : j + 1])
@@ -182,13 +187,16 @@ def lanczos_topk(op: LinearOperator, k: int, max_iters: int, seeds: Sequence[int
     Gram-Schmidt pass against every previous Lanczos vector; a second pass
     runs only when the first removed most of the residual (the
     Daniel-Gragg-Kaufman-Stewart test ‖r‖ < ‖r₃‖/√2), which keeps the basis
-    orthonormal to rounding in float64. On breakdown (residual norm below
-    ``LANCZOS_BREAKDOWN_TOL``) the iteration restarts with a fresh random
-    vector orthogonal to the converged subspace, drawn under the same pass
-    and DGKS test, leaving a zero coupling in the tridiagonal; if the
-    space is exhausted the spectrum found so far is exact. Each tridiagonal
-    is diagonalized densely by LAPACK (``jacobi_eigh``). Returns the (C, k)
-    Ritz values, each row descending.
+    orthonormal to rounding in float64. The residual is built in the basis
+    row q_{j+1} it becomes. The operator's output is checked through
+    α_j = q_j·u, which a NaN or ±Inf in u makes non-finite, with no pass over
+    u: NonFiniteError is raised at the step that produced it. On breakdown
+    (residual norm below ``LANCZOS_BREAKDOWN_TOL``) the iteration restarts
+    with a fresh random vector orthogonal to the converged subspace, drawn
+    under the same pass and DGKS test, leaving a zero coupling in the
+    tridiagonal; if the space is exhausted the spectrum found so far is
+    exact. Each tridiagonal is diagonalized densely by LAPACK
+    (``jacobi_eigh``). Returns the (C, k) Ritz values, each row descending.
     """
     n = op.dim
     if k < 1 or k > n or k > max_iters:

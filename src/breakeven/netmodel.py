@@ -10,14 +10,20 @@ linear -> (batch norm) -> activation; the output layer is linear (logits).
 
 There is one forward pass (``_forward``) and one reverse pass
 (``_backward``); every derivative is built on them, and neither checks
-inputs: each public entry point runs ``_check_inputs`` once. Both take a
-batch of examples, (n, d), or groups of minibatches, (G, M, d), reducing
-over the example axis within each group, so ``grouped_grad_factors``
-returns one minibatch gradient per group from a single pass; ``grad`` is
-its one-group case. The reverse pass can leave chosen layers' weight
-gradients unsummed, as per-example factors: the covariance readers need
-only inner products of the group gradients, and ``linearize`` factors
-every layer and keeps the pass's caches, with each layer's δ added.
+inputs: each public entry point runs ``_check_inputs`` once. Each pass
+allocates one product per layer and computes the layer in place on it:
+the forward pass applies bias, BN, γ, β and the activation to ``a @ w``,
+and the reverse pass scales ``δ @ Wᵀ`` by the activation derivative, which
+it reads from the layer's output ``h``. Every operation rounds as it would
+on a fresh array, so the passes equal the array formulas bitwise. Both
+take a batch of examples, (n, d), or groups of minibatches, (G, M, d),
+reducing over the example axis within each group, so
+``grouped_grad_factors`` returns one minibatch gradient per group from a
+single pass; ``grad`` is its one-group case. The reverse pass can leave
+chosen layers' weight gradients unsummed, as per-example factors: the
+covariance readers need only inner products of the group gradients, and
+``linearize`` factors every layer and keeps the pass's caches, with each
+layer's δ added.
 
 θ may carry leading axes too: a (C, D) stack holds one parameter vector per
 cell of a sweep. Weights are then read as (C, fan_in, fan_out) views and
@@ -57,7 +63,8 @@ from .rng import make_rng
 BN_EPS = 1e-5
 FD_EPS = 1e-4  # central-difference step of hvp_fd, along a unit direction
 # forward_loss evaluates independent rows in blocks whose widest activation
-# holds this many bytes per cell, small enough to stay in a core's L2 cache
+# holds this many bytes per cell, small enough to stay in a core's L2 cache;
+# each layer of a block holds its input and one output, computed in place
 FORWARD_BLOCK_BYTES = 256 * 1024
 
 RELU = "relu"
@@ -277,20 +284,24 @@ def _check_inputs(
     return theta, bn_stats
 
 
-def _act(kind: str, z: np.ndarray) -> np.ndarray:
+def _act_inplace(kind: str, y: np.ndarray) -> np.ndarray:
+    """The activation, applied in place on ``y``, which it returns."""
     if kind == RELU:
-        return np.maximum(z, 0.0)
-    if kind == TANH:
-        return np.tanh(z)
-    return z
+        np.maximum(y, 0.0, out=y)
+    elif kind == TANH:
+        np.tanh(y, out=y)
+    return y
 
 
-def _act_d(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_d(kind: str, h: np.ndarray) -> np.ndarray:
+    """The activation's derivative, read from its output ``h``: relu's
+    h > 0 holds exactly where its input y > 0 (a NaN fails both), tanh's is
+    1 - h², the identity's 1."""
     if kind == RELU:
-        return (z > 0.0).astype(np.float64)
+        return (h > 0.0).astype(np.float64)
     if kind == TANH:
-        return 1.0 - a * a
-    return np.ones_like(z)
+        return 1.0 - h * h
+    return np.ones_like(h)
 
 
 def _matrix(vec: np.ndarray, entry: dict) -> np.ndarray:
@@ -314,9 +325,17 @@ def _forward(
     spec: MlpSpec, theta: np.ndarray, x: np.ndarray, bn_stats: Optional[np.ndarray], keep_caches: bool = True
 ):
     """Run the network, returning logits plus per-layer caches for backward
-    (an empty list when ``keep_caches`` is False: each layer's cache and
-    activations are then dropped before the next layer's product, so the
-    pass holds one layer's input and its products at a time).
+    (an empty list when ``keep_caches`` is False: each layer's cache is then
+    dropped before the next layer's product, so the pass holds one layer's
+    input and its output at a time).
+
+    Each hidden layer forms one product ``a @ w`` and computes in place on
+    it, in the order bias, BN centering and scaling, γ, β, activation: the
+    operations of ``y = γ·(a @ w + b − μ)·inv + β``, ``h = act(y)``, each
+    rounding as it would on a fresh array. A layer's cache holds its input
+    ``a_in``, weights and output ``h`` (the next layer's input); a BN layer
+    adds its statistics, ``inv`` and, only when caches are kept, x̂ as its
+    own array. No pre-activation is kept.
 
     ``x`` is (n, d), or (G, M, d) for G groups of M examples: every
     reduction runs over the example axis -2, so each group gets its own BN
@@ -332,13 +351,13 @@ def _forward(
     a = x
     caches = []
     for entry in layout[:-1]:
-        layer = entry["layer"]
         w = _matrix(theta, entry)
-        z = a @ w + _row(theta, entry["b"])
+        # the product has every leading axis of a and θ, so each operand
+        # below broadcasts into it
+        z = a @ w
+        z += _row(theta, entry["b"])
         cache = {"a_in": a, "w": w, "entry": entry}
         if "gamma" in entry:
-            gamma = _row(theta, entry["gamma"])
-            beta = _row(theta, entry["beta"])
             if bn_stats is None:
                 mu = z.mean(axis=-2)
                 var = z.var(axis=-2)
@@ -346,17 +365,21 @@ def _forward(
                 mu = bn_stats[..., entry["mean"]]
                 var = bn_stats[..., entry["var"]]
             inv = 1.0 / np.sqrt(var[..., None, :] + BN_EPS)
+            gamma = _row(theta, entry["gamma"])
             cache.update(gamma=gamma, mu=mu, var=var, inv=inv, batch_stats=bn_stats is None)
-            cache["xhat"] = (z - mu[..., None, :]) * inv
-            y = gamma * cache["xhat"] + beta
-        else:
-            y = z
-        a = cache["h"] = _act(spec.activation[layer], y)
-        cache["y"] = y
+            z -= mu[..., None, :]
+            z *= inv
+            if keep_caches:
+                # the reverse pass reads x̂, so γ·x̂ goes to a new array
+                cache["xhat"], z = z, z * gamma
+            else:
+                z *= gamma
+            z += _row(theta, entry["beta"])
+        a = cache["h"] = _act_inplace(spec.activation[entry["layer"]], z)
         if keep_caches:
             caches.append(cache)
         # without caches only the next layer's input outlives this layer
-        del cache, z, y
+        del cache, z
     last = layout[-1]
     w = _matrix(theta, last)
     logits = a @ w + _row(theta, last["b"])
@@ -408,7 +431,8 @@ def forward_loss(
     The inputs are checked once. When the rows are independent (no BN, or
     frozen ``bn_stats``), the batch is evaluated in blocks of rows sized so
     one activation of the widest layer fills ``FORWARD_BLOCK_BYTES`` per
-    cell, and no layer caches are kept: each block's losses and
+    cell, and no layer caches are kept: each layer is computed in place on
+    its one product (x̂ is not kept apart), and each block's losses and
     predictions are written into one (…, n) result, so the pass's memory
     does not grow with n and each block reuses the memory the last one
     freed, where one whole-batch pass maps fresh pages for every array. BN
@@ -469,11 +493,14 @@ def _backward(
     result, so no (G, fan_in, fan_out) temporary is built. The weights of
     the ``factored`` layers are not summed: their columns are left out of
     the rows, and each such layer's input and δ are returned instead, as
-    ``LayerFactors`` in layer order. In each hidden layer's cache the
-    activation derivative ``d1`` takes the place of its input ``y``.
+    ``LayerFactors`` in layer order. Every column of the rows is written, so
+    they start uninitialized. Each hidden layer's activation derivative
+    ``d1``, read from its output ``h``, joins its cache. Each layer's δ
+    starts as a fresh ``δ_above @ Wᵀ`` product, and ``d1`` (then, with
+    frozen statistics, γ and ``inv``) scale it in place.
     """
     skipped = [e["w"] for e in spec.layout() if e["layer"] in factored]
-    grad = np.zeros(dlogits.shape[:-2] + (spec.param_dim - sum(w.stop - w.start for w in skipped),))
+    grad = np.empty(dlogits.shape[:-2] + (spec.param_dim - sum(w.stop - w.start for w in skipped),))
     lead = grad.shape[:-1]
     factors = []
 
@@ -498,19 +525,22 @@ def _backward(
     dz, upper = dlogits, last
     for cache in reversed(caches):
         entry = cache["entry"]
-        cache["d1"] = _act_d(spec.activation[entry["layer"]], cache.pop("y"), cache["h"])
-        dy = (dz @ _t(upper["w"])) * cache["d1"]
+        cache["d1"] = _act_d(spec.activation[entry["layer"]], cache["h"])
+        dy = dz @ _t(upper["w"])
+        dy *= cache["d1"]
         if "gamma" in cache:
             grad[..., cols(entry["gamma"])] = (dy * cache["xhat"]).sum(axis=-2)
             grad[..., cols(entry["beta"])] = dy.sum(axis=-2)
-            dxhat = dy * cache["gamma"]
+            dxhat = dy
+            dxhat *= cache["gamma"]
             if cache["batch_stats"]:
                 nb = dy.shape[-2]
                 sum_dxhat = dxhat.sum(axis=-2, keepdims=True)
                 sum_dxhat_xhat = (dxhat * cache["xhat"]).sum(axis=-2, keepdims=True)
                 dz = cache["inv"] / nb * (nb * dxhat - sum_dxhat - cache["xhat"] * sum_dxhat_xhat)
             else:
-                dz = dxhat * cache["inv"]
+                dxhat *= cache["inv"]
+                dz = dxhat
         else:
             dz = dy
         weight_grad(entry, cache["a_in"], dz)

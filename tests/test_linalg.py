@@ -289,6 +289,40 @@ class TestStackedLanczos:
         with pytest.raises(DimensionMismatchError):
             lanczos_topk(op, k=1, max_iters=3, seeds=[0, 1])
 
+    @staticmethod
+    def poisoned(cells, step, bad, calls):
+        """A stack of random symmetric operators whose output at ``step``
+        holds ``bad`` in one entry of one row."""
+        matrices = [random_symmetric(12, 60 + c) for c in range(cells)]
+
+        def apply(vs):
+            u = np.stack([a @ v for a, v in zip(matrices, vs)])
+            if len(calls) == step:
+                u[cells // 2, 5] = bad
+            calls.append(vs.shape)
+            return u
+
+        return LinearOperator(dim=12, apply=apply)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("step", [0, 4])
+    def test_non_finite_operator_output_raises_at_its_step(self, bad, cells, step):
+        calls = []
+        with pytest.raises(NonFiniteError):
+            lanczos_topk(self.poisoned(cells, step, bad, calls), k=2, max_iters=8, seeds=range(cells))
+        # raised where α was read, before another matvec
+        assert len(calls) == step + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_where_the_lanczos_vector_is_zero_raises(self, bad, monkeypatch):
+        # q_0 = e_0 has a zero at the bad entry: 0·Inf is NaN, not a warning
+        monkeypatch.setattr(linalg, "_fresh_start_vector", lambda rng, basis: np.eye(basis.shape[1])[0])
+        calls = []
+        with pytest.raises(NonFiniteError):
+            lanczos_topk(self.poisoned(1, 0, bad, calls), k=2, max_iters=8, seeds=[0])
+        assert len(calls) == 1
+
     def test_row_norms_are_bitwise_vector_norms(self):
         rows = np.random.default_rng(2).standard_normal((4, 1000))
         norms = linalg.row_norms(rows)

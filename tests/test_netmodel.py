@@ -156,6 +156,52 @@ class TestForwardLoss:
         with pytest.raises(NonFiniteError):
             forward_loss(spec, theta, Batch(inputs=[[1e200]], labels=[[0.0]]))
 
+    @staticmethod
+    def reference_logits(spec, theta, x, bn_stats):
+        """The forward pass written as whole-array expressions, each step a
+        fresh array: z = a @ w + b, x̂ = (z − μ)·inv, y = γ·x̂ + β, then the
+        activation."""
+        acts = {"relu": lambda y: np.maximum(y, 0.0), "tanh": np.tanh, "identity": lambda y: y}
+        a = x
+        for entry in spec.layout():
+            w = theta[..., entry["w"]].reshape(theta.shape[:-1] + (entry["fan_in"], entry["fan_out"]))
+            z = a @ w + theta[..., None, entry["b"]]
+            if entry["layer"] == spec.n_hidden:
+                return z
+            y = z
+            if "gamma" in entry:
+                if bn_stats is None:
+                    mu, var = z.mean(axis=-2), z.var(axis=-2)
+                else:
+                    mu, var = bn_stats[..., entry["mean"]], bn_stats[..., entry["var"]]
+                inv = 1.0 / np.sqrt(var[..., None, :] + netmodel.BN_EPS)
+                xhat = (z - mu[..., None, :]) * inv
+                y = theta[..., None, entry["gamma"]] * xhat + theta[..., None, entry["beta"]]
+            a = acts[spec.activation[entry["layer"]]](y)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("bn", ["none", "frozen", "batch_stats"])
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy", "mse"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    def test_in_place_pass_is_bitwise_the_array_formula(self, activation, loss, bn, stacked):
+        spec = MlpSpec(layer_sizes=(4, 9, 7, 3), activation=activation, batch_norm=bn != "none",
+                       loss=loss, seed=8)
+        rng = np.random.default_rng(9)
+        lead = (3,) if stacked else ()
+        theta = init_params(spec) + 0.3 * rng.standard_normal(lead + (spec.param_dim,))
+        x = rng.standard_normal(lead + (10, 4))
+        if loss == "softmax_cross_entropy":
+            y = rng.integers(0, 3, size=lead + (10,))
+        else:
+            y = rng.standard_normal(lead + (10, 3))
+        stats = None
+        if bn == "frozen":
+            stats = init_bn_stats(spec) + rng.uniform(0.0, 0.5, lead + (spec.stats_dim,))
+        res = forward_loss(spec, theta, Batch(inputs=x, labels=y), stats)
+        want = netmodel._per_example_loss(spec, self.reference_logits(spec, theta, x, stats), y)
+        assert res.per_example.shape == lead + (10,)
+        assert np.array_equal(res.per_example, want)
+
 
 class TestForwardLossBlocks:
     """Independent rows are evaluated in blocks of B rows; B is set by the
@@ -226,15 +272,17 @@ class TestForwardLossBlocks:
         assert len(passes) == 3
         assert len(checks) == 1
 
-    def test_peak_memory_does_not_grow_with_rows(self, traced_peak):
-        spec = MlpSpec(layer_sizes=(10, 256, 256, 10), loss="mse", seed=0)
+    @pytest.mark.parametrize("bn", ["none", "frozen"])
+    def test_peak_memory_does_not_grow_with_rows(self, bn, traced_peak):
+        spec = MlpSpec(layer_sizes=(10, 256, 256, 10), batch_norm=bn == "frozen", loss="mse", seed=0)
         theta = init_params(spec)
         rng = np.random.default_rng(0)
+        stats = init_bn_stats(spec) + rng.uniform(0.0, 0.5, spec.stats_dim) if bn == "frozen" else None
         n = 2 * self.block_rows()
         small = Batch(inputs=rng.standard_normal((n, 10)), labels=rng.standard_normal((n, 10)))
         large = Batch(inputs=rng.standard_normal((4 * n, 10)), labels=rng.standard_normal((4 * n, 10)))
-        _, small_peak = traced_peak(lambda: forward_loss(spec, theta, small))
-        _, large_peak = traced_peak(lambda: forward_loss(spec, theta, large))
+        _, small_peak = traced_peak(lambda: forward_loss(spec, theta, small, stats))
+        _, large_peak = traced_peak(lambda: forward_loss(spec, theta, large, stats))
         # only the (n,) losses and the (n,) correct flags grow; one whole-batch
         # pass would hold four times the activations
         assert large_peak <= small_peak + 9 * 3 * n + 4096
