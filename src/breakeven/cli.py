@@ -74,6 +74,7 @@ from .trainer import (
     run_training,
     summarize_run,
     sweep,
+    usable_cpus,
 )
 from .svg import Panel, Series, render_panel
 
@@ -360,17 +361,15 @@ class _SimulateConfig:
 
 def _map_on_cpus(fn, items: list) -> list:
     """``[fn(item) for item in items]`` on one thread per CPU the process may
-    use (``os.sched_getaffinity``, which ``taskset`` limits; where the
-    platform lacks it, as macOS and Windows do, ``os.cpu_count()``). numpy releases
+    use (``trainer.usable_cpus``, which ``taskset`` limits). numpy releases
     the GIL in the array work, so items overlap; results keep item order. The
     lowest-numbered failing item's error is raised, as a serial loop raises
     it, after the items then running have finished; items not yet started
     are cancelled."""
     from concurrent.futures import ThreadPoolExecutor  # imported here, not on every CLI start
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     # an empty grid maps no items, but a pool needs at least one worker
-    pool = ThreadPoolExecutor(max(1, min(len(items), cpus)))
+    pool = ThreadPoolExecutor(max(1, min(len(items), usable_cpus())))
     try:
         return list(pool.map(fn, items))
     finally:

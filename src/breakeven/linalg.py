@@ -103,7 +103,9 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass, in place: ``v`` minus its projection
     onto the rows of ``basis`` (orthonormal)."""
-    v -= basis.T @ (basis @ v)
+    # np.dot, not @: numpy's matmul holds the GIL through a matrix-vector
+    # product, np.dot releases it, so a worker thread's passes run alongside
+    v -= np.dot(basis.T, np.dot(basis, v))
     return v
 
 

@@ -3,13 +3,21 @@
 A run walks epochs of shuffled without-replacement minibatches. Every
 ``eval_every`` steps the full metric record is computed at the pre-step
 parameters, in this order: losses and accuracies, the top Hessian
-eigenvalues on a fixed evaluation subset, the covariance spectrum from
-sampled minibatch gradients, the gradient-to-top-subspace ratio, BN gamma
-norms, and the training-set loss change across the step (delta_loss,
-positive when the step reduced the loss). The Hessian spectrum comes first
-so that its Lanczos basis and the sampled minibatch gradients are never
-held at the same time; each spectral reading draws from its own derived
-seed, so the order changes no logged value.
+eigenvalues on a fixed evaluation subset, the step and the training-set loss
+change across it (delta_loss, positive when the step reduced the loss), the
+covariance spectrum from sampled minibatch gradients, the
+gradient-to-top-subspace ratio, and BN gamma norms. The Hessian spectrum
+comes before the covariance stage so that its Lanczos basis and the sampled
+minibatch gradients are never held at the same time; each spectral reading
+draws from its own derived seed, so the order changes no logged value.
+
+The full-set loss passes (losses and accuracies, then delta_loss) run in
+that order on one worker thread, beside the Hessian spectrum and the
+covariance stage on the calling thread, when the process may use two CPUs
+and a pass is large enough to pay for the hand-off (``OVERLAP_MIN_WORK``);
+numpy releases the GIL in the array work, so the two overlap. Otherwise the
+same calls run inline, in the same order. Either way a loss pass's error is
+raised ahead of the calling thread's, as the serial order would raise it.
 
 There is one training loop, over a stack of cells in lockstep: a single
 run is the one-cell stack, and ``sweep`` stacks the cells that share a step
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence, Union
 
@@ -76,6 +85,22 @@ from .spectra import (
 
 BN_EMA_DECAY = 0.99
 SCHEMA_VERSION = 1
+# training rows x parameters above which a checkpoint's full-set loss passes
+# run on a worker thread: below it the hand-off and the two threads' GIL
+# contention cost more than the overlap saves. On a 2-vCPU VM (BLAS on one
+# thread) the worker broke even near 2.5e7 for a 10-w-w-10 BN network with
+# finite-difference HVPs and near 6e6 for a 2-w-w-2 one without BN; the desk
+# network (1.9e6) ran 20% slower with it, the wide_bn one (1.2e8) 14% faster
+OVERLAP_MIN_WORK = 2.5e7
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: ``os.sched_getaffinity``, which
+    ``taskset`` limits, or, where the platform lacks it, as macOS and
+    Windows do, ``os.cpu_count()``; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -331,6 +356,63 @@ def _stack_key(config: RunConfig) -> tuple:
     )
 
 
+class _Ran:
+    """A call made inline, read as a ``concurrent.futures.Future`` is read:
+    ``result()`` returns its value or raises its error, and ``exception()``
+    returns that error (None if it returned)."""
+
+    def __init__(self, fn, *args):
+        self._value = self._error = None
+        try:
+            self._value = fn(*args)
+        except Exception as exc:
+            self._error = exc
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def exception(self):
+        return self._error
+
+
+def _loss_passes(spec: MlpSpec, theta: np.ndarray, frozen: np.ndarray, train_set: Batch, val_set: Batch) -> list:
+    """Each cell's (train loss, train accuracy, val accuracy) at its row of
+    the stack ``theta``."""
+    out = []
+    for th, stats in zip(theta, frozen):
+        train = forward_loss(spec, th, train_set, stats)
+        out.append((train.mean_loss, train.accuracy, forward_loss(spec, th, val_set, stats).accuracy))
+    return out
+
+
+def _delta_passes(spec: MlpSpec, losses, theta_after: np.ndarray, frozen: np.ndarray, train_set: Batch) -> list:
+    """Each cell's delta_loss across the step, or None where the post-step
+    loss is not finite; ``losses`` is the future of ``_loss_passes``."""
+    deltas = []
+    for (loss, _, _), th, stats in zip(losses.result(), theta_after, frozen):
+        try:
+            deltas.append(delta_loss(spec, loss, th, train_set, stats))
+        except NonFiniteError:
+            deltas.append(None)
+    return deltas
+
+
+def _step_gradient(spec: MlpSpec, theta: np.ndarray, batch: Batch, g_now: Optional[np.ndarray] = None) -> np.ndarray:
+    """The step's gradient, at the batch's own statistics. Without BN a
+    checkpoint's ``g_now``, the same call on the same batch, is that
+    gradient, so it is not computed again."""
+    if g_now is not None and not spec.has_bn:
+        return g_now
+    return grad(spec, theta, batch, None)
+
+
+def _sgd_update(stack: _Stack, g: np.ndarray, lrs: list) -> tuple[np.ndarray, np.ndarray]:
+    momenta = [c.config.momentum for c in stack.cells]
+    return sgd_step(stack.theta, g, stack.velocity, np.array(lrs)[:, None], np.array(momenta)[:, None])
+
+
 def _checkpoint_record(
     stack: _Stack,
     step: int,
@@ -340,56 +422,70 @@ def _checkpoint_record(
     val_set: Batch,
     step_batch: Batch,
     frozen: np.ndarray,
-) -> tuple[list, Optional[np.ndarray]]:
-    """Every cell's metric record at this checkpoint, and, when the spec has
-    no BN, the stack's gradient on ``step_batch``: without BN the
-    evaluation statistics are the batch's own, so that is also the step's
-    gradient (else None)."""
+    submit,
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every cell's metric record at this checkpoint, and the stack's
+    post-step parameters and velocity: the step is taken here, so that the
+    delta_loss pass can run beside the covariance stage.
+
+    ``submit(fn, *args)`` runs a call on the run's worker thread, or inline,
+    and returns its future. The loss passes are submitted first and the
+    delta_loss passes after the step, once the Lanczos basis is freed; the
+    one worker runs them in that order while this thread computes the
+    Hessian spectrum, the step and the covariance stage. The worker is
+    joined before this returns or raises: its loss passes come first in the
+    serial order, so their error is raised ahead of this thread's, and a
+    post-step loss that is not finite leaves delta_loss null."""
     cells = stack.cells
     spec, sp = cells[0].config.model, cells[0].config.spectra
-    records = []
-    for theta, stats, lr in zip(stack.theta, frozen, lrs):
-        record = MetricRecord(step=step, epoch=epoch, lr_current=lr)
-        train_res = forward_loss(spec, theta, train_set, stats)
-        record.train_loss = train_res.mean_loss
-        record.train_acc = train_res.accuracy
-        record.val_acc = forward_loss(spec, theta, val_set, stats).accuracy
-        records.append(record)
-
-    # one Lanczos run for the stack, released before any gradient sample exists
-    lambda_h = hessian_spectrum(
-        spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
-        k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
-        seeds=[derive_seed(c.config.seed, 4, step) for c in cells], bn_stats=frozen,
-    )
-    g_now = grad(spec, stack.theta, step_batch, frozen)
-    g_step = None if spec.has_bn else g_now
-    m = sp.resolve_batch_size(train_set.size)
-    for theta, stats, cell, record, values, g in zip(stack.theta, frozen, cells, records, lambda_h, g_now):
-        record.lambda_h_top = [float(v) for v in values]
-        sample, _ = sample_minibatch_gradients(
-            spec, theta, train_set, sp.n_gradient_samples, m,
-            seed=derive_seed(cell.config.seed, 3, step), bn_stats=stats,
+    losses = submit(_loss_passes, spec, stack.theta, frozen, train_set, val_set)
+    deltas = None
+    try:
+        # one Lanczos run for the stack, released before any gradient sample exists
+        lambda_h = hessian_spectrum(
+            spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
+            k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
+            seeds=[derive_seed(c.config.seed, 4, step) for c in cells], bn_stats=frozen,
         )
-        ks = k_spectrum(gram_from_gradients(sample))
-        record.lambda_k1 = ks.lambda_k1
-        record.lambda_k_star = ks.lambda_k_star
-        record.cond_ratio = ks.cond_ratio
-        record.trace_k = ks.trace_k
-        try:
-            w = k_top_eigvecs(ks, k=min(5, sp.n_gradient_samples - 1))
-            record.g_ratio = grad_subspace_ratio(g, sample, w)
-        except (RankDeficientError, DegenerateProjectionError):
-            pass  # g_ratio stays null
-        del sample  # one gradient sample at a time
+        g_now = grad(spec, stack.theta, step_batch, frozen)
+        theta, velocity = _sgd_update(stack, _step_gradient(spec, stack.theta, step_batch, g_now), lrs)
+        deltas = submit(_delta_passes, spec, losses, theta, frozen, train_set)
 
-    if spec.has_bn:
-        for theta, record in zip(stack.theta, records):
-            record.bn_gamma_norms = [bn_gamma_norm(spec, theta, i) for i in spec.bn_layers]
-    return records, g_step
+        records = []
+        m = sp.resolve_batch_size(train_set.size)
+        for th, stats, cell, lr, values, g in zip(stack.theta, frozen, cells, lrs, lambda_h, g_now):
+            record = MetricRecord(step=step, epoch=epoch, lr_current=lr, lambda_h_top=[float(v) for v in values])
+            sample, _ = sample_minibatch_gradients(
+                spec, th, train_set, sp.n_gradient_samples, m,
+                seed=derive_seed(cell.config.seed, 3, step), bn_stats=stats,
+            )
+            ks = k_spectrum(gram_from_gradients(sample))
+            record.lambda_k1 = ks.lambda_k1
+            record.lambda_k_star = ks.lambda_k_star
+            record.cond_ratio = ks.cond_ratio
+            record.trace_k = ks.trace_k
+            try:
+                w = k_top_eigvecs(ks, k=min(5, sp.n_gradient_samples - 1))
+                record.g_ratio = grad_subspace_ratio(g, sample, w)
+            except (RankDeficientError, DegenerateProjectionError):
+                pass  # g_ratio stays null
+            del sample  # one gradient sample at a time
+            if spec.has_bn:
+                record.bn_gamma_norms = [bn_gamma_norm(spec, th, i) for i in spec.bn_layers]
+            records.append(record)
+    except Exception:
+        # join the worker, then raise a loss pass's error ahead of this one
+        (losses if deltas is None else deltas).exception()
+        losses.result()
+        raise
+    for record, (loss, acc, val_acc), delta in zip(records, losses.result(), deltas.result()):
+        record.train_loss, record.train_acc, record.val_acc, record.delta_loss = loss, acc, val_acc, delta
+    return records, theta, velocity
 
 
-def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink) -> _Stack:
+def _step(
+    stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink, submit
+) -> _Stack:
     """One SGD step of every cell in the stack, as one stacked pass; returns
     the stack of the cells that go on. Raises the first package error of
     any cell, before any cell's log or state changes."""
@@ -401,43 +497,39 @@ def _step(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, va
     if spec.has_bn:
         running = BN_EMA_DECAY * running + (1.0 - BN_EMA_DECAY) * bn_batch_statistics(spec, stack.theta, batch)
     lrs = [c.config.schedule.lr_at(c.config.eta, epoch) for c in cells]
-    records, g = None, None
+    records = []
     if step > 0 and step % first.eval_every == 0:
-        records, g = _checkpoint_record(stack, step, epoch, lrs, train_set, val_set, batch, running)
+        records, theta, velocity = _checkpoint_record(
+            stack, step, epoch, lrs, train_set, val_set, batch, running, submit
+        )
         if param_sink is not None:
             param_sink(step, stack.theta[0].copy())
-    if g is None:
-        g = grad(spec, stack.theta, batch, None)
-    theta, velocity = sgd_step(
-        stack.theta, g, stack.velocity,
-        np.array(lrs)[:, None], np.array([c.config.momentum for c in cells])[:, None],
-    )
+    else:
+        theta, velocity = _sgd_update(stack, _step_gradient(spec, stack.theta, batch), lrs)
     # NaN propagates through min and max and an inf sits at one end: no C x D mask
     ended = set(np.flatnonzero(~(np.isfinite(theta.min(axis=-1)) & np.isfinite(theta.max(axis=-1)))))
-    for i, record in enumerate(records or ()):
-        try:
-            record.delta_loss = delta_loss(spec, record.train_loss, theta[i], train_set, running[i])
-        except NonFiniteError:
-            record.delta_loss = None
-            ended.add(i)
-    for cell, record in zip(cells, records or ()):
+    # a null delta_loss is a post-step training loss that is not finite
+    ended.update(i for i, record in enumerate(records) if record.delta_loss is None)
+    for cell, record in zip(cells, records):
         cell.records.append(record)
     for i in ended:
         cells[i].diverged = True
     return _Stack(cells, theta, velocity, running).take([i for i in range(len(cells)) if i not in ended])
 
 
-def _advance(stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink) -> _Stack:
+def _advance(
+    stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink, submit
+) -> _Stack:
     """``_step``; when a package error stops the stacked pass, every cell
     replays the step from the pre-step state as a one-cell stack, so the
     failing cell ends exactly as it would alone (NonFiniteError: diverged,
     keeping its log; any other: that error) and the others go on."""
     try:
-        return _step(stack, step, epoch, start, train_set, val_set, param_sink)
+        return _step(stack, step, epoch, start, train_set, val_set, param_sink, submit)
     except BreakevenError as exc:
         if len(stack.cells) > 1:
             return _join([
-                _advance(stack.take([i]), step, epoch, start, train_set, val_set, param_sink)
+                _advance(stack.take([i]), step, epoch, start, train_set, val_set, param_sink, submit)
                 for i in range(len(stack.cells))
             ])
         if isinstance(exc, NonFiniteError):
@@ -469,6 +561,10 @@ def run_training(
     and each cell's records and summary are field-identical to its run on
     its own. The result is a list with, per cell, its (records, summary) or
     the package error that stopped it. ``param_sink`` takes one config only.
+
+    A run large enough to overlap its checkpoints' full-set loss passes
+    (module docstring) starts their worker thread at its first checkpoint
+    and shuts it down before it returns or raises.
     """
     stacked = not isinstance(config, RunConfig)
     configs = list(config) if stacked else [config]
@@ -497,17 +593,35 @@ def run_training(
     ]
     theta = np.stack([init_params(c.model) for c in configs])
     stack = _Stack(cells, theta, np.zeros_like(theta), np.stack([init_bn_stats(c.model) for c in configs]))
+
+    overlap = usable_cpus() >= 2 and n_train * spec.param_dim > OVERLAP_MIN_WORK
+    pool = None
+
+    def submit(fn, *args):
+        nonlocal pool
+        if not overlap:
+            return _Ran(fn, *args)
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # imported here, not on every CLI start
+
+            pool = ThreadPoolExecutor(1)
+        return pool.submit(fn, *args)
+
     step = 0
-    for epoch in range(first.epochs):
-        for cell in stack.cells:
-            cell.perm = cell.shuffle.permutation(n_train)
-        for start in range(0, n_train, first.batch_size):
-            stack = _advance(stack, step, epoch, start, train_set, val_set, param_sink)
-            step += 1
+    try:
+        for epoch in range(first.epochs):
+            for cell in stack.cells:
+                cell.perm = cell.shuffle.permutation(n_train)
+            for start in range(0, n_train, first.batch_size):
+                stack = _advance(stack, step, epoch, start, train_set, val_set, param_sink, submit)
+                step += 1
+                if not stack.cells:
+                    break
             if not stack.cells:
                 break
-        if not stack.cells:
-            break
+    finally:
+        if pool is not None:
+            pool.shutdown()
     results = [
         c.error if c.error is not None
         else (c.records, summarize_run(c.records, c.diverged, c.config.accuracy_threshold))

@@ -1,7 +1,9 @@
 import copy
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -243,6 +245,16 @@ class TestSimulateOnCpus:
         assert code == 2
         assert "error: monte_carlo.n_traj: case 3 failed" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the thread pools import it when they start, so a CLI start that runs
+    # none does not pay for the import
+    code = "import sys, breakeven.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from breakeven.errors import (
     InsufficientDataError,
     InvalidConfigError,
     NeedTwoValuesError,
+    NonFiniteError,
+    NoConvergenceError,
 )
 from breakeven.netmodel import Batch, MlpSpec, forward_loss, grad, init_params
 from breakeven.trainer import (
@@ -288,8 +291,9 @@ class TestRunTraining:
         assert len(calls) == steps
         assert any(r.g_ratio is not None for r in records)
 
-        real_record = trainer._checkpoint_record
-        monkeypatch.setattr(trainer, "_checkpoint_record", lambda *a: (real_record(*a)[0], None))
+        real_step_gradient = trainer._step_gradient
+        monkeypatch.setattr(trainer, "_step_gradient", lambda spec, theta, batch, g_now=None:
+                            real_step_gradient(spec, theta, batch))
         separate = {}
         records_sep, _ = run_training(cfg, ds, param_sink=separate.__setitem__)
         assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in records_sep]
@@ -529,6 +533,146 @@ class TestStackedTraining:
             run_training([smoke_config(), smoke_config(batch_size=16)], ds)
         with pytest.raises(InvalidConfigError, match="param_sink"):
             run_training([smoke_config()], ds, param_sink=lambda step, theta: None)
+
+
+def use_worker(monkeypatch, on):
+    """Force the checkpoint's loss passes onto the worker thread (``on``) or
+    inline, whatever the machine's CPU count and the run's size."""
+    monkeypatch.setattr(trainer, "OVERLAP_MIN_WORK", 0)
+    monkeypatch.setattr(trainer, "usable_cpus", lambda: 2 if on else 1)
+
+
+class TestCheckpointWorker:
+    """A checkpoint's full-set loss passes run on one worker thread beside
+    the Hessian spectrum and the covariance stage, or inline; the two paths
+    give the same logs and end every cell the same way."""
+
+    BN_SPEC = MlpSpec(layer_sizes=(2, 8, 8, 2), activation="relu", batch_norm=True, seed=3)
+
+    def stack_configs(self, spec, hvp_method):
+        cfg = smoke_config(
+            model=spec, epochs=2, eval_every=3,
+            spectra=SpectraParams(n_gradient_samples=6, lanczos_iters=8, top_k=2, hvp_method=hvp_method),
+        )
+        return [cfg, replace(cfg, eta=0.1, seed=8), replace(cfg, momentum=0.5, seed=9)]
+
+    def logs(self, configs, results):
+        return [metric_log_lines(c, records) for c, (records, _) in zip(configs, results)]
+
+    @pytest.mark.parametrize("spec, hvp_method", [
+        (BN_SPEC, "fd"),
+        (MlpSpec(layer_sizes=(2, 8, 8, 2), activation="tanh", seed=3), "auto"),
+    ], ids=["bn-fd", "plain-auto"])
+    def test_worker_and_inline_logs_are_byte_identical(self, spec, hvp_method, monkeypatch):
+        ds = smoke_dataset(n=128)
+        configs = self.stack_configs(spec, hvp_method)
+        threads = []
+        real_forward = trainer.forward_loss
+
+        def forward(*args):
+            threads.append(threading.current_thread())
+            return real_forward(*args)
+
+        monkeypatch.setattr(trainer, "forward_loss", forward)
+        use_worker(monkeypatch, True)
+        overlapped = run_training(configs, ds)
+        assert threads and threading.main_thread() not in threads
+        threads.clear()
+        use_worker(monkeypatch, False)
+        inline = run_training(configs, ds)
+        assert threads and set(threads) == {threading.main_thread()}
+        assert self.logs(configs, overlapped) == self.logs(configs, inline)
+        assert [s.diverged for _, s in overlapped] == [s.diverged for _, s in inline] == [False] * 3
+
+    def poisoned_stack(self, monkeypatch, step, which):
+        """Three identity-MSE cells, as one stack, where the eta = 0.02 cell's
+        delta_loss pass (``which`` "delta") or validation pass ("val") at its
+        step-``step`` parameters raises NonFiniteError; returns the configs,
+        the dataset and that cell's parameters by checkpoint step."""
+        ds = smoke_dataset(n=128)
+        cfg = smoke_config(
+            epochs=3, eval_every=1, batch_size=16,
+            model=MlpSpec(layer_sizes=(2, 8, 8, 2), activation="identity", loss="mse", seed=3),
+            spectra=SpectraParams(n_gradient_samples=6, lanczos_iters=8, top_k=2),
+        )
+        configs = [replace(cfg, eta=eta) for eta in (0.01, 0.02, 0.03)]
+        thetas = {}
+        run_training(configs[1], ds, param_sink=thetas.__setitem__)
+        name = "delta_loss" if which == "delta" else "forward_loss"
+        real = getattr(trainer, name)
+
+        def poisoned(*args):
+            theta, batch = args[-3:-1]  # both functions take (..., theta, batch, bn_stats)
+            if np.array_equal(theta, thetas[step]) and (which == "delta" or batch.size != ds.n_train):
+                raise NonFiniteError("poisoned pass")
+            return real(*args)
+
+        monkeypatch.setattr(trainer, name, poisoned)
+        return configs, ds, thetas
+
+    def assert_ends_as_inline(self, monkeypatch, configs, ds, last_step, delta_null):
+        use_worker(monkeypatch, True)
+        overlapped = run_training(configs, ds)
+        use_worker(monkeypatch, False)
+        inline = run_training(configs, ds)
+        assert self.logs(configs, overlapped) == self.logs(configs, inline)
+        (ok_a, sa), (bad, sb), (ok_c, sc) = overlapped
+        assert sb.diverged and not sa.diverged and not sc.diverged
+        assert bad[-1].step == last_step and (bad[-1].delta_loss is None) == delta_null
+        assert all(r.train_loss is not None for r in bad)
+        for cfg, (records, _) in ((configs[0], overlapped[0]), (configs[2], overlapped[2])):
+            alone, _ = run_training(cfg, ds)
+            assert records_of(records) == records_of(alone)
+
+    def test_stacked_cell_whose_delta_pass_overflows_ends_as_inline(self, monkeypatch):
+        # step 3's delta_loss pass is at the step-4 parameters: the cell
+        # keeps step 3's record, with delta_loss null, and ends diverged
+        configs, ds, _ = self.poisoned_stack(monkeypatch, 4, "delta")
+        self.assert_ends_as_inline(monkeypatch, configs, ds, last_step=3, delta_null=True)
+
+    def test_stacked_cell_whose_loss_pass_overflows_ends_as_inline(self, monkeypatch):
+        # only the validation pass at step 4 raises: the stacked step replays
+        # cell by cell and the cell ends diverged with its log through step 3
+        configs, ds, _ = self.poisoned_stack(monkeypatch, 4, "val")
+        self.assert_ends_as_inline(monkeypatch, configs, ds, last_step=3, delta_null=False)
+
+    @pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])
+    def test_loss_pass_error_is_raised_ahead_of_the_hessians(self, on, monkeypatch):
+        # serially the loss passes run first, so their NonFiniteError ends
+        # the cell as diverged and the Hessian's error never shows
+        configs, ds, thetas = self.poisoned_stack(monkeypatch, 3, "val")
+        real_hessian = trainer.hessian_spectrum
+
+        def hessian(spec, theta, *args, **kwargs):
+            if any(np.array_equal(row, thetas[3]) for row in theta):
+                raise NoConvergenceError("poisoned Hessian")
+            return real_hessian(spec, theta, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "hessian_spectrum", hessian)
+        use_worker(monkeypatch, on)
+        records, summary = run_training(configs[1], ds)
+        assert summary.diverged and records[-1].step == 2
+        (_, s1), (bad, s2), (_, s3) = run_training(configs, ds)
+        assert s2.diverged and bad[-1].step == 2 and not s1.diverged and not s3.diverged
+
+    def test_worker_thread_ends_with_the_run(self, monkeypatch):
+        ds = smoke_dataset(n=128)
+        configs = self.stack_configs(self.BN_SPEC, "fd")
+        use_worker(monkeypatch, True)
+        before = threading.active_count()
+        run_training(configs, ds)
+        assert threading.active_count() == before
+        real_forward = trainer.forward_loss
+
+        def forward(spec, theta, batch, mode):
+            if threading.current_thread() is not threading.main_thread():
+                raise TypeError("bug in a loss pass")
+            return real_forward(spec, theta, batch, mode)
+
+        monkeypatch.setattr(trainer, "forward_loss", forward)
+        with pytest.raises(TypeError, match="bug in a loss pass"):
+            run_training(configs, ds)
+        assert threading.active_count() == before
 
 
 class TestSerialization:
