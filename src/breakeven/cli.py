@@ -69,6 +69,7 @@ from .trainer import (
     check_fits,
     check_metric_records,
     config_hash,
+    json_text,
     metric_log_lines,
     parse_metric_log,
     run_training,
@@ -502,7 +503,7 @@ def _summary_payload(config: RunConfig, records, summary) -> str:
         }
     except ValidationError:
         payload["indicators"] = None
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload, "summary.json", indent=2) + "\n"
 
 
 def cmd_train(args) -> int:
@@ -550,7 +551,7 @@ def cmd_sweep(args) -> int:
     for k, cell in enumerate(report.cells):
         log_name = "logs/cell_{:02d}_{:02d}.jsonl".format(*divmod(k, len(seeds)))
         if cell.records is not None:
-            _atomic_write(out / log_name, "\n".join(metric_log_lines(cell.config, cell.records)) + "\n")
+            _atomic_write(out / log_name, "\n".join(metric_log_lines(cell.config, cell.records, log_name)) + "\n")
         cells_payload.append(
             {
                 "axis_value": cell.axis_value,
@@ -574,7 +575,7 @@ def cmd_sweep(args) -> int:
         "verdicts": report.verdicts,
         "cells": cells_payload,
     }
-    _atomic_write(out / "sweep_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(out / "sweep_report.json", json_text(payload, "sweep_report.json", indent=2) + "\n")
     if not args.quiet:
         print(f"sweep: {len(report.cells)} cells -> {out}/sweep_report.json")
         for check, verdict in report.verdicts.items():

@@ -443,7 +443,8 @@ def forward_loss(
     BLAS kernel for a product depends on its row count.
 
     Accuracy ties resolve to the lowest class index. Raises NonFiniteError
-    when activations overflow, which training loops treat as divergence.
+    when activations, a loss or the mean loss overflow, which training loops
+    treat as divergence.
     """
     theta, bn_stats = _check_inputs(spec, theta, batch, bn_stats)
     x, labels = batch.inputs, batch.labels
@@ -460,10 +461,13 @@ def forward_loss(
         with np.errstate(over="ignore", invalid="ignore"):
             per_example[..., block] = _per_example_loss(spec, logits, y)
         correct[..., block] = np.argmax(logits, axis=-1) == (y if classes else np.argmax(y, axis=-1))
-    if not np.all(np.isfinite(per_example)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_loss = per_example.mean(axis=-1)
+    # a mean is finite only where every loss is and their sum stays in range
+    if not np.all(np.isfinite(mean_loss)):
         raise NonFiniteError("loss overflowed")
     return ForwardResult(
-        mean_loss=_scalar(per_example.mean(axis=-1)),
+        mean_loss=_scalar(mean_loss),
         per_example=per_example,
         accuracy=_scalar(correct.mean(axis=-1)),
     )

@@ -41,9 +41,11 @@ DECREASING = "decreasing_from_unstable"
 
 # bytes an ensemble block may hold while it draws its batches (at least one
 # step's worth): per trajectory-step, the n-byte membership mask of the Floyd
-# draw and about 48 bytes of picks, indices and sums. Blocks this large keep
-# each numpy call long enough that two threads' calls rarely wait on the GIL
-ENSEMBLE_BLOCK_BYTES = 1024 * 1024
+# draw and about 48 bytes of picks, indices and sums. 2 MiB holds a case of
+# 200 steps x 100 trajectories whole up to n = 56, and in two blocks up to
+# n = 161. On 1 MiB blocks each numpy call of the draw ran for 4-40 µs, too
+# short for the two threads of ``simulate`` to overlap
+ENSEMBLE_BLOCK_BYTES = 2 * 1024 * 1024
 # schedule steps the growth dynamics evaluate per vectorized chunk
 GROWTH_CHUNK = 8192
 # schedule steps a growth run takes before it gives up without a flip
@@ -155,9 +157,12 @@ def ensemble_second_moments(
     subtracted from ``h.sum()``; a full batch draws nothing. The draws of a
     block of steps (all its trajectory-steps as rows, as many as
     ``ENSEMBLE_BLOCK_BYTES`` allows, at least one step's worth) are made
-    together, so the block's row count is part of the draw order. The cost
-    is O(steps * n_traj * k) plus a per-call numpy overhead for each of the
-    k Floyd steps of each block. The deviations then advance as running
+    together, so the block's row count is part of the draw order, and a
+    change of ``ENSEMBLE_BLOCK_BYTES`` draws new batches from the same
+    distribution. The cost is O(steps * n_traj * k) plus a per-call numpy
+    overhead for each of the k Floyd steps of each block; fewer, larger
+    blocks let two threads overlap, at about one block of memory each, but
+    run no faster on one CPU. The deviations then advance as running
     products down the step axis.
     """
     for name, count in (("steps", steps), ("n_traj", n_traj)):

@@ -227,7 +227,10 @@ def k_top_eigvecs(ks: SpectralSummary, k: int = 5) -> np.ndarray:
     n_samples = ks.gram_eigenvectors.shape[0]
     if k > n_samples - 1:
         raise InvalidParamsError(f"k={k} exceeds L-1={n_samples - 1}")
-    n_positive = int(np.sum(ks.gram_eigenvalues >= RANK_TOL))
+    # an eigenvalue counts when it clears RANK_TOL both absolutely and as a
+    # fraction of λ_K¹: one below that is rounding noise of the Gram matrix,
+    # which W's 1/√(L·λ) would blow up
+    n_positive = int(np.sum(ks.gram_eigenvalues >= RANK_TOL * max(ks.gram_eigenvalues[0], 1.0)))
     if n_positive < k:
         raise RankDeficientError(f"only {n_positive} positive eigenvalues, need {k}")
     return ks.gram_eigenvectors[:, :k] / np.sqrt(n_samples * ks.gram_eigenvalues[:k])
@@ -253,10 +256,15 @@ def _sample_dots(g: np.ndarray, sample: GradientSample) -> np.ndarray:
 def grad_subspace_ratio(g: np.ndarray, sample: GradientSample, w: np.ndarray) -> float:
     """Ratio of the gradient norm to the norm of its projection onto the
     covariance eigenvectors that ``w = k_top_eigvecs(...)`` stands for in
-    ``sample``'s coordinates; always >= 1 when defined."""
+    ``sample``'s coordinates; always >= 1 when defined. A norm that
+    overflows raises DegenerateProjectionError, as a negligible projection
+    does."""
     g = np.asarray(g, dtype=np.float64)
-    g_norm = float(np.linalg.norm(g))
-    p_norm = float(np.linalg.norm(w.T @ _sample_dots(g, sample)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_norm = float(np.linalg.norm(g))
+        p_norm = float(np.linalg.norm(w.T @ _sample_dots(g, sample)))
+    if not (np.isfinite(g_norm) and np.isfinite(p_norm)):
+        raise DegenerateProjectionError("gradient or projection norm is not finite")
     if g_norm == 0.0 or p_norm < 1e-12 * g_norm:
         raise DegenerateProjectionError("projection norm is negligible")
     return g_norm / p_norm
@@ -286,17 +294,18 @@ def hessian_spectrum(
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     """Two-pass Pearson correlation; None when either series has zero
-    variance (or fewer than two points)."""
+    variance (or fewer than two points), or when the spreads overflow."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
         return None
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = np.sqrt(np.sum(dx * dx) * np.sum(dy * dy))
-    if denom == 0.0:
-        return None
-    return float(np.sum(dx * dy) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        denom = np.sqrt(np.sum(dx * dx) * np.sum(dy * dy))
+        if denom == 0.0 or not np.isfinite(denom):
+            return None
+        return float(np.sum(dx * dy) / denom)
 
 
 @dataclass(frozen=True)

@@ -857,8 +857,19 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def metric_log_lines(config: RunConfig, records: Sequence[MetricRecord]) -> list[str]:
-    """JSONL lines: metadata first, then one object per record."""
+def json_text(obj, name: str, **kwargs) -> str:
+    """``json.dumps(obj)`` with sorted keys, for the file ``name``. NaN and
+    ±inf are not JSON, so a value that is not finite raises NonFiniteError
+    naming the file, where ``json.dumps`` would write ``Infinity``."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError:
+        raise NonFiniteError(f"{name}: a value is not finite, which JSON cannot hold") from None
+
+
+def metric_log_lines(config: RunConfig, records: Sequence[MetricRecord], name: str = "metrics.jsonl") -> list[str]:
+    """JSONL lines: metadata first, then one object per record; ``name``
+    is the file they go to (``json_text``)."""
     cfg = config.to_dict()
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -867,10 +878,7 @@ def metric_log_lines(config: RunConfig, records: Sequence[MetricRecord]) -> list
         "artifact_version": __version__,
         "config_hash": config_hash(cfg),
     }
-    lines = [json.dumps(meta, sort_keys=True)]
-    for r in records:
-        lines.append(json.dumps(r.to_json_dict(), sort_keys=True))
-    return lines
+    return [json_text(obj, name) for obj in [meta, *(r.to_json_dict() for r in records)]]
 
 
 def parse_metric_log(text: str) -> tuple[dict, list[MetricRecord]]:

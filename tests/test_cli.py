@@ -304,6 +304,82 @@ class TestTrain:
         assert meta["config"]["batch_size"] == 16
 
 
+class TestStrictJson:
+    """A NaN or ±inf that reaches a JSON writer fails the command with exit
+    1, naming the file, and the file is not written: ``Infinity`` is not
+    JSON."""
+
+    def test_overflowing_full_batch_run_writes_valid_logs(self, tmp_path):
+        # the desk benchmark model at full batch and eta 1.8: the loss grows
+        # past 1e290 over 17 checkpoints, with Gram spectra near the float range
+        cfg = write_json(
+            tmp_path / "overflow.json",
+            {
+                "model": {"layer_sizes": [2, 32, 32, 2], "activation": "relu", "loss": "mse",
+                          "init_gain": 0.6, "seed": 1},
+                "dataset": {"kind": "gaussian_blobs", "n": 2000, "classes": 2, "radius": 1.0,
+                            "sigma": 0.8, "val_fraction": 0.2, "seed": 1260921585},
+                "eta": 1.8, "batch_size": 1600, "momentum": 0.0, "epochs": 400, "eval_every": 20,
+                "eval_subset_fraction": 1.0, "seed": 1,
+                "spectra": {"n_gradient_samples": 10, "gram_batch_size": 8, "lanczos_iters": 30},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        text = (out / "metrics.jsonl").read_text()
+        validate_metric_log(text)
+        ratios = [json.loads(line)["g_ratio"] for line in text.splitlines()[1:]]
+        assert len(ratios) == 17
+        assert all(r is None or r >= 1.0 for r in ratios)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["indicators"]["lambda_k1_lambda_h1_pearson"] is None
+
+    @staticmethod
+    def refused(args, name, capsys):
+        assert main(args + ["--quiet"]) == 1
+        assert f"error: {name}: a value is not finite" in capsys.readouterr().err
+
+    def test_metric_log(self, train_config, tmp_path, monkeypatch, capsys):
+        real = cli.run_training
+
+        def overflowed(*args, **kwargs):
+            records, summary = real(*args, **kwargs)
+            records[-1].delta_loss = -float("inf")
+            return records, summary
+
+        monkeypatch.setattr(cli, "run_training", overflowed)
+        out = tmp_path / "out"
+        self.refused(["train", "--config", train_config, "--out", str(out)], "metrics.jsonl", capsys)
+        assert not out.exists()
+
+    def test_summary(self, train_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "breakeven_indicators", lambda records: (0, None, float("inf")))
+        out = tmp_path / "out"
+        self.refused(["train", "--config", train_config, "--out", str(out)], "summary.json", capsys)
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("name", ["logs/cell_00_00.jsonl", "sweep_report.json"])
+    def test_sweep_outputs(self, name, train_config, tmp_path, monkeypatch, capsys):
+        real = cli.sweep
+
+        def overflowed(*args, **kwargs):
+            report = real(*args, **kwargs)
+            if name == "sweep_report.json":
+                report.seed_means["max_lambda_k1"][0] = float("nan")
+            else:
+                report.cells[0].records[0].lambda_k1 = float("inf")
+            return report
+
+        monkeypatch.setattr(cli, "sweep", overflowed)
+        cfg = json.loads(Path(train_config).read_text())
+        cfg["epochs"] = 1
+        cfg["axis"] = {"name": "eta", "values": [0.02, 0.1]}
+        path = write_json(tmp_path / "sweep.json", cfg)
+        out = tmp_path / "out"
+        self.refused(["sweep", "--config", path, "--out", str(out)], name, capsys)
+        assert not (out / name).exists()
+
+
 class TestSweepCli:
     def test_sweep_writes_cells_and_verdicts(self, tmp_path, train_config):
         cfg = json.loads(Path(train_config).read_text())

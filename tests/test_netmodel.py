@@ -156,6 +156,14 @@ class TestForwardLoss:
         with pytest.raises(NonFiniteError):
             forward_loss(spec, theta, Batch(inputs=[[1e200]], labels=[[0.0]]))
 
+    def test_overflowing_mean_raises_nonfinite(self):
+        # 1,600 finite per-example losses near 1e305 sum past the float range
+        losses = np.linspace(1.2e305, 1.4e305, 1600)
+        batch = Batch(inputs=np.sqrt(losses)[:, None], labels=np.zeros((1600, 1)))
+        assert np.all(np.isfinite(batch.inputs[:, 0] ** 2))
+        with pytest.raises(NonFiniteError):
+            forward_loss(tiny_identity_net(), np.array([1.0, 0.0]), batch)
+
     @staticmethod
     def reference_logits(spec, theta, x, bn_stats):
         """The forward pass written as whole-array expressions, each step a

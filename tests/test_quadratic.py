@@ -190,8 +190,9 @@ class TestEnsembleSecondMoments:
 
     @pytest.mark.parametrize("n_traj, n, steps", [(100, 50, 200), (1500, 30, 20)])
     def test_peak_memory_does_not_grow_with_steps(self, traced_peak, n_traj, n, steps):
-        # (100, 50) draws 107 steps per block, so the short run holds one full
-        # block and the long run 18; (1500, 30) draws 8 steps per block
+        # the short run holds at least one full block, the long run ten times
+        # its steps
+        steps = max(steps, quadratic.ENSEMBLE_BLOCK_BYTES // ((n + 48) * n_traj))
         model = uniform_model(n, 2)
         setting = SgdSetting(eta=0.05, batch_size=n // 3)
 

@@ -250,6 +250,17 @@ class TestTopEigvecs:
         with pytest.raises(RankDeficientError):
             k_top_eigvecs(k_spectrum(gram), k=2)
 
+    def test_rank_is_relative_to_the_top_eigenvalue(self):
+        # Gram eigenvalues a²/2 = 5e19 and b²/2 = 5e-7: the second clears the
+        # absolute RANK_TOL but is 1e-26 of the first, so it does not count
+        a, b = 1e10, 1e-3
+        g = np.array([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
+        ks = k_spectrum(gram_from_gradients(GradientSample(g)))
+        assert ks.gram_eigenvalues[1] > spectra.RANK_TOL
+        assert k_top_eigvecs(ks, k=1).shape == (4, 1)
+        with pytest.raises(RankDeficientError):
+            k_top_eigvecs(ks, k=2)
+
 
 class TestSubspaceRatio:
     @staticmethod
@@ -285,6 +296,13 @@ class TestSubspaceRatio:
         v = np.array([1.0, 0.0])
         with pytest.raises(DegenerateProjectionError):
             self.ratio(np.vstack([v, -v]), np.array([0.0, 1.0]), k=1)
+
+    def test_overflowing_norm_degenerate(self):
+        # ‖g‖ overflows to inf: the ratio is undefined, not inf/inf or 0
+        g, gbar = random_grads(6, 15, 8)
+        _, sample, w = top_subspace(g - gbar, k=3)
+        with pytest.raises(DegenerateProjectionError):
+            grad_subspace_ratio(np.full(15, 1e200), sample, w)
 
 
 class TestSampleMinibatchGradients:
@@ -547,6 +565,12 @@ class TestPearsonAndMSensitivity:
         assert pearson(x, y) == pytest.approx(1.0, abs=1e-15)
         assert pearson(x, -y) == pytest.approx(-1.0, abs=1e-15)
         assert pearson(x, np.ones(4)) is None
+
+    def test_pearson_overflowing_spread_gives_null(self):
+        # Σ(x − x̄)² overflows: r is not readable, so it is null, not −0.0
+        x = np.array([0.0, 1e200, 3e200, -2e200])
+        assert pearson(x, np.array([1.0, 2.0, 4.0, 3.0])) is None
+        assert pearson(np.array([1.0, 2.0, 4.0, 3.0]), x) is None
 
     def test_report_constant_series_gives_null(self):
         spec = MlpSpec(layer_sizes=(2, 4, 2), activation="tanh", seed=1)

@@ -689,6 +689,13 @@ class TestSerialization:
         assert len(parsed) == len(records)
         assert parsed[0].to_json_dict() == records[0].to_json_dict()
 
+    @pytest.mark.parametrize("field, value", [("delta_loss", -np.inf), ("g_ratio", np.nan)])
+    def test_non_finite_record_is_refused_naming_the_file(self, field, value):
+        cfg = smoke_config(epochs=1, eval_every=1)
+        records = [MetricRecord(step=0, epoch=0, **{field: value})]
+        with pytest.raises(NonFiniteError, match="logs/cell_00_00.jsonl"):
+            metric_log_lines(cfg, records, "logs/cell_00_00.jsonl")
+
     def test_log_bytes_reproducible(self):
         ds = smoke_dataset(n=128)
         cfg = smoke_config(epochs=1, eval_every=1)
