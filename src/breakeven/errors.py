@@ -3,7 +3,9 @@
 The CLI maps these onto exit codes: validation/schema problems exit with 2,
 I/O problems with 3, and non-fatal computational conditions (divergence,
 no break-even flip) with 1. ``config_value`` is the type rule every config
-reader applies to a scalar value.
+reader applies to a scalar value. Every error survives a pickle round trip
+with its message and ``field``, so one raised in the trainer's helper process
+reaches the run that forked it intact.
 """
 
 import math
@@ -81,6 +83,9 @@ class CsvParseError(ValidationError):
         self.line_number = line_number
         self.reason = reason
 
+    def __reduce__(self):  # pickle rebuilds it from its own arguments, not from ``args``
+        return type(self), (self.line_number, self.reason)
+
 
 class InvalidParamsError(ValidationError):
     pass
@@ -99,6 +104,10 @@ class SchemaError(ValidationError):
 
     def __init__(self, field: str, reason: str):
         super().__init__(f"{field}: {reason}", field)
+        self.reason = reason
+
+    def __reduce__(self):  # pickle rebuilds it from its own arguments, not from ``args``
+        return type(self), (self.field, self.reason)
 
 
 class UnknownMetricError(ValidationError):

@@ -103,8 +103,8 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass, in place: ``v`` minus its projection
     onto the rows of ``basis`` (orthonormal)."""
-    # np.dot, not @: numpy's matmul holds the GIL through a matrix-vector
-    # product, np.dot releases it, so a worker thread's passes run alongside
+    # np.dot gives the same bits as @ here; no other thread of the process
+    # runs beside a Lanczos run, so which of them holds the GIL is moot
     v -= np.dot(basis.T, np.dot(basis, v))
     return v
 

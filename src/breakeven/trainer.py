@@ -11,13 +11,20 @@ comes before the covariance stage so that its Lanczos basis and the sampled
 minibatch gradients are never held at the same time; each spectral reading
 draws from its own derived seed, so the order changes no logged value.
 
-The full-set loss passes (losses and accuracies, then delta_loss) run in
-that order on one worker thread, beside the Hessian spectrum and the
-covariance stage on the calling thread, when the process may use two CPUs
-and a pass is large enough to pay for the hand-off (``OVERLAP_MIN_WORK``);
-numpy releases the GIL in the array work, so the two overlap. Otherwise the
-same calls run inline, in the same order. Either way a loss pass's error is
-raised ahead of the calling thread's, as the serial order would raise it.
+A checkpoint's Hessian spectrum is one job over the stack. On Linux, when
+the process runs no other thread, may use two CPUs, and a pass is large
+enough to pay for the hand-off (``OVERLAP_MIN_WORK``), the job runs in one
+helper process, forked at the run's first checkpoint, while the calling
+thread runs the rest of the checkpoint and trains on. The job is settled,
+and its values filled into the checkpoint's records, before the next
+checkpoint submits its own, on an error at a checkpoint, and when the run
+ends, so at most one is pending. A cell whose job failed ends as the serial
+run ends it: its log runs through the previous checkpoint, what it did
+since is discarded, and it is diverged on NonFiniteError and errored on any
+other package error. Otherwise the job runs inline and is settled at its
+own checkpoint. Either way the errors of one checkpoint are raised in the
+serial order: a loss pass's, then the Hessian's, then those of the step,
+delta_loss and the covariance stage.
 
 There is one training loop, over a stack of cells in lockstep: a single
 run is the one-cell stack, and ``sweep`` stacks the cells that share a step
@@ -45,6 +52,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence, Union
 
@@ -85,13 +94,14 @@ from .spectra import (
 
 BN_EMA_DECAY = 0.99
 SCHEMA_VERSION = 1
-# training rows x parameters above which a checkpoint's full-set loss passes
-# run on a worker thread: below it the hand-off and the two threads' GIL
-# contention cost more than the overlap saves. On a 2-vCPU VM (BLAS on one
-# thread) the worker broke even near 2.5e7 for a 10-w-w-10 BN network with
-# finite-difference HVPs and near 6e6 for a 2-w-w-2 one without BN; the desk
-# network (1.9e6) ran 20% slower with it, the wide_bn one (1.2e8) 14% faster
-OVERLAP_MIN_WORK = 2.5e7
+# training rows x parameters above which a checkpoint's Hessian job runs in
+# the forked helper: below it the fork and the per-job hand-off cost more
+# than the overlap saves. On a 2-vCPU VM (BLAS on one thread) a desk-shaped
+# 3-cell stack of 2-w-w-2 networks without BN ran 8-15% slower with the
+# helper at 2.0e6 (the desk network) to 5.6e6 and 27-35% faster from 6.3e6;
+# a one-cell 10-64-64-10 BN run with finite-difference HVPs broke even at
+# 9.2e6; every run measured above 1e7 ran 25-36% faster (wide_bn, 1.2e8: 25%)
+OVERLAP_MIN_WORK = 1e7
 
 
 def usable_cpus() -> int:
@@ -377,6 +387,92 @@ class _Ran:
         return self._error
 
 
+def _hessian_job(
+    spec: MlpSpec, theta: np.ndarray, eval_subset: Batch, sp: SpectraParams, seeds: list, frozen: np.ndarray
+) -> list:
+    """Each cell's top Hessian eigenvalues at its row of the stack
+    ``theta``, or the package error it raises alone: when the stacked
+    Lanczos run raises one, each cell runs alone, as ``_advance``'s replay
+    runs it. A module function that looks ``hessian_spectrum`` up here, so
+    it pickles by reference and a forked helper calls whatever that name was
+    bound to when it was forked."""
+    try:
+        return list(hessian_spectrum(
+            spec, theta, eval_subset, k=sp.top_k, method=sp.hvp_method,
+            max_iters=sp.lanczos_iters, seeds=seeds, bn_stats=frozen,
+        ))
+    except BreakevenError as exc:
+        if len(seeds) == 1:
+            return [exc]
+    return [
+        _hessian_job(spec, theta[[c]], eval_subset.subset([c]), sp, seeds[c : c + 1], frozen[[c]])[0]
+        for c in range(len(seeds))
+    ]
+
+
+class _Helper:
+    """Where a run's Hessian jobs run: in one helper process, forked at the
+    first submit, a checkpoint ahead of training (``forked``), or inline. At
+    most one job is pending, with the records it completes; ``settle``
+    resolves it, and ``param_sink`` sees each checkpoint once it is
+    complete."""
+
+    def __init__(self, forked: bool, param_sink):
+        self.forked = forked
+        self.param_sink = param_sink
+        self.pool = None
+        self.pending = None  # (job, step, cells, records, θ for param_sink)
+
+    def submit(self, *args):
+        """Start ``_hessian_job(*args)``; returns its future. The arrays
+        handed over are never written after: the pool pickles them later,
+        on a thread of its own."""
+        if not self.forked:
+            return _Ran(_hessian_job, *args)
+        if self.pool is None:
+            # imported here, not on every CLI start
+            import signal
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            # the helper ignores Ctrl-C: the run that forked it shuts it down
+            self.pool = ProcessPoolExecutor(
+                1, mp_context=get_context("fork"),
+                initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
+            )
+        return self.pool.submit(_hessian_job, *args)
+
+    def settle(self) -> None:
+        """Fill the pending job's values into its records. A cell whose job
+        failed loses that record, its last, and ends by the job's error,
+        whatever ended it since, as that error comes first in the serial
+        order; the caller drops it from its stack (``_live``)."""
+        if self.pending is None:
+            return
+        job, step, cells, records, theta = self.pending
+        self.pending = None
+        for cell, record, values in zip(cells, records, job.result()):
+            if isinstance(values, BreakevenError):
+                cell.records.pop()
+                cell.diverged = isinstance(values, NonFiniteError)
+                cell.error = None if cell.diverged else values
+            else:
+                record.lambda_h_top = [float(v) for v in values]
+                if self.param_sink is not None:
+                    self.param_sink(step, theta)
+
+    def close(self) -> None:
+        """Shut the helper down and join it: a job still running is waited
+        for, one not started is cancelled."""
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+
+def _live(stack: _Stack) -> _Stack:
+    """The stack of the cells that have not ended."""
+    return stack.take([i for i, c in enumerate(stack.cells) if not c.diverged and c.error is None])
+
+
 def _loss_passes(spec: MlpSpec, theta: np.ndarray, frozen: np.ndarray, train_set: Batch, val_set: Batch) -> list:
     """Each cell's (train loss, train accuracy, val accuracy) at its row of
     the stack ``theta``."""
@@ -385,18 +481,6 @@ def _loss_passes(spec: MlpSpec, theta: np.ndarray, frozen: np.ndarray, train_set
         train = forward_loss(spec, th, train_set, stats)
         out.append((train.mean_loss, train.accuracy, forward_loss(spec, th, val_set, stats).accuracy))
     return out
-
-
-def _delta_passes(spec: MlpSpec, losses, theta_after: np.ndarray, frozen: np.ndarray, train_set: Batch) -> list:
-    """Each cell's delta_loss across the step, or None where the post-step
-    loss is not finite; ``losses`` is the future of ``_loss_passes``."""
-    deltas = []
-    for (loss, _, _), th, stats in zip(losses.result(), theta_after, frozen):
-        try:
-            deltas.append(delta_loss(spec, loss, th, train_set, stats))
-        except NonFiniteError:
-            deltas.append(None)
-    return deltas
 
 
 def _step_gradient(spec: MlpSpec, theta: np.ndarray, batch: Batch, g_now: Optional[np.ndarray] = None) -> np.ndarray:
@@ -422,39 +506,43 @@ def _checkpoint_record(
     val_set: Batch,
     step_batch: Batch,
     frozen: np.ndarray,
-    submit,
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Every cell's metric record at this checkpoint, and the stack's
-    post-step parameters and velocity: the step is taken here, so that the
-    delta_loss pass can run beside the covariance stage.
+    helper: _Helper,
+) -> tuple[list, np.ndarray, np.ndarray, object]:
+    """Every cell's metric record at this checkpoint but its λ_H, the
+    stack's post-step parameters and velocity, and the future of the
+    Hessian job that completes the records. The job is submitted first, and
+    this thread runs the loss passes, the step, delta_loss and the
+    covariance stage meanwhile.
 
-    ``submit(fn, *args)`` runs a call on the run's worker thread, or inline,
-    and returns its future. The loss passes are submitted first and the
-    delta_loss passes after the step, once the Lanczos basis is freed; the
-    one worker runs them in that order while this thread computes the
-    Hessian spectrum, the step and the covariance stage. The worker is
-    joined before this returns or raises: its loss passes come first in the
-    serial order, so their error is raised ahead of this thread's, and a
-    post-step loss that is not finite leaves delta_loss null."""
+    An error here waits for the job and is raised in the serial order: a
+    loss pass's error first, then the job's, then this stage's."""
     cells = stack.cells
     spec, sp = cells[0].config.model, cells[0].config.spectra
-    losses = submit(_loss_passes, spec, stack.theta, frozen, train_set, val_set)
-    deltas = None
+    job = helper.submit(
+        spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])), sp,
+        [derive_seed(c.config.seed, 4, step) for c in cells], frozen,
+    )
     try:
-        # one Lanczos run for the stack, released before any gradient sample exists
-        lambda_h = hessian_spectrum(
-            spec, stack.theta, train_set.subset(np.stack([c.eval_idx for c in cells])),
-            k=sp.top_k, method=sp.hvp_method, max_iters=sp.lanczos_iters,
-            seeds=[derive_seed(c.config.seed, 4, step) for c in cells], bn_stats=frozen,
-        )
+        losses = _loss_passes(spec, stack.theta, frozen, train_set, val_set)
+    except Exception:
+        job.exception()  # the job's own error comes later in the serial order
+        raise
+    try:
         g_now = grad(spec, stack.theta, step_batch, frozen)
         theta, velocity = _sgd_update(stack, _step_gradient(spec, stack.theta, step_batch, g_now), lrs)
-        deltas = submit(_delta_passes, spec, losses, theta, frozen, train_set)
 
         records = []
         m = sp.resolve_batch_size(train_set.size)
-        for th, stats, cell, lr, values, g in zip(stack.theta, frozen, cells, lrs, lambda_h, g_now):
-            record = MetricRecord(step=step, epoch=epoch, lr_current=lr, lambda_h_top=[float(v) for v in values])
+        for th, after, stats, cell, lr, (loss, acc, val_acc), g in zip(
+            stack.theta, theta, frozen, cells, lrs, losses, g_now
+        ):
+            record = MetricRecord(
+                step=step, epoch=epoch, train_loss=loss, train_acc=acc, val_acc=val_acc, lr_current=lr
+            )
+            try:
+                record.delta_loss = delta_loss(spec, loss, after, train_set, stats)
+            except NonFiniteError:
+                pass  # a post-step loss that is not finite: delta_loss stays null
             sample, _ = sample_minibatch_gradients(
                 spec, th, train_set, sp.n_gradient_samples, m,
                 seed=derive_seed(cell.config.seed, 3, step), bn_stats=stats,
@@ -474,23 +562,28 @@ def _checkpoint_record(
                 record.bn_gamma_norms = [bn_gamma_norm(spec, th, i) for i in spec.bn_layers]
             records.append(record)
     except Exception:
-        # join the worker, then raise a loss pass's error ahead of this one
-        (losses if deltas is None else deltas).exception()
-        losses.result()
+        failed = [v for v in job.result() if isinstance(v, BreakevenError)]
+        if failed:
+            raise failed[0]
         raise
-    for record, (loss, acc, val_acc), delta in zip(records, losses.result(), deltas.result()):
-        record.train_loss, record.train_acc, record.val_acc, record.delta_loss = loss, acc, val_acc, delta
-    return records, theta, velocity
+    return records, theta, velocity, job
 
 
 def _step(
-    stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink, submit
+    stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, helper: _Helper
 ) -> _Stack:
     """One SGD step of every cell in the stack, as one stacked pass; returns
-    the stack of the cells that go on. Raises the first package error of
-    any cell, before any cell's log or state changes."""
+    the stack of the cells that go on. A checkpoint first settles the
+    previous one's job; after that, the first package error of any cell is
+    raised before any cell's log or state changes."""
+    first = stack.cells[0].config
+    checkpoint = step > 0 and step % first.eval_every == 0
+    if checkpoint:
+        helper.settle()
+        stack = _live(stack)
+        if not stack.cells:
+            return stack
     cells = stack.cells
-    first = cells[0].config
     spec = first.model
     batch = train_set.subset(np.stack([c.perm[start : start + first.batch_size] for c in cells]))
     running = stack.running
@@ -498,12 +591,10 @@ def _step(
         running = BN_EMA_DECAY * running + (1.0 - BN_EMA_DECAY) * bn_batch_statistics(spec, stack.theta, batch)
     lrs = [c.config.schedule.lr_at(c.config.eta, epoch) for c in cells]
     records = []
-    if step > 0 and step % first.eval_every == 0:
-        records, theta, velocity = _checkpoint_record(
-            stack, step, epoch, lrs, train_set, val_set, batch, running, submit
+    if checkpoint:
+        records, theta, velocity, job = _checkpoint_record(
+            stack, step, epoch, lrs, train_set, val_set, batch, running, helper
         )
-        if param_sink is not None:
-            param_sink(step, stack.theta[0].copy())
     else:
         theta, velocity = _sgd_update(stack, _step_gradient(spec, stack.theta, batch), lrs)
     # NaN propagates through min and max and an inf sits at one end: no C x D mask
@@ -514,24 +605,31 @@ def _step(
         cell.records.append(record)
     for i in ended:
         cells[i].diverged = True
-    return _Stack(cells, theta, velocity, running).take([i for i in range(len(cells)) if i not in ended])
+    if checkpoint:
+        sink_theta = stack.theta[0].copy() if helper.param_sink is not None else None
+        helper.pending = (job, step, cells, records, sink_theta)
+        if not helper.forked:
+            helper.settle()
+    return _live(_Stack(cells, theta, velocity, running))
 
 
 def _advance(
-    stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, param_sink, submit
+    stack: _Stack, step: int, epoch: int, start: int, train_set: Batch, val_set: Batch, helper: _Helper
 ) -> _Stack:
     """``_step``; when a package error stops the stacked pass, every cell
     replays the step from the pre-step state as a one-cell stack, so the
     failing cell ends exactly as it would alone (NonFiniteError: diverged,
     keeping its log; any other: that error) and the others go on."""
     try:
-        return _step(stack, step, epoch, start, train_set, val_set, param_sink, submit)
+        return _step(stack, step, epoch, start, train_set, val_set, helper)
     except BreakevenError as exc:
         if len(stack.cells) > 1:
-            return _join([
-                _advance(stack.take([i]), step, epoch, start, train_set, val_set, param_sink, submit)
+            # a replayed cell's job is settled by the next cell's checkpoint,
+            # which may end it after its one-cell stack was returned
+            return _live(_join([
+                _advance(stack.take([i]), step, epoch, start, train_set, val_set, helper)
                 for i in range(len(stack.cells))
-            ])
+            ]))
         if isinstance(exc, NonFiniteError):
             stack.cells[0].diverged = True
         else:
@@ -549,7 +647,8 @@ def run_training(
     Deterministic: identical (config, dataset) pairs give field-identical
     logs. Non-finite values anywhere terminate the run as diverged, keeping
     the log collected so far. ``param_sink(step, theta)``, when given, is
-    called with a copy of the parameters at every instrumented checkpoint.
+    called with a copy of the parameters at every instrumented checkpoint,
+    once its record is complete.
 
     Checkpoints sit at steps eval_every, 2*eval_every, ...: the untrained
     parameter point carries no information about the hyperparameters under
@@ -562,9 +661,9 @@ def run_training(
     its own. The result is a list with, per cell, its (records, summary) or
     the package error that stopped it. ``param_sink`` takes one config only.
 
-    A run large enough to overlap its checkpoints' full-set loss passes
-    (module docstring) starts their worker thread at its first checkpoint
-    and shuts it down before it returns or raises.
+    A run that runs its Hessian jobs in a helper process (module docstring)
+    forks it at its first checkpoint, and shuts it down and joins it before
+    it returns or raises.
     """
     stacked = not isinstance(config, RunConfig)
     configs = list(config) if stacked else [config]
@@ -594,34 +693,24 @@ def run_training(
     theta = np.stack([init_params(c.model) for c in configs])
     stack = _Stack(cells, theta, np.zeros_like(theta), np.stack([init_bn_stats(c.model) for c in configs]))
 
-    overlap = usable_cpus() >= 2 and n_train * spec.param_dim > OVERLAP_MIN_WORK
-    pool = None
-
-    def submit(fn, *args):
-        nonlocal pool
-        if not overlap:
-            return _Ran(fn, *args)
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # imported here, not on every CLI start
-
-            pool = ThreadPoolExecutor(1)
-        return pool.submit(fn, *args)
-
+    # fork only from a process with no other thread, whose locks a fork could copy held
+    forked = sys.platform == "linux" and threading.active_count() == 1 and usable_cpus() >= 2
+    helper = _Helper(forked and n_train * spec.param_dim > OVERLAP_MIN_WORK, param_sink)
     step = 0
     try:
         for epoch in range(first.epochs):
             for cell in stack.cells:
                 cell.perm = cell.shuffle.permutation(n_train)
             for start in range(0, n_train, first.batch_size):
-                stack = _advance(stack, step, epoch, start, train_set, val_set, param_sink, submit)
+                stack = _advance(stack, step, epoch, start, train_set, val_set, helper)
                 step += 1
                 if not stack.cells:
                     break
             if not stack.cells:
                 break
+        helper.settle()
     finally:
-        if pool is not None:
-            pool.shutdown()
+        helper.close()
     results = [
         c.error if c.error is not None
         else (c.records, summarize_run(c.records, c.diverged, c.config.accuracy_threshold))

@@ -1,6 +1,17 @@
+import multiprocessing
 import tracemalloc
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process alive, as the benchmark fails
+    a run that leaves one running: a forked helper that outlives its run
+    holds the parent's pipes open. It only looks; it never kills."""
+    yield
+    alive = multiprocessing.active_children()
+    assert not alive, f"child processes left alive: {alive}"
 
 
 @pytest.fixture

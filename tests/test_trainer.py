@@ -1,4 +1,7 @@
+import functools
 import json
+import multiprocessing
+import os
 import threading
 from dataclasses import replace
 
@@ -535,17 +538,39 @@ class TestStackedTraining:
             run_training([smoke_config()], ds, param_sink=lambda step, theta: None)
 
 
-def use_worker(monkeypatch, on):
-    """Force the checkpoint's loss passes onto the worker thread (``on``) or
-    inline, whatever the machine's CPU count and the run's size."""
+def use_helper(monkeypatch, on):
+    """Force each checkpoint's Hessian job into the forked helper (``on``)
+    or inline, whatever the machine's CPU count and the run's size."""
     monkeypatch.setattr(trainer, "OVERLAP_MIN_WORK", 0)
     monkeypatch.setattr(trainer, "usable_cpus", lambda: 2 if on else 1)
 
 
-class TestCheckpointWorker:
-    """A checkpoint's full-set loss passes run on one worker thread beside
-    the Hessian spectrum and the covariance stage, or inline; the two paths
-    give the same logs and end every cell the same way."""
+def record_pids(monkeypatch, path):
+    """Wrap ``trainer.hessian_spectrum`` in a closure, as perfbench's tracer
+    does, that appends the id of the process it runs in to ``path``; returns
+    a function that reads the ids recorded since the last read."""
+    real = trainer.hessian_spectrum
+
+    @functools.wraps(real)
+    def traced(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "hessian_spectrum", traced)
+
+    def read():
+        pids = {int(p) for p in path.read_text(encoding="utf-8").split()} if path.exists() else set()
+        path.unlink(missing_ok=True)
+        return pids
+
+    return read
+
+
+class TestHessianHelper:
+    """A checkpoint's Hessian job runs in a forked helper process, a
+    checkpoint ahead of training, or inline; the two paths give the same
+    logs and end every cell the same way."""
 
     BN_SPEC = MlpSpec(layer_sizes=(2, 8, 8, 2), activation="relu", batch_norm=True, seed=3)
 
@@ -563,41 +588,56 @@ class TestCheckpointWorker:
         (BN_SPEC, "fd"),
         (MlpSpec(layer_sizes=(2, 8, 8, 2), activation="tanh", seed=3), "auto"),
     ], ids=["bn-fd", "plain-auto"])
-    def test_worker_and_inline_logs_are_byte_identical(self, spec, hvp_method, monkeypatch):
+    def test_helper_and_inline_logs_are_byte_identical(self, spec, hvp_method, monkeypatch, tmp_path):
         ds = smoke_dataset(n=128)
         configs = self.stack_configs(spec, hvp_method)
-        threads = []
-        real_forward = trainer.forward_loss
-
-        def forward(*args):
-            threads.append(threading.current_thread())
-            return real_forward(*args)
-
-        monkeypatch.setattr(trainer, "forward_loss", forward)
-        use_worker(monkeypatch, True)
-        overlapped = run_training(configs, ds)
-        assert threads and threading.main_thread() not in threads
-        threads.clear()
-        use_worker(monkeypatch, False)
+        pids = record_pids(monkeypatch, tmp_path / "pids")
+        use_helper(monkeypatch, True)
+        helped = run_training(configs, ds)
+        helper_pids = pids()
+        assert helper_pids and os.getpid() not in helper_pids and len(helper_pids) == 1
+        use_helper(monkeypatch, False)
         inline = run_training(configs, ds)
-        assert threads and set(threads) == {threading.main_thread()}
-        assert self.logs(configs, overlapped) == self.logs(configs, inline)
-        assert [s.diverged for _, s in overlapped] == [s.diverged for _, s in inline] == [False] * 3
+        assert pids() == {os.getpid()}
+        assert self.logs(configs, helped) == self.logs(configs, inline)
+        assert [s.diverged for _, s in helped] == [s.diverged for _, s in inline] == [False] * 3
 
-    def poisoned_stack(self, monkeypatch, step, which):
-        """Three identity-MSE cells, as one stack, where the eta = 0.02 cell's
-        delta_loss pass (``which`` "delta") or validation pass ("val") at its
+    def test_closure_patched_hessian_spectrum_runs_in_the_helper(self, monkeypatch, tmp_path):
+        # the helper is forked, so it calls the wrapper bound at fork time;
+        # nothing of it is pickled, and the one-cell run's param_sink sees
+        # every checkpoint once its record is complete
+        ds = smoke_dataset(n=128)
+        cfg = self.stack_configs(self.BN_SPEC, "fd")[0]
+        use_helper(monkeypatch, False)
+        sunk = []
+        inline = run_training(cfg, ds, param_sink=lambda step, theta: sunk.append((step, theta)))
+        pids = record_pids(monkeypatch, tmp_path / "pids")
+        use_helper(monkeypatch, True)
+        helped_sunk = []
+        helped = run_training(cfg, ds, param_sink=lambda step, theta: helped_sunk.append((step, theta)))
+        helper_pids = pids()
+        assert helper_pids and os.getpid() not in helper_pids
+        assert metric_log_lines(cfg, helped[0]) == metric_log_lines(cfg, inline[0])
+        assert [s for s, _ in helped_sunk] == [s for s, _ in sunk] == [r.step for r in inline[0]]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(helped_sunk, sunk))
+
+    def poisoned_stack(self, monkeypatch, step, which, eval_every=1):
+        """Three identity-MSE cells, as one stack with checkpoints every
+        ``eval_every`` steps, where the eta = 0.02 cell's delta_loss pass
+        (``which`` "delta"), validation pass ("val") or no pass (None) at its
         step-``step`` parameters raises NonFiniteError; returns the configs,
         the dataset and that cell's parameters by checkpoint step."""
         ds = smoke_dataset(n=128)
         cfg = smoke_config(
-            epochs=3, eval_every=1, batch_size=16,
+            epochs=3, eval_every=eval_every, batch_size=16,
             model=MlpSpec(layer_sizes=(2, 8, 8, 2), activation="identity", loss="mse", seed=3),
             spectra=SpectraParams(n_gradient_samples=6, lanczos_iters=8, top_k=2),
         )
         configs = [replace(cfg, eta=eta) for eta in (0.01, 0.02, 0.03)]
         thetas = {}
         run_training(configs[1], ds, param_sink=thetas.__setitem__)
+        if which is None:
+            return configs, ds, thetas
         name = "delta_loss" if which == "delta" else "forward_loss"
         real = getattr(trainer, name)
 
@@ -611,16 +651,16 @@ class TestCheckpointWorker:
         return configs, ds, thetas
 
     def assert_ends_as_inline(self, monkeypatch, configs, ds, last_step, delta_null):
-        use_worker(monkeypatch, True)
-        overlapped = run_training(configs, ds)
-        use_worker(monkeypatch, False)
+        use_helper(monkeypatch, True)
+        helped = run_training(configs, ds)
+        use_helper(monkeypatch, False)
         inline = run_training(configs, ds)
-        assert self.logs(configs, overlapped) == self.logs(configs, inline)
-        (ok_a, sa), (bad, sb), (ok_c, sc) = overlapped
+        assert self.logs(configs, helped) == self.logs(configs, inline)
+        (ok_a, sa), (bad, sb), (ok_c, sc) = helped
         assert sb.diverged and not sa.diverged and not sc.diverged
         assert bad[-1].step == last_step and (bad[-1].delta_loss is None) == delta_null
         assert all(r.train_loss is not None for r in bad)
-        for cfg, (records, _) in ((configs[0], overlapped[0]), (configs[2], overlapped[2])):
+        for cfg, (records, _) in ((configs[0], helped[0]), (configs[2], helped[2])):
             alone, _ = run_training(cfg, ds)
             assert records_of(records) == records_of(alone)
 
@@ -636,43 +676,189 @@ class TestCheckpointWorker:
         configs, ds, _ = self.poisoned_stack(monkeypatch, 4, "val")
         self.assert_ends_as_inline(monkeypatch, configs, ds, last_step=3, delta_null=False)
 
-    @pytest.mark.parametrize("on", [True, False], ids=["worker", "inline"])
-    def test_loss_pass_error_is_raised_ahead_of_the_hessians(self, on, monkeypatch):
+    @pytest.mark.parametrize("error", [NonFiniteError, NoConvergenceError])
+    def test_stacked_cell_whose_hessian_fails_ends_as_inline(self, error, monkeypatch):
+        # the eta = 0.02 cell's Hessian job fails at checkpoint 6, which the
+        # helper reports only at checkpoint 9: the cell's log runs through
+        # step 3 and it ends diverged (NonFiniteError) or with that error,
+        # and the other two cells match their runs alone
+        configs, ds, thetas = self.poisoned_stack(monkeypatch, None, None, eval_every=3)
+        real_hessian = trainer.hessian_spectrum
+
+        def hessian(spec, theta, *args, **kwargs):
+            if any(np.array_equal(row, thetas[6]) for row in theta):
+                raise error("poisoned Hessian")
+            return real_hessian(spec, theta, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "hessian_spectrum", hessian)
+        outcomes = {}
+        for on in (True, False):
+            use_helper(monkeypatch, on)
+            sunk = []
+            try:
+                alone = run_training(configs[1], ds, param_sink=lambda step, theta: sunk.append(step))
+            except error as exc:
+                alone = exc
+            outcomes[on] = (run_training(configs, ds), alone, sunk)
+        (helped, alone, sunk), (inline, alone_inline, sunk_inline) = outcomes[True], outcomes[False]
+        assert sunk == sunk_inline == [3]
+        if error is NonFiniteError:
+            assert self.logs(configs, helped) == self.logs(configs, inline)
+            (_, sa), (bad, sb), (_, sc) = helped
+            assert sb.diverged and not sa.diverged and not sc.diverged
+            assert [r.step for r in bad] == [3] and records_of(bad) == records_of(alone[0])
+        else:
+            assert isinstance(helped[1], NoConvergenceError) and isinstance(inline[1], NoConvergenceError)
+            assert str(helped[1]) == str(inline[1]) == str(alone) == str(alone_inline) == "poisoned Hessian"
+            ok = [configs[0], configs[2]]
+            assert self.logs(ok, [helped[0], helped[2]]) == self.logs(ok, [inline[0], inline[2]])
+        for cfg, (records, summary) in ((configs[0], helped[0]), (configs[2], helped[2])):
+            use_helper(monkeypatch, False)
+            alone_records, alone_summary = run_training(cfg, ds)
+            assert records_of(records) == records_of(alone_records)
+            assert summary.to_json_dict() == alone_summary.to_json_dict()
+
+    def test_replayed_checkpoint_keeps_only_the_live_cells(self, monkeypatch):
+        # at checkpoint 6 the eta = 0.01 cell's validation pass overflows, so
+        # the stack replays the checkpoint cell by cell, and the eta = 0.02
+        # cell's Hessian fails: in the replay its job is settled by the next
+        # cell's, and both paths train the same cells at every step after
+        configs, ds, thetas = self.poisoned_stack(monkeypatch, None, None, eval_every=3)
+        first = {}
+        run_training(configs[0], ds, param_sink=first.__setitem__)
+        real_forward, real_hessian, real_sgd = trainer.forward_loss, trainer.hessian_spectrum, trainer.sgd_step
+
+        def forward(spec, theta, batch, stats):
+            if np.array_equal(theta, first[6]) and batch.size != ds.n_train:
+                raise NonFiniteError("poisoned pass")
+            return real_forward(spec, theta, batch, stats)
+
+        def hessian(spec, theta, *args, **kwargs):
+            if any(np.array_equal(row, thetas[6]) for row in theta):
+                raise NonFiniteError("poisoned Hessian")
+            return real_hessian(spec, theta, *args, **kwargs)
+
+        rows = []
+
+        def sgd(theta, *args):
+            rows.append(len(theta))
+            return real_sgd(theta, *args)
+
+        monkeypatch.setattr(trainer, "forward_loss", forward)
+        monkeypatch.setattr(trainer, "hessian_spectrum", hessian)
+        monkeypatch.setattr(trainer, "sgd_step", sgd)
+        outcomes = []
+        for on in (True, False):
+            use_helper(monkeypatch, on)
+            outcomes.append((run_training(configs, ds), rows[:]))
+            rows.clear()
+        (helped, helped_rows), (inline, inline_rows) = outcomes
+        assert self.logs(configs, helped) == self.logs(configs, inline)
+        assert [[r.step for r in records] for records, _ in helped] == [[3]] * 2 + [[r.step for r in inline[2][0]]]
+        assert [s.diverged for _, s in helped] == [True, True, False]
+        assert helped_rows == inline_rows and helped_rows[-1] == 1
+
+    @pytest.mark.parametrize("on", [True, False], ids=["helper", "inline"])
+    def test_hessian_error_is_raised_ahead_of_the_covariance_stages(self, on, monkeypatch):
+        # serially the Hessian comes before the covariance stage, so its
+        # NonFiniteError ends the cell as diverged, not with the stage's error
+        configs, ds, thetas = self.poisoned_stack(monkeypatch, None, None, eval_every=3)
+        real_hessian, real_sample = trainer.hessian_spectrum, trainer.sample_minibatch_gradients
+
+        def hessian(spec, theta, *args, **kwargs):
+            if any(np.array_equal(row, thetas[6]) for row in theta):
+                raise NonFiniteError("poisoned Hessian")
+            return real_hessian(spec, theta, *args, **kwargs)
+
+        def sample(spec, theta, *args, **kwargs):
+            if np.array_equal(theta, thetas[6]):
+                raise InvalidConfigError("poisoned gradient sample")
+            return real_sample(spec, theta, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "hessian_spectrum", hessian)
+        monkeypatch.setattr(trainer, "sample_minibatch_gradients", sample)
+        use_helper(monkeypatch, on)
+        records, summary = run_training(configs[1], ds)
+        assert summary.diverged and [r.step for r in records] == [3]
+        (_, s1), (bad, s2), (_, s3) = run_training(configs, ds)
+        assert s2.diverged and [r.step for r in bad] == [3] and not s1.diverged and not s3.diverged
+
+    @pytest.mark.parametrize("error", [NoConvergenceError, TypeError])
+    @pytest.mark.parametrize("on", [True, False], ids=["helper", "inline"])
+    def test_loss_pass_error_is_raised_ahead_of_the_hessians(self, on, error, monkeypatch):
         # serially the loss passes run first, so their NonFiniteError ends
-        # the cell as diverged and the Hessian's error never shows
+        # the cell as diverged and the Hessian's error, a bug included,
+        # never shows
         configs, ds, thetas = self.poisoned_stack(monkeypatch, 3, "val")
         real_hessian = trainer.hessian_spectrum
 
         def hessian(spec, theta, *args, **kwargs):
             if any(np.array_equal(row, thetas[3]) for row in theta):
-                raise NoConvergenceError("poisoned Hessian")
+                raise error("poisoned Hessian")
             return real_hessian(spec, theta, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "hessian_spectrum", hessian)
-        use_worker(monkeypatch, on)
+        use_helper(monkeypatch, on)
         records, summary = run_training(configs[1], ds)
         assert summary.diverged and records[-1].step == 2
         (_, s1), (bad, s2), (_, s3) = run_training(configs, ds)
         assert s2.diverged and bad[-1].step == 2 and not s1.diverged and not s3.diverged
 
-    def test_worker_thread_ends_with_the_run(self, monkeypatch):
+    @pytest.mark.parametrize("why", ["one-cpu", "below-gate", "not-linux", "another-thread"])
+    def test_inline_runs_fork_nothing(self, why, monkeypatch, tmp_path):
         ds = smoke_dataset(n=128)
         configs = self.stack_configs(self.BN_SPEC, "fd")
-        use_worker(monkeypatch, True)
-        before = threading.active_count()
-        run_training(configs, ds)
-        assert threading.active_count() == before
-        real_forward = trainer.forward_loss
+        shipped = trainer.OVERLAP_MIN_WORK
+        assert ds.n_train * self.BN_SPEC.param_dim <= shipped
+        use_helper(monkeypatch, False)
+        inline = run_training(configs, ds)
+        pids = record_pids(monkeypatch, tmp_path / "pids")
 
-        def forward(spec, theta, batch, mode):
-            if threading.current_thread() is not threading.main_thread():
-                raise TypeError("bug in a loss pass")
-            return real_forward(spec, theta, batch, mode)
+        def no_fork():
+            raise AssertionError("an inline run forked")
 
-        monkeypatch.setattr(trainer, "forward_loss", forward)
-        with pytest.raises(TypeError, match="bug in a loss pass"):
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_helper(monkeypatch, True)  # then shut the gate one way
+        if why == "one-cpu":
+            monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
+        elif why == "below-gate":
+            monkeypatch.setattr(trainer, "OVERLAP_MIN_WORK", shipped)
+        elif why == "not-linux":
+            monkeypatch.setattr(trainer.sys, "platform", "darwin")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if why == "another-thread":
+            other.start()
+        try:
+            assert self.logs(configs, run_training(configs, ds)) == self.logs(configs, inline)
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(timeout=10)
+        assert pids() == {os.getpid()}
+
+    @pytest.mark.parametrize("where, error", [
+        ("helper", TypeError), ("checkpoint", TypeError), ("step", KeyboardInterrupt),
+    ], ids=["bug-in-helper", "bug-at-checkpoint", "interrupt-while-pending"])
+    def test_no_helper_outlives_a_run_that_raises(self, where, error, monkeypatch):
+        ds = smoke_dataset(n=128)
+        configs = self.stack_configs(self.BN_SPEC, "fd")
+        use_helper(monkeypatch, True)
+        name = {"helper": "hessian_spectrum", "checkpoint": "k_spectrum", "step": "sgd_step"}[where]
+        real = getattr(trainer, name)
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(None)
+            # sgd_step's fifth call is the step after checkpoint 3, whose job is pending
+            if where != "step" or len(calls) == 5:
+                raise error("raised mid-run")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, broken)
+        with pytest.raises(error, match="raised mid-run"):
             run_training(configs, ds)
-        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialization:
